@@ -313,6 +313,14 @@ def _cmd_gradcheck(args) -> int:
     if args.out:
         _write_text(args.out, payload + "\n")
     _say(args, payload)
+    if result["checked"] == 0:
+        probed = result["checked"] + result["tie_adjacent"]
+        print(
+            f"error: gradient audit checked nothing: {result['tie_adjacent']} of "
+            f"{probed} probed coordinates were tie-adjacent",
+            file=sys.stderr,
+        )
+        return EXIT_CHECK
     return EXIT_OK if result["max_rel_err"] < args.tol else EXIT_CHECK
 
 

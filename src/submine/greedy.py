@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
+import numpy as np
+
 from .kernels import EMPTY_SET, IndexSet
 from .objectives import (
+    Family,
     SubmodularObjective,
     commit,
     evaluate,
@@ -61,8 +64,8 @@ def _prep(
         raise ValueError("candidates overlap conditioning set")
     state = marginal_state(objective)
     for q in cond:
-        state = commit(state, q)
-    return cand, cond, state
+        commit(state, q)
+    return cand.sorted().as_array(), cond, state
 
 
 def greedy_max(
@@ -79,29 +82,25 @@ def greedy_max(
     may appear in the pool; re-selecting one contributes exactly zero gain
     (set semantics) and leaves the state untouched.
     """
-    cand, cond, state = _prep(
+    order, cond, state = _prep(
         objective, candidates, int(k), conditioning, allow_conditioned_candidates
     )
-    remaining = sorted(cand)
+    fresh = ~np.isin(order, cond.as_array())
+    left = np.ones(len(order), dtype=bool)
     picks: list[int] = []
     gains: list[float] = []
     evals = 0
-    for _ in range(min(int(k), len(remaining))):
-        best_v = -1
-        best_g = 0.0
-        for v in remaining:
-            if v in cond:
-                g = 0.0
-            else:
-                g = marginal_gain(state, v)
-                evals += 1
-            if best_v < 0 or g > best_g:
-                best_v, best_g = v, g
-        picks.append(best_v)
-        gains.append(best_g)
-        if best_v not in cond:
-            state = commit(state, best_v)
-        remaining.remove(best_v)
+    for _ in range(min(int(k), len(order))):
+        round_gains = np.where(left, 0.0, -np.inf)
+        rows = np.flatnonzero(left & fresh)
+        round_gains[rows] = state.gains(order[rows])
+        evals += len(rows)
+        p = int(np.argmax(round_gains))  # the first maximum: lowest index wins
+        picks.append(int(order[p]))
+        gains.append(float(round_gains[p]))
+        left[p] = False
+        if fresh[p]:
+            commit(state, picks[-1])
     return SelectionResult(
         IndexSet.of(picks), tuple(gains), float(sum(gains)), int(k), evals
     )
@@ -115,17 +114,20 @@ def lazy_greedy_max(
 ) -> SelectionResult:
     """Heap-accelerated greedy; identical picks and gains to greedy_max.
 
-    Relies on diminishing returns for the stale-bound argument, so feed it
-    submodular instances (non-negative kernels for facility-location and
-    graph-cut, positive-definite kernels for log-determinant).
+    The stale-bound argument needs diminishing returns: facility-location and
+    graph-cut raise ValueError on a negative kernel entry among those their
+    gains read (ground x pool and pool x pool, the pool taken with the
+    conditioning set); log-determinant needs a positive-definite kernel.
     """
-    cand, _, state = _prep(objective, candidates, int(k), conditioning)
-    evals = 0
-    heap: list[tuple[float, int, int]] = []
-    for v in sorted(cand):
-        g = marginal_gain(state, v)
-        evals += 1
-        heap.append((-g, v, 0))
+    order, cond, state = _prep(objective, candidates, int(k), conditioning)
+    family = objective.family
+    if family is not Family.LOG_DET:
+        cols = np.concatenate([order, cond.as_array()])
+        rows = objective.ground.as_array() if family is Family.FACILITY_LOCATION else cols
+        if np.any(objective.kernel.matrix[np.ix_(rows, cols)] < 0.0):
+            raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
+    heap = [(-float(g), int(v), 0) for g, v in zip(state.gains(order), order)]
+    evals = len(heap)
     heapq.heapify(heap)
     picks: list[int] = []
     gains: list[float] = []
@@ -134,12 +136,11 @@ def lazy_greedy_max(
             neg, v, stamp = heapq.heappop(heap)
             if stamp == rnd:
                 break
-            g = marginal_gain(state, v)
             evals += 1
-            heapq.heappush(heap, (-g, v, rnd))
+            heapq.heappush(heap, (-marginal_gain(state, v), v, rnd))
         picks.append(v)
         gains.append(-neg)
-        state = commit(state, v)
+        commit(state, v)
     return SelectionResult(
         IndexSet.of(picks), tuple(gains), float(sum(gains)), int(k), evals
     )
@@ -156,8 +157,7 @@ def brute_force_opt(
     Ties keep the first subset in enumeration order (sizes ascending, each
     size in lexicographic order over sorted candidate indices).
     """
-    cand, cond, state0 = _prep(objective, candidates, int(k), conditioning)
-    order = sorted(cand)
+    order, cond, state = _prep(objective, candidates, int(k), conditioning)
     kmax = min(int(k), len(order))
     total = sum(comb(len(order), j) for j in range(kmax + 1))
     if total > MAX_BRUTE_FORCE_SUBSETS:
@@ -173,11 +173,10 @@ def brute_force_opt(
             if val > best_val:
                 best_set, best_val = combo, val
     # Telescope the winner for per-step gains.
-    state = state0
     gains: list[float] = []
     for v in best_set:
         gains.append(marginal_gain(state, v))
-        state = commit(state, v)
+        commit(state, v)
     return SelectionResult(
         IndexSet(best_set), tuple(gains), float(best_val), int(k), evals
     )

@@ -10,14 +10,15 @@ fixed ground set of items the function sums over:
 The conditional gain of A given a disjoint set Q is f(A | Q) = f(A u Q) - f(Q).
 Each family also has a closed form for the gain with a strength knob nu that
 reduces to the exact definitional value at nu = 1.  Incremental selection goes
-through an immutable per-family state with O(n) or O(k^2) updates per commit.
+through one mutable state per family: it scores a whole array of candidates in
+one numpy call and updates its caches in place on each commit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,9 +104,7 @@ def _logdet_psd(m: np.ndarray, eps: float) -> float:
     try:
         chol = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        if eps == 0.0:
-            raise ValueError("singular kernel submatrix") from None
-        raise ValueError("kernel submatrix not positive definite") from None
+        raise _pd_error(eps) from None
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
@@ -194,35 +193,98 @@ def conditional_gain_closed(
 
 
 # ---------------------------------------------------------------------------
-# Incremental marginal gains.  States are immutable: commit returns a new
-# state, marginal_gain never mutates.  Per-family caches:
-#   facility-location: best similarity to the selected set per ground item
-#   graph-cut: running cross sums to the selected set, plus fixed column sums
-#   log-determinant: Cholesky factor of the selected submatrix + eps I
+# Incremental marginal gains: one mutable state per family.  Per-family caches:
+#   facility-location: item x ground block, best similarity per ground item
+#   graph-cut: fixed column sums plus running cross sums to the selection
+#   log-determinant: Cholesky rows and residual variance of every item
+#     (Chen, Zhang & Zhou, NeurIPS 2018)
 
 
-@dataclass(frozen=True)
+def _pd_error(eps: float) -> ValueError:
+    if eps == 0.0:
+        return ValueError("singular kernel submatrix")
+    return ValueError("kernel submatrix not positive definite")
+
+
 class MarginalState:
-    objective: SubmodularObjective
-    selected: tuple[int, ...]
-    value: float
-    _best: np.ndarray | None = field(default=None, repr=False)
-    _cross: np.ndarray | None = field(default=None, repr=False)
-    _colsum: np.ndarray | None = field(default=None, repr=False)
-    _chol: np.ndarray | None = field(default=None, repr=False)
+    """Selection so far, its value f(selected), and the caches behind `gains`.
+
+    `gains(items)` returns the marginal gains of an index array of unselected
+    items in one call; `commit(v)` adds an unselected item in place.
+    """
+
+    def __init__(self, objective: SubmodularObjective):
+        self.objective = objective
+        self.selected: list[int] = []
+        self.value = 0.0
+        self._s = objective.kernel.matrix
+
+
+class _FacilityLocationState(MarginalState):
+    def __init__(self, objective):
+        super().__init__(objective)
+        self._g = objective.ground.as_array()
+        # Row v is kernel column v over the ground set, contiguous.
+        self._block = np.ascontiguousarray(self._s[self._g, :].T)
+        self._best: np.ndarray | None = None
+
+    def gains(self, items) -> np.ndarray:
+        block = np.take(self._block, items, axis=0)
+        if self._best is not None:
+            np.maximum(np.subtract(block, self._best, out=block), 0.0, out=block)
+        return block.sum(axis=1)
+
+    def commit(self, v: int) -> None:
+        col = self._s[self._g, v]
+        self._best = col if self._best is None else np.maximum(self._best, col)
+        self.value = float(self._best.sum())
+
+
+class _GraphCutState(MarginalState):
+    def __init__(self, objective):
+        super().__init__(objective)
+        self._colsum = self._s[objective.ground.as_array(), :].sum(axis=0)
+        self._cross = np.zeros(objective.n)
+
+    def gains(self, items) -> np.ndarray:
+        lam = self.objective.lam
+        return self._colsum[items] - lam * (2.0 * self._cross[items] + self._s[items, items])
+
+    def commit(self, v: int) -> None:
+        self.value += float(self.gains(v))
+        self._cross += self._s[:, v]
+
+
+class _LogDetState(MarginalState):
+    def __init__(self, objective):
+        super().__init__(objective)
+        self._factor = np.zeros((0, objective.n))
+        self._resid = np.diagonal(self._s) + objective.epsilon
+
+    def gains(self, items) -> np.ndarray:
+        resid = self._resid[items]
+        if np.any(resid <= 0.0):
+            raise _pd_error(self.objective.epsilon)
+        return np.log(resid)
+
+    def commit(self, v: int) -> None:
+        gain = float(self.gains(v))
+        e = (self._s[:, v] - self._factor[:, v] @ self._factor) / math.sqrt(self._resid[v])
+        self._resid -= e * e
+        self._factor = np.vstack([self._factor, e])
+        self.value += gain
+
+
+_STATES = {
+    Family.FACILITY_LOCATION: _FacilityLocationState,
+    Family.GRAPH_CUT: _GraphCutState,
+    Family.LOG_DET: _LogDetState,
+}
 
 
 def marginal_state(objective: SubmodularObjective) -> MarginalState:
     """Fresh state for the empty selection."""
-    if objective.family is Family.GRAPH_CUT:
-        s = objective.kernel.matrix
-        g = objective.ground.as_array()
-        colsum = s[g, :].sum(axis=0) if len(g) else np.zeros(objective.n)
-        colsum.flags.writeable = False
-        cross = np.zeros(objective.n)
-        cross.flags.writeable = False
-        return MarginalState(objective, (), 0.0, _cross=cross, _colsum=colsum)
-    return MarginalState(objective, (), 0.0)
+    return _STATES[objective.family](objective)
 
 
 def _check_new(state: MarginalState, v: int) -> int:
@@ -236,73 +298,12 @@ def _check_new(state: MarginalState, v: int) -> int:
 
 def marginal_gain(state: MarginalState, v: int) -> float:
     """f(selected u {v}) - f(selected), read-only."""
-    v = _check_new(state, v)
-    obj = state.objective
-    s = obj.kernel.matrix
-    if obj.family is Family.FACILITY_LOCATION:
-        g = obj.ground.as_array()
-        if len(g) == 0:
-            return 0.0
-        col = s[g, v]
-        if state._best is None:
-            return float(col.sum())
-        return float(np.maximum(col - state._best, 0.0).sum())
-    if obj.family is Family.GRAPH_CUT:
-        return float(state._colsum[v] - obj.lam * (2.0 * state._cross[v] + s[v, v]))
-    # log-determinant
-    eps = obj.epsilon
-    if state._chol is None:
-        rem = s[v, v] + eps
-    else:
-        sel = np.asarray(state.selected, dtype=np.intp)
-        w = solve_triangular(state._chol, s[sel, v], lower=True)
-        rem = s[v, v] + eps - float(w @ w)
-    if rem <= 0.0:
-        if eps == 0.0:
-            raise ValueError("singular kernel submatrix")
-        raise ValueError("kernel submatrix not positive definite")
-    return math.log(rem)
+    return float(state.gains([_check_new(state, v)])[0])
 
 
 def commit(state: MarginalState, v: int) -> MarginalState:
-    """New state with v added to the selection."""
+    """Add v to the selection in place and return the same state."""
     v = _check_new(state, v)
-    obj = state.objective
-    s = obj.kernel.matrix
-    selected = state.selected + (v,)
-    if obj.family is Family.FACILITY_LOCATION:
-        g = obj.ground.as_array()
-        col = s[g, v] if len(g) else np.zeros(0)
-        best = col.copy() if state._best is None else np.maximum(state._best, col)
-        best.flags.writeable = False
-        return MarginalState(obj, selected, float(best.sum()), _best=best)
-    if obj.family is Family.GRAPH_CUT:
-        gain = marginal_gain(state, v)
-        cross = state._cross + s[:, v]
-        cross.flags.writeable = False
-        return MarginalState(
-            obj, selected, state.value + gain, _cross=cross, _colsum=state._colsum
-        )
-    # log-determinant: extend the Cholesky factor by one row.
-    eps = obj.epsilon
-    if state._chol is None:
-        rem = s[v, v] + eps
-        w = np.zeros(0)
-        k = 0
-    else:
-        sel = np.asarray(state.selected, dtype=np.intp)
-        w = solve_triangular(state._chol, s[sel, v], lower=True)
-        rem = s[v, v] + eps - float(w @ w)
-        k = state._chol.shape[0]
-    if rem <= 0.0:
-        if eps == 0.0:
-            raise ValueError("singular kernel submatrix")
-        raise ValueError("kernel submatrix not positive definite")
-    chol = np.zeros((k + 1, k + 1))
-    if k:
-        chol[:k, :k] = state._chol
-        chol[k, :k] = w
-    chol[k, k] = math.sqrt(rem)
-    chol.flags.writeable = False
-    value = float(2.0 * np.sum(np.log(np.diag(chol))))
-    return MarginalState(obj, selected, value, _chol=chol)
+    state.commit(v)
+    state.selected.append(v)
+    return state

@@ -203,6 +203,21 @@ def test_gradcheck_pass_and_negative_control(tmp_path, small_scene):
     assert code == EXIT_CHECK
 
 
+def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):
+    # Identical rows tie every argmax, so every probe is tie-adjacent.
+    scene = tmp_path / "ties.csv"
+    write_embeddings_csv(EmbeddingSet(np.ones((6, 3))), scene)
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1], [2, 3]], "U": [4, 5]})
+    report = tmp_path / "check.json"
+    argv = ["gradcheck", str(scene), "--sets", sets, "--family", "fl"]
+    code = main(argv + ["--out", str(report), "--quiet"])
+    assert code == EXIT_CHECK
+    payload = json.loads(report.read_text())
+    assert payload["checked"] == 0 and payload["tie_adjacent"] == 18
+    assert payload["max_rel_err"] == 0.0
+    assert "18 of 18 probed coordinates were tie-adjacent" in capsys.readouterr().err
+
+
 def test_sweep_discovery_parameter(tmp_path, small_scene):
     sweep = _write_json(
         tmp_path / "sweep.json", {"parameter": "k", "values": [0, 2, 4]}

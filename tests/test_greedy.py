@@ -74,6 +74,39 @@ def test_lazy_greedy_is_bit_identical_to_naive():
             assert lazy.evaluations <= naive.evaluations + n
 
 
+def test_lazy_greedy_rejects_negative_kernels():
+    # Raw cosine breaks diminishing returns for facility-location and
+    # graph-cut, where stale heap bounds would silently pick wrongly.
+    rng = np.random.default_rng(808)
+    for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
+        obj = random_objective(rng, family, n=12, transform="raw-cosine")
+        with pytest.raises(ValueError, match="non-negative kernel"):
+            lazy_greedy_max(obj, IndexSet.of(range(12)), 4)
+    ld = random_objective(rng, Family.LOG_DET, n=12, transform="raw-cosine", epsilon=1e-4)
+    naive = greedy_max(ld, IndexSet.of(range(12)), 4)
+    assert lazy_greedy_max(ld, IndexSet.of(range(12)), 4).gains == naive.gains
+
+
+def test_lazy_greedy_checks_only_entries_the_gains_read():
+    # s[2, 3] < 0: facility-location over ground {0, 1} never reads it, while
+    # graph-cut's cross sums over the pool {2, 3} do.
+    s = np.array(
+        [
+            [1.0, 0.5, 0.2, 0.3],
+            [0.5, 1.0, 0.4, 0.1],
+            [0.2, 0.4, 1.0, -0.3],
+            [0.3, 0.1, -0.3, 1.0],
+        ]
+    )
+    kernel = SimilarityKernel(s)
+    ground, pool = IndexSet.of([0, 1]), IndexSet.of([2, 3])
+    fl = SubmodularObjective(Family.FACILITY_LOCATION, kernel, ground)
+    assert lazy_greedy_max(fl, pool, 2).gains == greedy_max(fl, pool, 2).gains
+    gc = SubmodularObjective(Family.GRAPH_CUT, kernel, ground)
+    with pytest.raises(ValueError, match="non-negative kernel for graph-cut"):
+        lazy_greedy_max(gc, pool, 2)
+
+
 def test_lazy_greedy_saves_evaluations():
     rng = np.random.default_rng(33)
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=40, transform="clip-at-zero")
