@@ -7,14 +7,15 @@ The pipeline runs four stages over one scene:
   3. background  greedily maximize the gain conditioned on K, budget tau_b * |pool|
   4. unknown     greedily maximize the gain conditioned on K u B, budget k
 
-Stages 3 and 4 share one submodular objective built over the kept items.  A
-failure in any stage aborts with that stage's name attached.
+Stages 3 and 4 share one submodular objective whose kernel spans the kept
+items only, so its size follows |kept|, not the scene.  A failure in any
+stage aborts with that stage's name attached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -82,7 +83,11 @@ class DiscoveryConfig:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Selections from one pipeline run plus the traces that produced them."""
+    """Selections from one pipeline run plus the traces that produced them.
+
+    Every index set and trace holds scene indices.  kernel is the kept x kept
+    kernel the selection stages ran on: its row i is scene item kept[i].
+    """
 
     kept: IndexSet
     known: IndexSet
@@ -142,7 +147,11 @@ def match_knowns(
             f"more prototypes ({prototypes.n}) than kept items ({len(kept)})"
         )
     kept_arr = kept.as_array()
-    unit_items = row_normalize(EmbeddingSet(embeddings.data[kept_arr])).data
+    items = embeddings.data[kept_arr]
+    zero = np.flatnonzero(np.linalg.norm(items, axis=1) == 0.0)
+    if len(zero):
+        raise ValueError(f"zero-norm row {int(kept_arr[zero[0]])}")
+    unit_items = row_normalize(EmbeddingSet(items)).data
     unit_protos = row_normalize(EmbeddingSet(prototypes.data)).data
     cost = 1.0 - unit_items @ unit_protos.T
     pairs = hungarian_assign(cost)
@@ -191,7 +200,13 @@ def run_discovery(
     prototypes: EmbeddingSet,
     config: DiscoveryConfig = DiscoveryConfig(),
 ) -> DiscoveryResult:
-    """Full pipeline; raises StageError naming the failing stage."""
+    """Full pipeline; raises StageError naming the failing stage.
+
+    Stages 3 and 4 run on a kernel over the kept rows only, indexed by kept
+    position; sets are translated to positions on the way in and back to
+    scene indices on the way out.  kept is ascending, so the map is monotone
+    and greedy's lowest-index tie-break picks the same items either way.
+    """
     try:
         kept = filter_by_objectness(embeddings, config.tau_e)
         if len(kept) == 0:
@@ -202,20 +217,28 @@ def run_discovery(
         known = match_knowns(embeddings, kept, prototypes)
     except ValueError as e:
         raise StageError("match", str(e)) from None
+    kept_arr = kept.as_array()
+
+    def to_scene(s: IndexSet) -> IndexSet:
+        return IndexSet.of(kept_arr[s.as_array()])
+
     try:
         kernel = cosine_kernel(
-            embeddings, transform=config.resolved_transform, epsilon=config.epsilon
+            EmbeddingSet(embeddings.data[kept_arr]),
+            transform=config.resolved_transform,
+            epsilon=config.epsilon,
         )
         objective = SubmodularObjective(
             family=config.family,
             kernel=kernel,
-            ground=kept,
+            ground=IndexSet.of(range(len(kept))),
             lam=config.lam,
             nu=config.nu,
             epsilon=config.epsilon,
         )
-        pool_v = kept.minus(known)
-        bg = select_background(objective, pool_v, known, config.tau_b)
+        known_k = IndexSet.of(_kept_positions(kept, known))
+        pool_v = objective.ground.minus(known_k)
+        bg = select_background(objective, pool_v, known_k, config.tau_b)
     except ValueError as e:
         raise StageError("background", str(e)) from None
     try:
@@ -223,15 +246,17 @@ def run_discovery(
             pool_u = pool_v.minus(bg.selected)
         else:
             pool_u = pool_v
-        un = select_unknowns(objective, pool_u, known, bg.selected, config.k)
+        un = select_unknowns(objective, pool_u, known_k, bg.selected, config.k)
     except ValueError as e:
         raise StageError("unknown", str(e)) from None
+    bg = replace(bg, selected=to_scene(bg.selected))
+    un = replace(un, selected=to_scene(un.selected))
     return DiscoveryResult(
         kept=kept,
         known=known,
         background=bg.selected,
         unknown=un.selected,
-        pool=pool_u,
+        pool=to_scene(pool_u),
         background_trace=bg,
         unknown_trace=un,
         config=config,
@@ -239,11 +264,17 @@ def run_discovery(
     )
 
 
-def _mean_block(kernel: SimilarityKernel, a: IndexSet, b: IndexSet) -> float:
+def _kept_positions(kept: IndexSet, items: IndexSet) -> np.ndarray:
+    """Positions within the ascending kept set of scene indices drawn from it."""
+    return np.searchsorted(kept.as_array(), items.as_array())
+
+
+def _mean_block(result: DiscoveryResult, a: IndexSet, b: IndexSet) -> float:
     if len(a) == 0 or len(b) == 0:
         return 0.0
-    block = kernel.matrix[np.ix_(a.as_array(), b.as_array())]
-    return float(block.mean())
+    rows = _kept_positions(result.kept, a)
+    cols = _kept_positions(result.kept, b)
+    return float(result.kernel.matrix[np.ix_(rows, cols)].mean())
 
 
 def coverage_metrics(result: DiscoveryResult, truth: np.ndarray) -> dict:
@@ -255,8 +286,8 @@ def coverage_metrics(result: DiscoveryResult, truth: np.ndarray) -> dict:
     i.e. the expected purity of a uniform random pick.
     """
     truth = np.asarray(truth)
-    if truth.ndim != 1 or len(truth) < result.kernel.n:
-        raise ValueError("truth labels do not cover the scene")
+    if truth.ndim != 1 or len(truth) <= max(result.kept):
+        raise ValueError("truth labels do not cover the kept items")
     mined = [i for i in result.unknown if truth[i] == UNKNOWN_LABEL]
     purity = len(mined) / len(result.unknown) if len(result.unknown) else 0.0
     kept_unknown = [i for i in result.kept if truth[i] == UNKNOWN_LABEL]
@@ -267,12 +298,10 @@ def coverage_metrics(result: DiscoveryResult, truth: np.ndarray) -> dict:
         "purity": purity,
         "coverage": coverage,
         "unknown_prevalence_in_pool": prevalence,
-        "mean_sim_unknown_to_known": _mean_block(result.kernel, result.unknown, result.known),
+        "mean_sim_unknown_to_known": _mean_block(result, result.unknown, result.known),
         "mean_sim_unknown_to_background": _mean_block(
-            result.kernel, result.unknown, result.background
+            result, result.unknown, result.background
         ),
-        "mean_sim_background_to_known": _mean_block(
-            result.kernel, result.background, result.known
-        ),
-        "mean_sim_pool_to_known": _mean_block(result.kernel, result.pool, result.known),
+        "mean_sim_background_to_known": _mean_block(result, result.background, result.known),
+        "mean_sim_pool_to_known": _mean_block(result, result.pool, result.known),
     }

@@ -1,8 +1,10 @@
 """Embedding containers, cosine similarity kernels, and CSV I/O.
 
 Everything downstream works on a symmetric similarity matrix built from
-row-normalized embeddings.  The kernel is built once per scene and indexed
-by integer item ids; index sets are small immutable tuples.
+row-normalized embeddings.  A kernel is indexed by row position in the
+embeddings it was built from: the mining pipeline builds it over the kept
+items only, so its indices are kept positions, not scene ids.  Index sets
+are small immutable tuples.
 """
 
 from __future__ import annotations

@@ -311,8 +311,10 @@ def finite_difference_check(
     Probes every coordinate when n*d <= 5000, otherwise a seeded random
     subset of max_coords coordinates.  A probe whose argmax/hinge structure
     differs from the base point is tie-adjacent: it is counted and excluded
-    from the error maxima rather than reported as a failure.  `perturb` is a
-    test hook added to one gradient entry before comparison.
+    from the error maxima rather than reported as a failure.  When every probe
+    is tie-adjacent (checked == 0) nothing was measured, and both error
+    maxima are NaN, so `max_rel_err < tol` is False for every tolerance.
+    `perturb` is a test hook added to one gradient entry before comparison.
     """
     _validate_sets(embeddings.n, classes, t, u)
     for idx in u:
@@ -352,6 +354,8 @@ def finite_difference_check(
         max_abs = max(max_abs, abs_err)
         max_rel = max(max_rel, rel_err)
         checked += 1
+    if checked == 0:
+        max_abs = max_rel = float("nan")
     return {
         "l_total": base_total,
         "h": h,

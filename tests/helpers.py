@@ -5,6 +5,8 @@ enumeration, and numpy.linalg calls.  None of it shares code with the
 vectorized or incremental paths under audit.
 """
 
+import math
+
 import numpy as np
 
 from submine import (
@@ -13,6 +15,9 @@ from submine import (
     IndexSet,
     SubmodularObjective,
     cosine_kernel,
+    filter_by_objectness,
+    greedy_max,
+    match_knowns,
 )
 
 
@@ -100,3 +105,40 @@ def nested_triple(rng, n):
     a = IndexSet.of(perm[:a_size])
     v = perm[b_size]
     return a, b, v
+
+
+def full_scene_discovery(scene, prototypes, config):
+    """The mining pipeline's selection stages over a full n x n scene kernel.
+
+    Everything stays in scene indices: the objective's ground set is the kept
+    items and no index is remapped.  It reuses greedy_max, so it checks the
+    kept-only kernel and its index translation, not greedy itself.  Returns
+    (kernel, background trace, unknown trace, stage-4 pool).
+    """
+    kept = filter_by_objectness(scene, config.tau_e)
+    known = match_knowns(scene, kept, prototypes)
+    kernel = cosine_kernel(
+        scene, transform=config.resolved_transform, epsilon=config.epsilon
+    )
+    objective = SubmodularObjective(
+        config.family,
+        kernel,
+        kept,
+        lam=config.lam,
+        nu=config.nu,
+        epsilon=config.epsilon,
+    )
+    pool_v = kept.minus(known)
+    bg = greedy_max(
+        objective, pool_v, math.floor(config.tau_b * len(pool_v)), conditioning=known
+    )
+    pool_u = pool_v.minus(bg.selected) if config.exclude_background_from_pool else pool_v
+    cond = known.union(bg.selected)
+    un = greedy_max(
+        objective,
+        pool_u,
+        config.k,
+        conditioning=cond,
+        allow_conditioned_candidates=pool_u.intersects(cond),
+    )
+    return kernel, bg, un, pool_u

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ def test_select_outputs_schema_and_roles(tmp_path, small_scene):
     assert len(lines) == 2 + len(payload["kept"])
     roles_seen = {line.split(",")[-1] for line in lines[2:]}
     assert roles_seen <= {"known", "background", "unknown", "rest"}
+
+
+def test_select_ignores_zero_norm_row_the_filter_drops(tmp_path, small_scene):
+    scene = read_embeddings_csv(small_scene)
+    row = int(np.flatnonzero(scene.objectness < 0.2)[0])
+    data = np.array(scene.data)
+    data[row] = 0.0
+    zeroed = tmp_path / "zeroed.csv"
+    write_embeddings_csv(
+        EmbeddingSet(data, labels=scene.labels, objectness=scene.objectness), zeroed
+    )
+    outs = []
+    for src in (small_scene, zeroed):
+        out = tmp_path / f"{src.stem}.json"
+        assert main(["select", str(src), "--out", str(out), "--quiet"]) == EXIT_OK
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
 
 
 def test_select_config_file_and_flag_precedence(tmp_path, small_scene):
@@ -214,7 +232,7 @@ def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):
     assert code == EXIT_CHECK
     payload = json.loads(report.read_text())
     assert payload["checked"] == 0 and payload["tie_adjacent"] == 18
-    assert payload["max_rel_err"] == 0.0
+    assert math.isnan(payload["max_rel_err"])
     assert "18 of 18 probed coordinates were tie-adjacent" in capsys.readouterr().err
 
 

@@ -26,6 +26,8 @@ from submine import (
     select_unknowns,
 )
 
+from helpers import full_scene_discovery
+
 # A scaled-down copy of the default scene keeps pipeline tests quick.
 SMALL_SCENE = SceneSpec(n_total=120, n_known=6, n_unknown=25)
 
@@ -255,13 +257,69 @@ def test_coverage_metrics_against_loops():
     assert metrics["coverage"] == len(mined_true) / len(kept_true)
     pool_true = [i for i in result.pool if truth[i] == 0]
     assert metrics["unknown_prevalence_in_pool"] == len(pool_true) / len(result.pool)
-    s = result.kernel.matrix
-    want = np.mean(
-        [s[i, j] for i in result.unknown for j in result.known]
-    )
-    assert metrics["mean_sim_unknown_to_known"] == pytest.approx(want, abs=1e-12)
+    # An independent full-scene kernel, indexed by scene row.
+    s = cosine_kernel(scene, transform=result.config.resolved_transform).matrix
+    for name, rows, cols in (
+        ("unknown_to_known", result.unknown, result.known),
+        ("unknown_to_background", result.unknown, result.background),
+        ("background_to_known", result.background, result.known),
+        ("pool_to_known", result.pool, result.known),
+    ):
+        want = np.mean([s[i, j] for i in rows for j in cols])
+        assert metrics[f"mean_sim_{name}"] == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="truth labels do not cover"):
         coverage_metrics(result, scene.labels[:50])
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("exclude", [True, False])
+def test_kept_kernel_matches_full_scene_reference(family, exclude):
+    for seed in (0, 1, 2, 3):
+        scene = gen_scene(SceneSpec(seed=seed))
+        protos = known_prototypes(scene)
+        config = DiscoveryConfig(family=family, exclude_background_from_pool=exclude)
+        result = run_discovery(scene, protos, config)
+        kernel, bg, un, pool = full_scene_discovery(scene, protos, config)
+        kept = result.kept.as_array()
+        assert result.kernel.n == len(kept) < scene.n
+        np.testing.assert_allclose(
+            result.kernel.matrix, kernel.matrix[np.ix_(kept, kept)], rtol=0, atol=1e-12
+        )
+        assert result.pool == pool
+        for got, want in ((result.background_trace, bg), (result.unknown_trace, un)):
+            assert got.selected == want.selected
+            assert (got.budget, got.evaluations) == (want.budget, want.evaluations)
+            np.testing.assert_allclose(got.gains, want.gains, rtol=0, atol=1e-12)
+        assert result.background == bg.selected and result.unknown == un.selected
+
+
+def _with_zero_row(scene, row):
+    data = np.array(scene.data)
+    data[row] = 0.0
+    return EmbeddingSet(data, labels=scene.labels, objectness=scene.objectness)
+
+
+def test_zero_norm_kept_row_is_named_by_scene_index():
+    scene = gen_scene(SMALL_SCENE)
+    kept = filter_by_objectness(scene, DiscoveryConfig().tau_e)
+    row = max(kept)  # some dropped rows come before it
+    assert kept.indices.index(row) != row and scene.labels[row] < 1
+    broken = _with_zero_row(scene, row)
+    with pytest.raises(ValueError, match=rf"^zero-norm row {row}$"):
+        match_knowns(broken, kept, known_prototypes(scene))
+    with pytest.raises(StageError, match=rf"^match: zero-norm row {row}$"):
+        run_discovery(broken, known_prototypes(scene))
+
+
+def test_zero_norm_row_dropped_by_filter_does_not_abort():
+    scene = gen_scene(SMALL_SCENE)
+    config = DiscoveryConfig()
+    row = int(np.flatnonzero(scene.objectness < config.tau_e)[0])
+    broken = _with_zero_row(scene, row)
+    result = run_discovery(broken, known_prototypes(scene), config)
+    clean = run_discovery(scene, known_prototypes(scene), config)
+    assert row not in result.kept
+    assert result.to_json_dict() == clean.to_json_dict()
 
 
 def test_family_ordering_on_shipped_seeds():

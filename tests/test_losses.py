@@ -197,6 +197,17 @@ def test_finite_difference_catches_corrupted_gradient():
     assert bad["max_rel_err"] > 1e-4
 
 
+def test_finite_difference_check_that_checks_nothing_is_nan():
+    # Identical rows tie every argmax, so every probe is tie-adjacent.
+    e = EmbeddingSet(np.ones((6, 3)))
+    classes = [IndexSet.of([0, 1]), IndexSet.of([2, 3])]
+    u, t = IndexSet.of([4, 5]), IndexSet.of(range(6))
+    result = finite_difference_check(e, classes, u, t, LossConfig(family="fl"))
+    assert result["checked"] == 0 and result["tie_adjacent"] == 18
+    assert math.isnan(result["max_rel_err"]) and math.isnan(result["max_abs_err"])
+    assert not result["max_rel_err"] < 1e-5
+
+
 def test_gradient_is_read_only():
     rng = np.random.default_rng(34)
     e, classes, u, t = _instance(rng)
