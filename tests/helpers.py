@@ -19,6 +19,7 @@ from submine import (
     greedy_max,
     match_knowns,
 )
+from submine.losses import FD_EXHAUSTIVE_LIMIT, _assemble, _index_sets
 
 
 def fl_loops(s, members, ground):
@@ -142,3 +143,70 @@ def full_scene_discovery(scene, prototypes, config):
         allow_conditioned_candidates=pool_u.intersects(cond),
     )
     return kernel, bg, un, pool_u
+
+
+def finite_difference_reference(
+    embeddings, classes, u, t, config, h=1e-4, seed=0, max_coords=200, perturb=0.0
+):
+    """The gradient audit as one full loss evaluation per probe.
+
+    Each probe copies the embeddings, moves one coordinate and rebuilds the
+    whole kernel and loss.  It reuses the library's single-point evaluation,
+    so it checks the batched probe kernel rows and the per-probe signature
+    comparison, not the loss terms themselves.  Besides the audit's report it
+    returns the probed coordinates under "coords".
+    """
+
+    sets = _index_sets(classes, u, t, config.family)
+
+    def point(data):
+        sig = []
+        _, _, total, grad, _, _ = _assemble(data, sets, config, sig.append)
+        return total, grad, sig
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    data = embeddings.data
+    n, d = data.shape
+    base_total, grad, base_sig = point(data)
+    grad = np.array(grad)
+    if perturb != 0.0:
+        grad[0, 0] += perturb
+    if n * d <= FD_EXHAUSTIVE_LIMIT:
+        coords = [(i, j) for i in range(n) for j in range(d)]
+    else:
+        rng = np.random.default_rng(seed)
+        flat = rng.choice(n * d, size=min(max_coords, n * d), replace=False)
+        coords = [(int(f) // d, int(f) % d) for f in np.sort(flat)]
+    max_abs = 0.0
+    max_rel = 0.0
+    checked = 0
+    ties = 0
+    for i, j in coords:
+        probe = np.array(data)
+        probe[i, j] += h
+        up, _, sig_up = point(probe)
+        probe[i, j] -= 2.0 * h
+        dn, _, sig_dn = point(probe)
+        if not (same(sig_up, base_sig) and same(sig_dn, base_sig)):
+            ties += 1
+            continue
+        fd = (up - dn) / (2.0 * h)
+        a = float(grad[i, j])
+        abs_err = abs(a - fd)
+        rel_err = abs_err / max(abs(a), abs(fd), 1e-4)
+        max_abs = max(max_abs, abs_err)
+        max_rel = max(max_rel, rel_err)
+        checked += 1
+    if checked == 0:
+        max_abs = max_rel = float("nan")
+    return {
+        "l_total": base_total,
+        "h": h,
+        "checked": checked,
+        "tie_adjacent": ties,
+        "max_abs_err": max_abs,
+        "max_rel_err": max_rel,
+        "coords": coords,
+    }

@@ -236,6 +236,14 @@ def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):
     assert "18 of 18 probed coordinates were tie-adjacent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["0", "nan", "inf"])
+def test_gradcheck_rejects_a_step_that_measures_nothing(tmp_path, small_scene, capsys, h):
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [6, 7, 8]})
+    argv = ["gradcheck", str(small_scene), "--sets", sets, "--family", "gc", "--h", h]
+    assert main(argv + ["--quiet"]) == EXIT_CONFIG
+    assert "finite and positive" in capsys.readouterr().err
+
+
 def test_sweep_discovery_parameter(tmp_path, small_scene):
     sweep = _write_json(
         tmp_path / "sweep.json", {"parameter": "k", "values": [0, 2, 4]}

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import submine.losses
+from helpers import finite_difference_reference
 from submine import (
     EmbeddingSet,
     Family,
@@ -19,6 +21,7 @@ from submine import (
     loss_self,
     loss_total,
 )
+from submine.losses import FD_EXHAUSTIVE_LIMIT
 
 FAMILIES = ["fl", "gc", "logdet"]
 
@@ -206,6 +209,106 @@ def test_finite_difference_check_that_checks_nothing_is_nan():
     assert result["checked"] == 0 and result["tie_adjacent"] == 18
     assert math.isnan(result["max_rel_err"]) and math.isnan(result["max_abs_err"])
     assert not result["max_rel_err"] < 1e-5
+
+
+def _assert_same_audit(got, want, tol=1e-9):
+    """Counts and the base loss agree exactly, the error maxima to tol."""
+    for key in ("checked", "tie_adjacent", "l_total", "h"):
+        assert got[key] == want[key], key
+    for key in ("max_abs_err", "max_rel_err"):
+        if math.isnan(want[key]):
+            assert math.isnan(got[key]), key
+        else:
+            assert abs(got[key] - want[key]) <= tol, key
+
+
+def test_batched_audit_matches_reference_loop():
+    rng = np.random.default_rng(41)
+    for fam in FAMILIES:
+        for eta in (0.5, 1.0, 1.5):
+            for nu in (0.5, 1.0):
+                e, classes, u, t = _instance(rng, d=12)
+                cfg = LossConfig(family=fam, eta=eta, nu=nu)
+                _assert_same_audit(
+                    finite_difference_check(e, classes, u, t, cfg),
+                    finite_difference_reference(e, classes, u, t, cfg),
+                )
+
+
+def test_batched_audit_matches_reference_on_ties():
+    cfg = LossConfig(family="fl")
+    # Identical rows tie every argmax: every probe is tie-adjacent.
+    e = EmbeddingSet(np.ones((6, 3)))
+    classes = [IndexSet.of([0, 1]), IndexSet.of([2, 3])]
+    u, t = IndexSet.of([4, 5]), IndexSet.of(range(6))
+    _assert_same_audit(
+        finite_difference_check(e, classes, u, t, cfg),
+        finite_difference_reference(e, classes, u, t, cfg),
+    )
+    # Two identical class members tie the argmax into their class, so probes
+    # on them are tie-adjacent and probes on the other rows are checked.
+    data = np.random.default_rng(7).normal(size=(10, 6))
+    data[1] = data[0]
+    e = EmbeddingSet(data)
+    classes = [IndexSet.of([0, 1, 2]), IndexSet.of([3, 4])]
+    u, t = IndexSet.of([6, 7, 8]), IndexSet.of(range(10))
+    got = finite_difference_check(e, classes, u, t, cfg)
+    assert got["checked"] > 0 and got["tie_adjacent"] > 0
+    _assert_same_audit(got, finite_difference_reference(e, classes, u, t, cfg))
+
+
+def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
+    rng = np.random.default_rng(43)
+    e, classes, u, t = _instance(rng, n=60, d=100)
+    assert e.n * e.d > FD_EXHAUSTIVE_LIMIT
+    probed = []
+    probe_rows = submine.losses._probe_rows
+
+    def spy(data, unit, i, js, h):
+        probed.extend((i, int(j)) for j in js)
+        return probe_rows(data, unit, i, js, h)
+
+    monkeypatch.setattr(submine.losses, "_probe_rows", spy)
+    for fam in FAMILIES:
+        probed.clear()
+        cfg = LossConfig(family=fam, eta=0.8)
+        got = finite_difference_check(e, classes, u, t, cfg, seed=5, max_coords=40)
+        want = finite_difference_reference(e, classes, u, t, cfg, seed=5, max_coords=40)
+        assert got["checked"] + got["tie_adjacent"] == 40
+        assert len(set(probed)) == 40 and probed == want["coords"]
+        # At n = 60 the probes' (probes x d)(d x n) kernel rows and the
+        # reference's full Gram matrix round an ulp or two apart; the 1/(2h)
+        # quotient over the 1e-4 floor turns that into a few 1e-9.
+        _assert_same_audit(got, want, tol=1e-8)
+    empty = finite_difference_check(e, classes, u, t, LossConfig(), max_coords=0)
+    assert empty["checked"] == empty["tie_adjacent"] == 0
+    assert math.isnan(empty["max_rel_err"])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_finite_difference_step_must_be_finite_and_positive(h):
+    e, classes, u, t = _instance(np.random.default_rng(35))
+    with pytest.raises(ValueError, match="finite and positive"):
+        finite_difference_check(e, classes, u, t, LossConfig(family="gc"), h=h)
+
+
+def test_audit_reports_errors_its_probes_hit():
+    # Each base point is valid; the -h probe on one coordinate is not.
+    t = IndexSet.of(range(4))
+    zero = EmbeddingSet([[1e-4, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="zero-norm row 0"):
+        finite_difference_check(
+            zero, [IndexSet.of([1])], IndexSet.of([2]), t, LossConfig(family="fl")
+        )
+    # The probe makes row 1 equal to row 0, or row 3 equal to row 2.
+    near = EmbeddingSet(
+        [[1.0, 0.0, 0.0], [1.0, 1e-4, 0.0], [0.0, 0.0, 1.0], [0.0, 1e-4, 1.0]]
+    )
+    cfg = LossConfig(family="logdet", lam=0.0)
+    with pytest.raises(ValueError, match="class kernel not positive definite"):
+        finite_difference_check(near, [IndexSet.of([0, 1])], IndexSet.of([2]), t, cfg)
+    with pytest.raises(ValueError, match="singular unknown-set kernel"):
+        finite_difference_check(near, [IndexSet.of([0])], IndexSet.of([2, 3]), t, cfg)
 
 
 def test_gradient_is_read_only():
