@@ -3,8 +3,9 @@
 Everything downstream works on a symmetric similarity matrix built from
 row-normalized embeddings.  A kernel is indexed by row position in the
 embeddings it was built from: the mining pipeline builds it over the kept
-items only, so its indices are kept positions, not scene ids.  Index sets
-are small immutable tuples.
+items only, so its indices are kept positions, not scene ids.  The training
+losses read only the columns of their class and unknown sets, which
+`cosine_columns` builds.  Index sets are small immutable tuples.
 """
 
 from __future__ import annotations
@@ -127,14 +128,22 @@ class IndexSet:
 EMPTY_SET = IndexSet(())
 
 
+def _unit_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `data` scaled to unit norm, and their norms.
+
+    Raises ValueError naming the first zero-norm row.
+    """
+    norms = np.linalg.norm(data, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        raise ValueError(f"zero-norm row {zero[0]}")
+    return data / norms[:, None], norms
+
+
 def row_normalize(embeddings: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit Euclidean norm.  Zero rows are an error."""
-    norms = np.linalg.norm(embeddings.data, axis=1)
-    for i, nrm in enumerate(norms):
-        if nrm == 0.0:
-            raise ValueError(f"zero-norm row {i}")
     return EmbeddingSet(
-        embeddings.data / norms[:, None],
+        _unit_rows(embeddings.data)[0],
         labels=embeddings.labels,
         objectness=embeddings.objectness,
     )
@@ -215,6 +224,22 @@ def cosine_kernel(
     mat = np.asarray(apply_transform(gram, transform), dtype=np.float64)
     np.fill_diagonal(mat, float(apply_transform(1.0, transform)))
     return SimilarityKernel(mat, transform=transform, epsilon=epsilon)
+
+
+def cosine_columns(
+    data: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw cosines of every row of `data` with the rows `cols`.
+
+    Returns the n x |cols| matrix, clipped to [-1, 1] with each item of
+    `cols` given its diagonal entry of 1, and the unit rows and norms of
+    all n rows.  A zero-norm row anywhere in `data` is an error.
+    """
+    unit, norms = _unit_rows(data)
+    s = unit @ unit[cols].T
+    np.clip(s, -1.0, 1.0, out=s)
+    s[cols, np.arange(len(cols))] = 1.0
+    return s, unit, norms
 
 
 # ---------------------------------------------------------------------------

@@ -11,27 +11,32 @@ identical cross term with U replaced by the previous-task exemplar buffer, so
 `mode` is carried on the config purely as provenance.
 
 Similarities are raw cosines of the embedding rows (signed, no clipping).
-Gradients are assembled by accumulating an adjoint matrix G over kernel
-entries, folding W = G + G^T, and applying the cosine chain rule row-wise:
+Every term reads kernel entries s_ab with b in C, the union of the classes
+and U, so the kernel is built over those columns only: n x |C| entries, not
+n x n.  Gradients accumulate an adjoint G = dL/ds of the same shape and
+apply the cosine chain rule row-wise with W = G + G^T:
 
   dL/de_a = ((W @ U)_a - (sum_b W_ab s_ab) u_a) / ||e_a||
 
-with U the row-normalized embeddings.  Diagonal entries are constants
-(s_aa = 1) and cancel inside that expression, so adjoints may safely land on
-the diagonal.  Facility-location terms carry argmax/hinge structure; the
-finite-difference checker detects probes that cross such a boundary by
-comparing structure signatures and reports them instead of flagging errors.
+with U the row-normalized embeddings.  W is never formed: W @ U is
+G @ U[C] with G^T @ U added into rows C, and the row sums of W * s are
+those of G * s with its column sums added into rows C.  Diagonal entries
+are constants (s_aa = 1) and cancel inside that expression, so adjoints may
+safely land on the diagonal.  Facility-location terms carry argmax/hinge
+structure; the finite-difference checker detects probes that cross such a
+boundary by comparing structure signatures and reports them instead of
+flagging errors.
 
 Every term reads the kernel through `_Kernel.block`, which stacks each block
 on a leading probe axis, and returns one value per probe.  A plain loss
 evaluation is a batch of one, and only there are adjoints accumulated.  The
 finite-difference audit uses that a probe on coordinate (i, j) moves row i of
 the unit embeddings alone, so only row and column i of the kernel: it builds
-the kernel rows of several probes of one row with one matrix product and
-evaluates them as one batch over the base kernel.  The batch size follows
-from n, d and the largest block a term reads: a batch's scratch stays within
-two n x n matrices, or 32 KB when that is more, while the base gradient
-evaluation allocates about six.
+the n-long kernel rows of several probes of one row with one matrix product
+and evaluates them as one batch over the base kernel.  The batch size
+follows from n, d, |C| and the blocks the family's terms read: a batch's
+scratch stays within one base kernel plus one gradient, n (|C| + d)
+entries, or 48 KB when that is more.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import EmbeddingSet, IndexSet
+from .kernels import EmbeddingSet, IndexSet, cosine_columns
 from .objectives import Family
 
 FD_STEP = 1e-4
@@ -79,36 +84,30 @@ class LossReport:
         object.__setattr__(self, "grad", g)
 
 
-def _cosine_parts(data: np.ndarray):
-    norms = np.linalg.norm(data, axis=1)
-    for i, nrm in enumerate(norms):
-        if nrm == 0.0:
-            raise ValueError(f"zero-norm row {i}")
-    unit = data / norms[:, None]
-    s = unit @ unit.T
-    s = np.clip((s + s.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(s, 1.0)
-    return s, unit, norms
-
-
 class _Kernel:
-    """The cosine kernel as a batch of probes sees it.
+    """The cosine kernel's columns C = (union of the K_c) + U, as a batch of
+    probes sees them.
 
-    Without `rows` it is the base kernel `s`, a batch of one.  Otherwise
-    probe b sees `s` with row and column `i` replaced by `rows[b]`.
+    `s` is n x |C| with s[a, pos[b]] the cosine of rows a and b: every term
+    reads columns in C only.  Without `rows` it is the base kernel, a batch
+    of one.  Otherwise probe p sees it with row and column `i` replaced by
+    `rows[p]`, an n-long kernel row.
     """
 
-    def __init__(self, s: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
-        self.s, self.i, self.rows = s, i, rows
+    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
+        self.s, self.pos, self.i, self.rows = s, pos, i, rows
+
+    def probes(self, i: int, rows: np.ndarray) -> "_Kernel":
+        return _Kernel(self.s, self.pos, i, rows)
 
     @property
     def size(self) -> int:
         return 1 if self.rows is None else len(self.rows)
 
     def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The block at sorted rows a and columns b, shape (probes, |a|, |b|),
-        or (1, |a|, |b|) when no probe changes it."""
-        blk = self.s[a[:, None], b][None]
+        """The block at sorted rows a and columns b in C, shape
+        (probes, |a|, |b|), or (1, |a|, |b|) when no probe changes it."""
+        blk = self.s[a[:, None], self.pos[b]][None]
         if self.rows is None:
             return blk
         pa, pb = _position(a, self.i), _position(b, self.i)
@@ -122,9 +121,25 @@ class _Kernel:
         return out
 
 
+class _Adjoint:
+    """dL/ds over the base kernel's entries, n x |C| like it.  One term's
+    adjoints land scaled by `weight`, that term's weight in the total."""
+
+    def __init__(self, g: np.ndarray, kern: _Kernel, weight: float):
+        self.g, self.pos, self.weight = g, kern.pos, weight
+
+    def block(self, a: np.ndarray, b: np.ndarray, v) -> None:
+        """Add v, a scalar or |a| x |b|, to the block at rows a, columns b."""
+        self.g[a[:, None], self.pos[b]] += self.weight * v
+
+    def pairs(self, a: np.ndarray, b: np.ndarray, v: float) -> None:
+        """Add v at the distinct entries (a[k], b[k])."""
+        self.g[a, self.pos[b]] += self.weight * v
+
+
 def _position(arr: np.ndarray, i: int) -> int:
     """Index of i in the sorted array arr, or -1."""
-    k = int(np.searchsorted(arr, i))
+    k = int(arr.searchsorted(i))
     return k if k < len(arr) and arr[k] == i else -1
 
 
@@ -171,6 +186,8 @@ def _validate_sets(
         for idx in u:
             if idx in seen:
                 raise ValueError("class set overlaps conditioning set")
+            if idx not in t:
+                raise ValueError("conditioning set not contained in batch domain")
 
 
 def _sorted(s: IndexSet) -> np.ndarray:
@@ -200,14 +217,16 @@ def _best(kern: _Kernel, a: np.ndarray, b: np.ndarray):
 
 
 class _Sets(NamedTuple):
-    """Sorted index arrays of one loss: the classes, U, T, the self domain
-    and, for facility location, the self domain without each class."""
+    """Sorted index arrays of one loss: the classes, U, T, the self domain,
+    for facility location the self domain without each class, and the
+    kernel columns C, the union of the classes and U."""
 
     classes: list[np.ndarray]
     u: np.ndarray
     t: np.ndarray
     t_self: np.ndarray
     outside: list[np.ndarray]
+    cols: np.ndarray
 
 
 def _index_sets(
@@ -225,11 +244,12 @@ def _index_sets(
     outside = []
     if family is Family.FACILITY_LOCATION:
         outside = [np.setdiff1d(t_self, kc, assume_unique=True) for kc in kcs]
-    return _Sets(kcs, u_arr, t_arr, t_self, outside)
+    cols = np.sort(np.concatenate(kcs + [u_arr]))
+    return _Sets(kcs, u_arr, t_arr, t_self, outside, cols)
 
 
-def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, gbar=None, sig=None):
-    """Per-class self terms, one sum per probe; adjoints into gbar when given.
+def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
+    """Per-class self terms, one sum per probe; adjoints into adj when given.
 
     Facility location hands each class's argmax rows, shape (probes, m), to
     `sig` when given.
@@ -246,27 +266,26 @@ def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, gbar=None, sig=None)
             total += coef * best.sum(axis=1)
             if sig is not None:
                 sig(j)
-            if gbar is not None:
-                np.add.at(gbar, (rows, kc_arr[j[0]]), coef)
+            if adj is not None:
+                adj.pairs(rows, kc_arr[j[0]], coef)
         elif cfg.family is Family.GRAPH_CUT:
             cover = kern.block(t_arr, kc_arr).sum(axis=(1, 2))
             redun = kern.block(kc_arr, kc_arr).sum(axis=(1, 2))
             total += coef * (cover - cfg.lam * redun)
-            if gbar is not None:
-                gbar[np.ix_(t_arr, kc_arr)] += coef
-                gbar[np.ix_(kc_arr, kc_arr)] += -coef * cfg.lam
+            if adj is not None:
+                adj.block(t_arr, kc_arr, coef)
+                adj.block(kc_arr, kc_arr, -coef * cfg.lam)
         else:
             m = kern.block(kc_arr, kc_arr) + cfg.lam * np.eye(len(kc_arr))
             total += coef * _logdet(m, "class kernel not positive definite")
-            if gbar is not None:
-                minv = np.linalg.inv(m[0])
-                gbar[np.ix_(kc_arr, kc_arr)] += coef * minv
+            if adj is not None:
+                adj.block(kc_arr, kc_arr, coef * np.linalg.inv(m[0]))
     return total
 
 
-def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, gbar=None, sig=None):
+def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
     """Per-class conditional terms against U, one sum per probe; adjoints into
-    gbar when given.  Facility location hands each class's argmax and hinge
+    adj when given.  Facility location hands each class's argmax and hinge
     rows to `sig` when given."""
     total = np.zeros(kern.size)
     t_arr, u_arr = sets.t, sets.u
@@ -290,39 +309,53 @@ def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, gbar=None, sig=None
             if sig is not None:
                 sig(jk)
                 sig(active)
-            if gbar is not None:
+            if adj is not None:
                 t_act, act = t_arr[active[0]], active[0]
-                np.add.at(gbar, (t_act, kc_arr[jk[0][act]]), coef)
-                np.add.at(gbar, (t_act, u_arr[ju[0][act]]), -coef * nu)
+                adj.pairs(t_act, kc_arr[jk[0][act]], coef)
+                adj.pairs(t_act, u_arr[ju[0][act]], -coef * nu)
         elif cfg.family is Family.GRAPH_CUT:
             cover = kern.block(t_arr, kc_arr).sum(axis=(1, 2))
             redun = kern.block(kc_arr, kc_arr).sum(axis=(1, 2))
             coupling = kern.block(kc_arr, u_arr).sum(axis=(1, 2))
             total += coef * (cover - cfg.lam * redun - 2.0 * cfg.lam * nu * coupling)
-            if gbar is not None:
-                gbar[np.ix_(t_arr, kc_arr)] += coef
-                gbar[np.ix_(kc_arr, kc_arr)] += -coef * cfg.lam
-                gbar[np.ix_(kc_arr, u_arr)] += -2.0 * coef * cfg.lam * nu
+            if adj is not None:
+                adj.block(t_arr, kc_arr, coef)
+                adj.block(kc_arr, kc_arr, -coef * cfg.lam)
+                adj.block(kc_arr, u_arr, -2.0 * coef * cfg.lam * nu)
         else:
             a = kern.block(kc_arr, kc_arr)
             b = kern.block(kc_arr, u_arr)
             x = np.linalg.solve(c, np.swapaxes(b, 1, 2))  # C^-1 B^T per probe
             m = a - nu * nu * (b @ x)
             total += coef * _logdet(m, "cross term not positive definite")
-            if gbar is not None:
+            if adj is not None:
                 minv = np.linalg.inv(m[0])
                 p = x[0].T  # B C^-1
-                gbar[np.ix_(kc_arr, kc_arr)] += coef * minv
-                gbar[np.ix_(kc_arr, u_arr)] += -2.0 * coef * nu * nu * (minv @ p)
-                gbar[np.ix_(u_arr, u_arr)] += coef * nu * nu * (p.T @ minv @ p)
+                adj.block(kc_arr, kc_arr, coef * minv)
+                adj.block(kc_arr, u_arr, -2.0 * coef * nu * nu * (minv @ p))
+                adj.block(u_arr, u_arr, coef * nu * nu * (p.T @ minv @ p))
     return total
 
 
-def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g_self=None, g_cross=None, sig=None):
-    """Self, cross and total loss per probe of `kern`."""
-    l_self = _self_part(kern, sets, cfg, g_self, sig)
-    l_cross = _cross_part(kern, sets, cfg, g_cross, sig)
+def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None, sig=None):
+    """Self, cross and total loss per probe of `kern`; the total's adjoints
+    accumulate into g when given."""
+    adj_self = adj_cross = None
+    if g is not None:
+        adj_self, adj_cross = _Adjoint(g, kern, 1.0), _Adjoint(g, kern, -cfg.eta)
+    l_self = _self_part(kern, sets, cfg, adj_self, sig)
+    l_cross = _cross_part(kern, sets, cfg, adj_cross, sig)
     return l_self, l_cross, l_self - cfg.eta * l_cross
+
+
+def _base(data: np.ndarray, sets: _Sets):
+    """The base kernel over the columns of `sets`, and the unit rows and
+    norms of `data`."""
+    s, unit, norms = cosine_columns(data, sets.cols)
+    # An item outside C maps past the last column, so reading it raises.
+    pos = np.full(len(s), len(sets.cols), dtype=np.intp)
+    pos[sets.cols] = np.arange(len(sets.cols))
+    return _Kernel(s, pos), unit, norms
 
 
 def loss_self(
@@ -333,9 +366,8 @@ def loss_self(
 ) -> float:
     """Per-class self information, normalized by class size, summed over classes."""
     _validate_sets(embeddings.n, classes, t, None)
-    s, _, _ = _cosine_parts(embeddings.data)
     sets = _index_sets(classes, None, t, config.family)
-    return float(_self_part(_Kernel(s), sets, config)[0])
+    return float(_self_part(_base(embeddings.data, sets)[0], sets, config)[0])
 
 
 def loss_cross(
@@ -347,23 +379,26 @@ def loss_cross(
 ) -> float:
     """Per-class conditional gain against U, normalized by 1/|T|."""
     _validate_sets(embeddings.n, classes, t, u)
-    s, _, _ = _cosine_parts(embeddings.data)
     sets = _index_sets(classes, u, t, config.family)
-    return float(_cross_part(_Kernel(s), sets, config)[0])
+    return float(_cross_part(_base(embeddings.data, sets)[0], sets, config)[0])
 
 
 def _assemble(data: np.ndarray, sets: _Sets, cfg: LossConfig, sig: Callable | None = None):
-    """Loss parts and gradient at `data`, and the kernel and unit rows they used."""
-    s, unit, norms = _cosine_parts(data)
-    n = data.shape[0]
-    g_self = np.zeros((n, n))
-    g_cross = np.zeros((n, n))
-    l_self, l_cross, l_total = _parts(_Kernel(s), sets, cfg, g_self, g_cross, sig)
-    gbar = g_self - cfg.eta * g_cross
-    w = gbar + gbar.T
-    row = (w * s).sum(axis=1)
-    grad = (w @ unit - row[:, None] * unit) / norms[:, None]
-    return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad, s, unit
+    """Loss parts and gradient at `data`, and the kernel and unit rows they
+    used.  The gradient folds W = g + g^T without forming it (see the module
+    docstring)."""
+    kern, unit, norms = _base(data, sets)
+    cols = sets.cols
+    g = np.zeros_like(kern.s)
+    l_self, l_cross, l_total = _parts(kern, sets, cfg, g, sig)
+    grad = g @ unit[cols]
+    grad[cols] += g.T @ unit
+    g *= kern.s
+    row = g.sum(axis=1)
+    row[cols] += g.sum(axis=0)
+    grad -= row[:, None] * unit
+    grad /= norms[:, None]
+    return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad, kern, unit
 
 
 def loss_total(
@@ -375,9 +410,6 @@ def loss_total(
 ) -> LossReport:
     """Combined loss self - eta * cross with its analytic gradient."""
     _validate_sets(embeddings.n, classes, t, u)
-    for idx in u:
-        if idx not in t:
-            raise ValueError("conditioning set not contained in batch domain")
     sets = _index_sets(classes, u, t, config.family)
     l_self, l_cross, l_tot, grad, _, _ = _assemble(embeddings.data, sets, config)
     return LossReport(l_self, l_cross, l_tot, grad)
@@ -405,19 +437,31 @@ class _SameSignature:
         self.same &= (sig == next(self._base)).all(axis=1)
 
 
-def _coords_per_batch(n: int, d: int, sets: _Sets) -> int:
-    """Coordinates whose +h and -h probes share one batch.
+def _coords_per_batch(n: int, d: int, sets: _Sets, family: Family) -> int:
+    """Coordinates whose +h and -h probes may share one batch.
 
-    A probe holds its kernel row, its embedding row twice (moved and
-    normalized) and, while a term reads it, one block of at most
-    |T| x max(|K_c|, |U|) entries with about five |T|-long reductions of it.
-    A batch's scratch is capped at two n x n matrices, a third of what the
-    base gradient evaluation allocates, but never below 4096 entries (32 KB),
-    so small inputs still batch most of a row.
+    A probe holds its kernel row and its embedding row twice (moved and
+    normalized), and while a term reads it, that term's largest scratch:
+
+      facility location: a |T| x max(|K_c|, |U|) block and about eight
+        |T|-long argmax, value, margin and mask rows;
+      graph cut: a |T| x max |K_c| block, summed to one value per probe;
+      log-det: about six max(|K_c|, |U|)^2 blocks, solves and factors.
+
+    A batch's scratch is capped at one base kernel plus one gradient,
+    n (|C| + d) entries, but never below 6144 entries (48 KB), so small
+    inputs still batch most of a row.
     """
     t = len(sets.t)
-    block = t * max(len(sets.u), max(len(kc) for kc in sets.classes))
-    return max(1, max(2 * n * n, 4096) // (2 * (n + 2 * d + block + 5 * t)))
+    k = max(len(sets.u), max(len(kc) for kc in sets.classes))
+    if family is Family.FACILITY_LOCATION:
+        term = t * k + 8 * t
+    elif family is Family.GRAPH_CUT:
+        term = t * max(len(kc) for kc in sets.classes)
+    else:
+        term = 6 * k * k
+    budget = max(n * (len(sets.cols) + d), 6144)
+    return max(1, budget // (2 * (n + 2 * d + term)))
 
 
 def finite_difference_check(
@@ -444,21 +488,20 @@ def finite_difference_check(
     The +h and -h probes of several coordinates of one row are evaluated as
     one batch: only that row and column of the base kernel change, so one
     matrix product gives every probe's kernel row.  A batch takes as many
-    coordinates as fit in two n x n matrices of scratch (32 KB at least),
-    counting each probe's embedding row, kernel row and largest term block.
+    coordinates as fit in n (|C| + d) entries of scratch (48 KB at least),
+    counting each probe's embedding row, kernel row and the scratch of the
+    blocks its family's terms read; a row's coordinates are split into as
+    few, and as even, batches as that allows.
     `h` must be finite and positive, or ValueError is raised.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h!r}")
     _validate_sets(embeddings.n, classes, t, u)
-    for idx in u:
-        if idx not in t:
-            raise ValueError("conditioning set not contained in batch domain")
     data = embeddings.data
     n, d = data.shape
     sets = _index_sets(classes, u, t, config.family)
     base_sig: list[np.ndarray] = []
-    _, _, base_total, grad, s, unit = _assemble(data, sets, config, base_sig.append)
+    _, _, base_total, grad, kern, unit = _assemble(data, sets, config, base_sig.append)
     if perturb != 0.0:
         grad[0, 0] += perturb
     if n * d <= FD_EXHAUSTIVE_LIMIT:
@@ -466,7 +509,7 @@ def finite_difference_check(
     else:
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(n * d, size=min(max_coords, n * d), replace=False))
-    per_batch = _coords_per_batch(n, d, sets)
+    per_batch = _coords_per_batch(n, d, sets, config.family)
     max_abs = 0.0
     max_rel = 0.0
     checked = 0
@@ -474,12 +517,15 @@ def finite_difference_check(
     # `flat` is sorted, so each row's coordinates start where the row does.
     rows, starts = np.unique(flat // d, return_index=True)
     for i, row in zip(rows.tolist(), np.split(flat, starts[1:])):
-        for start in range(0, len(row), per_batch):
-            js = row[start : start + per_batch] % d
+        # As few batches as per_batch allows, of even size.
+        batches = -(-len(row) // per_batch)
+        size = -(-len(row) // batches)
+        for start in range(0, len(row), size):
+            js = row[start : start + size] % d
             c = len(js)
-            kern = _Kernel(s, i, _probe_rows(data, unit, i, js, h))
+            probes = kern.probes(i, _probe_rows(data, unit, i, js, h))
             same = _SameSignature(base_sig, 2 * c)
-            _, _, tot = _parts(kern, sets, config, sig=same)
+            _, _, tot = _parts(probes, sets, config, sig=same)
             ok = same.same[:c] & same.same[c:]
             ties += c - int(ok.sum())
             if not ok.any():

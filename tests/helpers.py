@@ -16,10 +16,11 @@ from submine import (
     SubmodularObjective,
     cosine_kernel,
     filter_by_objectness,
+    grad_loss,
     greedy_max,
     match_knowns,
 )
-from submine.losses import FD_EXHAUSTIVE_LIMIT, _assemble, _index_sets
+from submine.losses import FD_EXHAUSTIVE_LIMIT
 
 
 def fl_loops(s, members, ground):
@@ -145,32 +146,131 @@ def full_scene_discovery(scene, prototypes, config):
     return kernel, bg, un, pool_u
 
 
+def dense_loss_reference(data, classes, u, t, config):
+    """The loss and its gradient over the full n x n cosine kernel.
+
+    Every term reads its blocks of the symmetrized n x n kernel, adjoints
+    accumulate into two n x n matrices, and the gradient folds W = G + G^T
+    explicitly.  Log-det terms factor and solve with the same formulas as
+    the library (Cholesky, then a solve against the unknown-set kernel), so
+    a probe's value rounds close enough for the 1/(2h) difference quotient.
+    With u None only the self term is evaluated and l_cross is 0.  Returns
+    (l_self, l_cross, l_total, grad, signature), where the signature lists
+    every facility-location argmax and hinge mask.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    n = len(data)
+    norms = np.linalg.norm(data, axis=1)
+    if not norms.all():
+        raise ValueError("zero-norm row")
+    unit = data / norms[:, None]
+    s = unit @ unit.T
+    s = np.clip((s + s.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(s, 1.0)
+    fam, lam, nu, eta = config.family, config.lam, config.nu, config.eta
+    t_arr = np.sort(t.as_array())
+    u_arr = np.sort(u.as_array()) if u is not None else t_arr[:0]
+    kcs = [np.sort(kc.as_array()) for kc in classes]
+    t_self = np.setdiff1d(t_arr, u_arr) if fam is Family.GRAPH_CUT else t_arr
+    sig = []
+    g_self = np.zeros((n, n))
+    g_cross = np.zeros((n, n))
+
+    def logdet(m):
+        return 2.0 * np.log(np.diagonal(np.linalg.cholesky(m))).sum()
+
+    l_self = 0.0
+    for kc in kcs:
+        coef = 1.0 / len(kc)
+        if fam is Family.FACILITY_LOCATION:
+            rows = np.setdiff1d(t_self, kc)
+            if len(rows) == 0:
+                continue
+            blk = s[np.ix_(rows, kc)]
+            j = blk.argmax(axis=1)
+            sig.append(j)
+            l_self += coef * blk[np.arange(len(rows)), j].sum()
+            g_self[rows, kc[j]] += coef
+        elif fam is Family.GRAPH_CUT:
+            cover = s[np.ix_(t_self, kc)].sum()
+            redun = s[np.ix_(kc, kc)].sum()
+            l_self += coef * (cover - lam * redun)
+            g_self[np.ix_(t_self, kc)] += coef
+            g_self[np.ix_(kc, kc)] -= coef * lam
+        else:
+            m = s[np.ix_(kc, kc)] + lam * np.eye(len(kc))
+            l_self += coef * logdet(m)
+            g_self[np.ix_(kc, kc)] += coef * np.linalg.inv(m)
+
+    l_cross = 0.0
+    if u is not None:
+        coef = 1.0 / len(t_arr)
+        if fam is Family.FACILITY_LOCATION:
+            blk_u = s[np.ix_(t_arr, u_arr)]
+            ju = blk_u.argmax(axis=1)
+            best_u = blk_u[np.arange(len(t_arr)), ju]
+            sig.append(ju)
+        c = s[np.ix_(u_arr, u_arr)]
+        for kc in kcs:
+            if fam is Family.FACILITY_LOCATION:
+                blk_k = s[np.ix_(t_arr, kc)]
+                jk = blk_k.argmax(axis=1)
+                margin = blk_k[np.arange(len(t_arr)), jk] - nu * best_u
+                active = margin > 0.0
+                sig += [jk, active]
+                l_cross += coef * margin[active].sum()
+                g_cross[t_arr[active], kc[jk[active]]] += coef
+                g_cross[t_arr[active], u_arr[ju[active]]] -= coef * nu
+            elif fam is Family.GRAPH_CUT:
+                cover = s[np.ix_(t_arr, kc)].sum()
+                redun = s[np.ix_(kc, kc)].sum()
+                coupling = s[np.ix_(kc, u_arr)].sum()
+                l_cross += coef * (cover - lam * redun - 2.0 * lam * nu * coupling)
+                g_cross[np.ix_(t_arr, kc)] += coef
+                g_cross[np.ix_(kc, kc)] -= coef * lam
+                g_cross[np.ix_(kc, u_arr)] -= 2.0 * coef * lam * nu
+            else:
+                a = s[np.ix_(kc, kc)]
+                b = s[np.ix_(kc, u_arr)]
+                x = np.linalg.solve(c, b.T)
+                p = x.T
+                m = a - nu * nu * (b @ x)
+                l_cross += coef * logdet(m)
+                minv = np.linalg.inv(m)
+                g_cross[np.ix_(kc, kc)] += coef * minv
+                g_cross[np.ix_(kc, u_arr)] -= 2.0 * coef * nu * nu * (minv @ p)
+                g_cross[np.ix_(u_arr, u_arr)] += coef * nu * nu * (p.T @ minv @ p)
+
+    gbar = g_self - eta * g_cross
+    w = gbar + gbar.T
+    row = (w * s).sum(axis=1)
+    grad = (w @ unit - row[:, None] * unit) / norms[:, None]
+    return l_self, l_cross, l_self - eta * l_cross, grad, sig
+
+
 def finite_difference_reference(
     embeddings, classes, u, t, config, h=1e-4, seed=0, max_coords=200, perturb=0.0
 ):
-    """The gradient audit as one full loss evaluation per probe.
+    """The gradient audit as one dense loss evaluation per probe.
 
     Each probe copies the embeddings, moves one coordinate and rebuilds the
-    whole kernel and loss.  It reuses the library's single-point evaluation,
-    so it checks the batched probe kernel rows and the per-probe signature
-    comparison, not the loss terms themselves.  Besides the audit's report it
+    whole n x n kernel and loss through `dense_loss_reference`, so it shares
+    no loss or kernel code with the batched audit.  The analytic gradient
+    under audit is the library's `grad_loss`.  Besides the audit's report it
     returns the probed coordinates under "coords".
     """
 
-    sets = _index_sets(classes, u, t, config.family)
-
     def point(data):
-        sig = []
-        _, _, total, grad, _, _ = _assemble(data, sets, config, sig.append)
-        return total, grad, sig
+        _, _, total, _, sig = dense_loss_reference(data, classes, u, t, config)
+        return total, sig
 
     def same(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
 
     data = embeddings.data
     n, d = data.shape
-    base_total, grad, base_sig = point(data)
-    grad = np.array(grad)
+    base_total, base_sig = point(data)
+    grad = np.array(grad_loss(embeddings, classes, u, t, config))
     if perturb != 0.0:
         grad[0, 0] += perturb
     if n * d <= FD_EXHAUSTIVE_LIMIT:
@@ -186,9 +286,9 @@ def finite_difference_reference(
     for i, j in coords:
         probe = np.array(data)
         probe[i, j] += h
-        up, _, sig_up = point(probe)
+        up, sig_up = point(probe)
         probe[i, j] -= 2.0 * h
-        dn, _, sig_dn = point(probe)
+        dn, sig_dn = point(probe)
         if not (same(sig_up, base_sig) and same(sig_dn, base_sig)):
             ties += 1
             continue

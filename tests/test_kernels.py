@@ -20,6 +20,7 @@ from submine import (
     row_normalize,
     write_embeddings_csv,
 )
+from submine.kernels import cosine_columns
 from conftest import TOY_MATRIX
 from helpers import random_embeddings
 
@@ -109,6 +110,26 @@ def test_row_normalize_unit_norms():
     assert np.allclose(np.linalg.norm(unit.data, axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError, match="zero-norm row 1"):
         row_normalize(EmbeddingSet([[1.0, 0.0], [0.0, 0.0]]))
+    # Several zero rows: the first one is named.
+    with pytest.raises(ValueError, match=r"^zero-norm row 1$"):
+        row_normalize(EmbeddingSet([[1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [0.0, 0.0]]))
+
+
+def test_cosine_columns_are_kernel_columns():
+    rng = np.random.default_rng(12)
+    e = random_embeddings(rng, 9, 4)
+    cols = np.array([1, 4, 5, 8])
+    s, unit, norms = cosine_columns(e.data, cols)
+    assert s.shape == (9, 4)
+    assert np.abs(s - cosine_kernel(e).matrix[:, cols]).max() <= 1e-15
+    assert np.array_equal(s[cols, np.arange(4)], np.ones(4))
+    assert np.array_equal(unit, row_normalize(e).data)
+    assert np.array_equal(norms, np.linalg.norm(e.data, axis=1))
+    # Zero rows outside the columns still raise, naming the first.
+    data = np.array(e.data)
+    data[[6, 2]] = 0.0
+    with pytest.raises(ValueError, match=r"^zero-norm row 2$"):
+        cosine_columns(data, cols)
 
 
 def test_cosine_matches_manual_formula():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submine.losses
-from helpers import finite_difference_reference
+from helpers import dense_loss_reference, finite_difference_reference
 from submine import (
     EmbeddingSet,
     Family,
@@ -158,6 +158,70 @@ def test_iod_mode_is_same_math():
 
 
 # ---------------------------------------------------------------------------
+# the kernel over the columns the terms read, against the dense n x n one
+
+
+def _column_instance(rng, n, n_classes, class_size, u_size, t_extra, d=12):
+    """Random batch whose domain T holds the classes, U and t_extra more rows;
+    the remaining n - |T| rows lie outside T and outside every set."""
+    e = EmbeddingSet(rng.normal(size=(n, d)))
+    perm = [int(i) for i in rng.permutation(n)]
+    classes = [
+        IndexSet.of(perm[i * class_size : (i + 1) * class_size])
+        for i in range(n_classes)
+    ]
+    start = n_classes * class_size
+    u = IndexSet.of(perm[start : start + u_size])
+    return e, classes, u, IndexSet.of(perm[: start + u_size + t_extra])
+
+
+COLUMN_CASES = {
+    # n, classes, class size, |U|, rows of T outside C
+    "T is every row": (12, 2, 3, 3, 3),
+    "T a strict subset, rows outside T and C": (20, 2, 3, 3, 4),
+    "a single class": (14, 1, 4, 3, 3),
+    "C close to n": (12, 3, 3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+def test_column_kernel_matches_dense_reference(case):
+    n, n_classes, class_size, u_size, t_extra = COLUMN_CASES[case]
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        e, classes, u, t = _column_instance(
+            rng, n, n_classes, class_size, u_size, t_extra
+        )
+        for fam in FAMILIES:
+            for eta in (0.0, 0.7, 1.5):
+                for nu in (0.5, 1.0):
+                    cfg = LossConfig(family=fam, eta=eta, nu=nu)
+                    l_self, l_cross, l_total, grad, _ = dense_loss_reference(
+                        e.data, classes, u, t, cfg
+                    )
+                    report = loss_total(e, classes, u, t, cfg)
+                    for got, want in (
+                        (report.l_self, l_self),
+                        (report.l_cross, l_cross),
+                        (report.l_total, l_total),
+                        (loss_cross(e, classes, u, t, cfg), l_cross),
+                    ):
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+                    tol = 1e-12 * np.abs(grad).max()
+                    assert np.abs(report.grad - grad).max() <= tol
+                    assert np.array_equal(grad_loss(e, classes, u, t, cfg), report.grad)
+            # The self term alone over T, with no conditioning set.
+            cfg = LossConfig(family=fam)
+            want = dense_loss_reference(e.data, classes, None, t, cfg)[0]
+            got = loss_self(e, classes, t, cfg)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # Rows outside T and C read no kernel entry, so their gradient is 0.
+        report = loss_total(e, classes, u, t, LossConfig(family="gc"))
+        outside = [i for i in range(n) if i not in t]
+        assert not report.grad[outside].any()
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 
@@ -212,9 +276,11 @@ def test_finite_difference_check_that_checks_nothing_is_nan():
 
 
 def _assert_same_audit(got, want, tol=1e-9):
-    """Counts and the base loss agree exactly, the error maxima to tol."""
-    for key in ("checked", "tie_adjacent", "l_total", "h"):
+    """Counts agree exactly, the base loss to 1e-12 relative (the reference
+    evaluates the dense kernel), the error maxima to tol."""
+    for key in ("checked", "tie_adjacent", "h"):
         assert got[key] == want[key], key
+    assert got["l_total"] == pytest.approx(want["l_total"], rel=1e-12, abs=1e-15)
     for key in ("max_abs_err", "max_rel_err"):
         if math.isnan(want[key]):
             assert math.isnan(got[key]), key
@@ -342,8 +408,31 @@ def test_set_validation_errors():
         loss_cross(e, [IndexSet.of([0])], IndexSet.of([]), t, cfg)
     with pytest.raises(ValueError, match="overlaps conditioning"):
         loss_cross(e, [IndexSet.of([0])], IndexSet.of([0]), t, cfg)
-    with pytest.raises(ValueError, match="conditioning set not contained"):
-        loss_total(e, [IndexSet.of([0])], IndexSet.of([3]), IndexSet.of([0, 1]), cfg)
+    # Every entry point rejects a conditioning set outside the batch domain.
+    for call in (
+        lambda: loss_total(e, [IndexSet.of([0])], IndexSet.of([3]), IndexSet.of([0, 1]), cfg),
+        lambda: loss_cross(e, [IndexSet.of([0])], IndexSet.of([3]), IndexSet.of([0, 1]), cfg),
+        lambda: finite_difference_check(
+            e, [IndexSet.of([0])], IndexSet.of([3]), IndexSet.of([0, 1]), cfg
+        ),
+    ):
+        with pytest.raises(ValueError, match="conditioning set not contained"):
+            call()
+
+
+def test_zero_norm_row_outside_the_sets_still_errors():
+    rng = np.random.default_rng(36)
+    data = rng.normal(size=(8, 4))
+    data[6] = 0.0
+    e = EmbeddingSet(data)
+    classes, u, t = [IndexSet.of([0, 1])], IndexSet.of([2]), IndexSet.of(range(4))
+    for call in (
+        lambda: loss_total(e, classes, u, t, LossConfig()),
+        lambda: loss_self(e, classes, t, LossConfig()),
+        lambda: loss_cross(e, classes, u, t, LossConfig()),
+    ):
+        with pytest.raises(ValueError, match=r"^zero-norm row 6$"):
+            call()
 
 
 def test_logdet_singular_inputs_error():
