@@ -309,7 +309,11 @@ def _cmd_gradcheck(args) -> int:
         seed=args.seed or 0,
         perturb=args.perturb_grad,
     )
-    payload = json.dumps(result, sort_keys=True)
+    report = dict(result)
+    if result["checked"] == 0:
+        # No error was measured: write null, not the NaN strict JSON rejects.
+        report.update(max_abs_err=None, max_rel_err=None)
+    payload = json.dumps(report, sort_keys=True)
     if args.out:
         _write_text(args.out, payload + "\n")
     _say(args, payload)

@@ -4,11 +4,13 @@ The loss couples two terms over a batch domain T of item embeddings:
 
   total = self - eta * cross
 
-The self term scores each known-class set on its own (normalized per class by
-1/|K_c|); the cross term scores each class against a conditioning set U of
-mined unknowns (normalized by 1/|T|).  Incremental-learning replay uses the
-identical cross term with U replaced by the previous-task exemplar buffer, so
-`mode` is carried on the config purely as provenance.
+Both terms are the objectives' closed-form gains (objectives._scg), summed
+over the classes.  The self term is f(K_c) / |K_c|: facility location over
+ground T - K_c, graph cut over ground T - U, and log-det with diagonal shift
+lam.  The cross term is the conditional gain f(K_c | U) / |T| against the
+mined unknowns U, over ground T with no diagonal shift.  Incremental-learning
+replay uses the identical cross term with U replaced by the previous-task
+exemplar buffer, so `mode` is carried on the config purely as provenance.
 
 Similarities are raw cosines of the embedding rows (signed, no clipping).
 Every term reads kernel entries s_ab with b in C, the union of the classes
@@ -48,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import EmbeddingSet, IndexSet, cosine_columns
-from .objectives import Family
+from .objectives import Family, _scg
 
 FD_STEP = 1e-4
 FD_EXHAUSTIVE_LIMIT = 5000  # probe every coordinate up to this many
@@ -194,38 +196,15 @@ def _sorted(s: IndexSet) -> np.ndarray:
     return np.sort(s.as_array())
 
 
-def _cholesky(m: np.ndarray, err: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError(err) from None
-
-
-def _logdet(m: np.ndarray, err: str) -> np.ndarray:
-    """log det of each stacked matrix; ValueError(err) if one is not PD."""
-    chol = _cholesky(m, err)
-    return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-
-
-def _best(kern: _Kernel, a: np.ndarray, b: np.ndarray):
-    """Per probe and row of a: the argmax over b and its value.  The block
-    is dropped once reduced, so one block per term is alive at a time."""
-    blk = kern.block(a, b)
-    j = blk.argmax(axis=2)
-    rows = blk.reshape(-1, len(b))
-    return j, rows[np.arange(len(rows)), j.ravel()].reshape(j.shape)
-
-
 class _Sets(NamedTuple):
-    """Sorted index arrays of one loss: the classes, U, T, the self domain,
-    for facility location the self domain without each class, and the
-    kernel columns C, the union of the classes and U."""
+    """Sorted index arrays of one loss: the classes, U, T, each class's
+    ground set in the self term, and the kernel columns C, the union of the
+    classes and U."""
 
     classes: list[np.ndarray]
     u: np.ndarray
     t: np.ndarray
-    t_self: np.ndarray
-    outside: list[np.ndarray]
+    grounds: list[np.ndarray]
     cols: np.ndarray
 
 
@@ -234,107 +213,41 @@ def _index_sets(
 ) -> _Sets:
     t_arr = _sorted(t)
     u_arr = t_arr[:0] if u is None else _sorted(u)
-    # Graph-cut self sums over the batch without the unknowns; the other
-    # families use the full batch domain (log-det ignores it entirely).
-    if family is Family.GRAPH_CUT:
-        t_self = np.setdiff1d(t_arr, u_arr, assume_unique=True)
-    else:
-        t_self = t_arr
     kcs = [_sorted(kc) for kc in classes]
-    outside = []
+    # Facility location's self term sums over T without the class, graph
+    # cut's over T without U; log-det reads no ground set.
     if family is Family.FACILITY_LOCATION:
-        outside = [np.setdiff1d(t_self, kc, assume_unique=True) for kc in kcs]
+        grounds = [np.setdiff1d(t_arr, kc, assume_unique=True) for kc in kcs]
+    elif family is Family.GRAPH_CUT:
+        grounds = [np.setdiff1d(t_arr, u_arr, assume_unique=True)] * len(kcs)
+    else:
+        grounds = [t_arr] * len(kcs)
     cols = np.sort(np.concatenate(kcs + [u_arr]))
-    return _Sets(kcs, u_arr, t_arr, t_self, outside, cols)
+    return _Sets(kcs, u_arr, t_arr, grounds, cols)
 
 
 def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
-    """Per-class self terms, one sum per probe; adjoints into adj when given.
-
-    Facility location hands each class's argmax rows, shape (probes, m), to
-    `sig` when given.
-    """
-    total = np.zeros(kern.size)
-    t_arr = sets.t_self
-    for k, kc_arr in enumerate(sets.classes):
-        coef = 1.0 / len(kc_arr)
-        if cfg.family is Family.FACILITY_LOCATION:
-            rows = sets.outside[k]
-            if len(rows) == 0:
-                continue
-            j, best = _best(kern, rows, kc_arr)
-            total += coef * best.sum(axis=1)
-            if sig is not None:
-                sig(j)
-            if adj is not None:
-                adj.pairs(rows, kc_arr[j[0]], coef)
-        elif cfg.family is Family.GRAPH_CUT:
-            cover = kern.block(t_arr, kc_arr).sum(axis=(1, 2))
-            redun = kern.block(kc_arr, kc_arr).sum(axis=(1, 2))
-            total += coef * (cover - cfg.lam * redun)
-            if adj is not None:
-                adj.block(t_arr, kc_arr, coef)
-                adj.block(kc_arr, kc_arr, -coef * cfg.lam)
-        else:
-            m = kern.block(kc_arr, kc_arr) + cfg.lam * np.eye(len(kc_arr))
-            total += coef * _logdet(m, "class kernel not positive definite")
-            if adj is not None:
-                adj.block(kc_arr, kc_arr, coef * np.linalg.inv(m[0]))
-    return total
+    """Per-class self terms f(K_c) / |K_c|, one sum per probe; log-det's
+    diagonal shift is lam.  Adjoints go into adj, and facility location's
+    argmax rows into sig, when given."""
+    return _scg(
+        cfg.family, kern.block, kern.size, sets.classes, sets.grounds, sets.u[:0],
+        [1.0 / len(kc) for kc in sets.classes], lam=cfg.lam, nu=cfg.nu, shift=cfg.lam,
+        errors=("", "class kernel not positive definite"), adj=adj, sig=sig,
+    )
 
 
 def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
-    """Per-class conditional terms against U, one sum per probe; adjoints into
-    adj when given.  Facility location hands each class's argmax and hinge
-    rows to `sig` when given."""
-    total = np.zeros(kern.size)
-    t_arr, u_arr = sets.t, sets.u
-    coef = 1.0 / len(t_arr)
-    nu = cfg.nu
-    if cfg.family is Family.FACILITY_LOCATION:
-        ju, best_u = _best(kern, t_arr, u_arr)
-        if sig is not None:
-            sig(ju)
-    elif cfg.family is Family.LOG_DET:
-        c = kern.block(u_arr, u_arr)
-        _cholesky(c, "singular unknown-set kernel")
-    for kc_arr in sets.classes:
-        if cfg.family is Family.FACILITY_LOCATION:
-            jk, best_k = _best(kern, t_arr, kc_arr)
-            margin = best_k - nu * best_u
-            active = margin > 0.0
-            # Summing the active margins alone keeps the summation order of
-            # a single evaluation, so the values are bit-for-bit the same.
-            total += coef * np.array([m[a].sum() for m, a in zip(margin, active)])
-            if sig is not None:
-                sig(jk)
-                sig(active)
-            if adj is not None:
-                t_act, act = t_arr[active[0]], active[0]
-                adj.pairs(t_act, kc_arr[jk[0][act]], coef)
-                adj.pairs(t_act, u_arr[ju[0][act]], -coef * nu)
-        elif cfg.family is Family.GRAPH_CUT:
-            cover = kern.block(t_arr, kc_arr).sum(axis=(1, 2))
-            redun = kern.block(kc_arr, kc_arr).sum(axis=(1, 2))
-            coupling = kern.block(kc_arr, u_arr).sum(axis=(1, 2))
-            total += coef * (cover - cfg.lam * redun - 2.0 * cfg.lam * nu * coupling)
-            if adj is not None:
-                adj.block(t_arr, kc_arr, coef)
-                adj.block(kc_arr, kc_arr, -coef * cfg.lam)
-                adj.block(kc_arr, u_arr, -2.0 * coef * cfg.lam * nu)
-        else:
-            a = kern.block(kc_arr, kc_arr)
-            b = kern.block(kc_arr, u_arr)
-            x = np.linalg.solve(c, np.swapaxes(b, 1, 2))  # C^-1 B^T per probe
-            m = a - nu * nu * (b @ x)
-            total += coef * _logdet(m, "cross term not positive definite")
-            if adj is not None:
-                minv = np.linalg.inv(m[0])
-                p = x[0].T  # B C^-1
-                adj.block(kc_arr, kc_arr, coef * minv)
-                adj.block(kc_arr, u_arr, -2.0 * coef * nu * nu * (minv @ p))
-                adj.block(u_arr, u_arr, coef * nu * nu * (p.T @ minv @ p))
-    return total
+    """Per-class conditional gains f(K_c | U) / |T| over ground T with no
+    diagonal shift, one sum per probe.  Adjoints go into adj, and facility
+    location's argmax and hinge rows into sig, when given."""
+    k = len(sets.classes)
+    return _scg(
+        cfg.family, kern.block, kern.size, sets.classes, [sets.t] * k, sets.u,
+        [1.0 / len(sets.t)] * k, lam=cfg.lam, nu=cfg.nu, shift=0.0,
+        errors=("singular unknown-set kernel", "cross term not positive definite"),
+        adj=adj, sig=sig,
+    )
 
 
 def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None, sig=None):

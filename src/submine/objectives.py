@@ -9,9 +9,23 @@ fixed ground set of items the function sums over:
 
 The conditional gain of A given a disjoint set Q is f(A | Q) = f(A u Q) - f(Q).
 Each family also has a closed form for the gain with a strength knob nu that
-reduces to the exact definitional value at nu = 1.  Incremental selection goes
-through one mutable state per family: it scores a whole array of candidates in
-one numpy call and updates its caches in place on each commit.
+reduces to the exact definitional value at nu = 1 (Iyer et al., IEEE Trans.
+Inf. Theory 2022; Kothawade et al., PRISM, AAAI 2022):
+
+  facility-location  sum_i max(max_{j in A} s_ij - nu max_{j in Q} s_ij, 0)
+  graph-cut          f(A) - 2 lam nu sum_{a in A, b in Q} s_ab
+  log-determinant    log det(S_A + eps I - nu^2 S_AQ (S_Q + eps I)^-1 S_QA)
+
+Each formula exists once, in `_scg`, read through a block reader with a
+leading probe axis and an explicit diagonal shift.  `evaluate` (Q empty) and
+`conditional_gain_closed` pass the shift eps.  The training losses in
+losses.py are the same formulas.  Their self term is f(K_c) over ground
+T - K_c (facility location) or T - U (graph cut), and with shift lam
+(log-det); their cross term is f(K_c | U) over ground T with shift 0.
+
+Incremental selection goes through one mutable state per family: it scores a
+whole array of candidates in one numpy call and updates its caches in place
+on each commit.
 """
 
 from __future__ import annotations
@@ -19,10 +33,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import EMPTY_SET, IndexSet, SimilarityKernel
 
@@ -96,36 +109,121 @@ def _as_indexset(a: IndexSet | Iterable[int]) -> IndexSet:
     return a if isinstance(a, IndexSet) else IndexSet.of(a)
 
 
-def _logdet_psd(m: np.ndarray, eps: float) -> float:
-    """log det of (m + eps I) via Cholesky; raises on non-PD input."""
-    if m.shape[0] == 0:
-        return 0.0
-    shifted = m + eps * np.eye(m.shape[0])
+def _pd_message(eps: float) -> str:
+    if eps == 0.0:
+        return "singular kernel submatrix"
+    return "kernel submatrix not positive definite"
+
+
+def _cholesky(m: np.ndarray, err: str) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(shifted)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise _pd_error(eps) from None
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+        raise ValueError(err) from None
+
+
+def _best(block: Callable, a: np.ndarray, b: np.ndarray):
+    """Per probe and row of a: the argmax over b and its value.  The block
+    is dropped once reduced, so one block per term is alive at a time."""
+    blk = block(a, b)
+    j = blk.argmax(axis=2)
+    rows = blk.reshape(-1, len(b))
+    return j, rows[np.arange(len(rows)), j.ravel()].reshape(j.shape)
+
+
+def _scg(
+    family: Family, block: Callable, probes: int, sets: Sequence[np.ndarray],
+    grounds: Sequence[np.ndarray], q: np.ndarray, weights: Sequence[float], *,
+    lam: float, nu: float, shift: float, errors: tuple[str, str], adj=None, sig=None,
+) -> np.ndarray:
+    """sum_c weights[c] * f(sets[c] | q), one value per probe: each family's
+    closed-form conditional gain with strength nu, or f(sets[c]) when q is
+    empty.  The one copy of each formula, for the objectives and the losses.
+
+    `block(rows, cols)` reads a kernel block with a leading axis of
+    `probes`, or of 1 where no probe changes the block.
+    Facility location and graph cut sum over rows grounds[c]; with q
+    non-empty every class shares grounds[0], and the q-side work (facility
+    location's argmax, log-det's factor of q's block) runs once.  Log-det
+    adds `shift` to the diagonals of the blocks of sets[c] and q, and raises
+    ValueError(errors[0]) when q's block is not positive definite,
+    ValueError(errors[1]) when a gain's block is not.
+
+    `adj`, when given, takes the adjoint of the first probe's value as
+    `adj.block(rows, cols, v)` and `adj.pairs(rows, cols, v)`.  `sig`, when
+    given, takes facility location's argmax and hinge rows, shape (probes,
+    |rows|), in a fixed order.
+    """
+    total = np.zeros(probes)
+    if len(q) and family is Family.FACILITY_LOCATION:
+        jq, best_q = _best(block, grounds[0], q)
+        if sig is not None:
+            sig(jq)
+    elif len(q) and family is Family.LOG_DET:
+        c = block(q, q)
+        if shift:
+            c = c + shift * np.eye(len(q))
+        _cholesky(c, errors[0])
+    for a, g, w in zip(sets, grounds, weights):
+        if len(a) == 0:
+            continue
+        if family is Family.FACILITY_LOCATION:
+            if len(g) == 0:
+                continue
+            j, best = _best(block, g, a)
+            if sig is not None:
+                sig(j)
+            if len(q) == 0:
+                total += w * best.sum(axis=1)
+                if adj is not None:
+                    adj.pairs(g, a[j[0]], w)
+                continue
+            margin = best - nu * best_q
+            active = margin > 0.0
+            # Summing the active margins alone keeps one summation order for
+            # a batch of probes and a single evaluation.
+            total += w * np.array([m[k].sum() for m, k in zip(margin, active)])
+            if sig is not None:
+                sig(active)
+            if adj is not None:
+                act = active[0]
+                g_act = g[act]
+                adj.pairs(g_act, a[j[0][act]], w)
+                adj.pairs(g_act, q[jq[0][act]], -w * nu)
+        elif family is Family.GRAPH_CUT:
+            value = block(g, a).sum(axis=(1, 2)) - lam * block(a, a).sum(axis=(1, 2))
+            if len(q):
+                value = value - 2.0 * lam * nu * block(a, q).sum(axis=(1, 2))
+            total += w * value
+            if adj is not None:
+                adj.block(g, a, w)
+                adj.block(a, a, -w * lam)
+                if len(q):
+                    adj.block(a, q, -2.0 * w * lam * nu)
+        else:
+            # log det of the Schur complement of q's block.
+            m = block(a, a)
+            if shift:
+                m = m + shift * np.eye(len(a))
+            if len(q):
+                b = block(a, q)
+                x = np.linalg.solve(c, np.swapaxes(b, 1, 2))  # C^-1 B^T per probe
+                m = m - nu * nu * (b @ x)
+            chol = _cholesky(m, errors[1])
+            total += w * (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+            if adj is not None:
+                minv = np.linalg.inv(m[0])
+                adj.block(a, a, w * minv)
+                if len(q):
+                    p = x[0].T  # B C^-1
+                    adj.block(a, q, -2.0 * w * nu * nu * (minv @ p))
+                    adj.block(q, q, w * nu * nu * (p.T @ minv @ p))
+    return total
 
 
 def evaluate(objective: SubmodularObjective, a: IndexSet | Iterable[int]) -> float:
     """f(A) for the objective's family."""
-    a = _as_indexset(a)
-    a.check_bounds(objective.n)
-    s = objective.kernel.matrix
-    g = objective.ground.as_array()
-    aa = a.as_array()
-    if objective.family is Family.FACILITY_LOCATION:
-        if len(a) == 0 or len(g) == 0:
-            return 0.0
-        return float(s[np.ix_(g, aa)].max(axis=1).sum())
-    if objective.family is Family.GRAPH_CUT:
-        if len(a) == 0:
-            return 0.0
-        cover = float(s[np.ix_(g, aa)].sum()) if len(g) else 0.0
-        redun = float(s[np.ix_(aa, aa)].sum())
-        return cover - objective.lam * redun
-    return _logdet_psd(s[np.ix_(aa, aa)], objective.epsilon)
+    return conditional_gain_closed(objective, a, EMPTY_SET)
 
 
 def total_information(objective: SubmodularObjective, sets: Sequence[IndexSet]) -> float:
@@ -160,36 +258,16 @@ def conditional_gain_closed(
     q = _as_indexset(q)
     if a.intersects(q):
         raise ValueError("conditioning sets overlap")
-    if len(q) == 0:
-        return evaluate(objective, a)
-    s = objective.kernel.matrix
     a.check_bounds(objective.n)
     q.check_bounds(objective.n)
-    aa, qq = a.as_array(), q.as_array()
-    nu = objective.nu
-    if objective.family is Family.GRAPH_CUT:
-        coupling = float(s[np.ix_(aa, qq)].sum())
-        return evaluate(objective, a) - 2.0 * objective.lam * nu * coupling
-    if objective.family is Family.FACILITY_LOCATION:
-        g = objective.ground.as_array()
-        if len(g) == 0 or len(a) == 0:
-            return 0.0
-        best_a = s[np.ix_(g, aa)].max(axis=1)
-        best_q = s[np.ix_(g, qq)].max(axis=1)
-        return float(np.maximum(best_a - nu * best_q, 0.0).sum())
-    # log-determinant: Schur complement of the conditioning block.
-    eps = objective.epsilon
-    if len(a) == 0:
-        return 0.0
-    s_q = s[np.ix_(qq, qq)] + eps * np.eye(len(q))
-    try:
-        chol_q = np.linalg.cholesky(s_q)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular conditioning submatrix") from None
-    cross = s[np.ix_(aa, qq)]
-    w = solve_triangular(chol_q, cross.T, lower=True)
-    schur = s[np.ix_(aa, aa)] + eps * np.eye(len(a)) - nu * nu * (w.T @ w)
-    return _logdet_psd(schur, 0.0)
+    s, eps = objective.kernel.matrix, objective.epsilon
+    value = _scg(
+        objective.family, lambda rows, cols: s[np.ix_(rows, cols)][None], 1,
+        [a.as_array()], [objective.ground.as_array()], q.as_array(), [1.0],
+        lam=objective.lam, nu=objective.nu, shift=eps,
+        errors=("singular conditioning submatrix", _pd_message(eps)),
+    )
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +276,6 @@ def conditional_gain_closed(
 #   graph-cut: fixed column sums plus running cross sums to the selection
 #   log-determinant: Cholesky rows and residual variance of every item
 #     (Chen, Zhang & Zhou, NeurIPS 2018)
-
-
-def _pd_error(eps: float) -> ValueError:
-    if eps == 0.0:
-        return ValueError("singular kernel submatrix")
-    return ValueError("kernel submatrix not positive definite")
 
 
 class MarginalState:
@@ -264,7 +336,7 @@ class _LogDetState(MarginalState):
     def gains(self, items) -> np.ndarray:
         resid = self._resid[items]
         if np.any(resid <= 0.0):
-            raise _pd_error(self.objective.epsilon)
+            raise ValueError(_pd_message(self.objective.epsilon))
         return np.log(resid)
 
     def commit(self, v: int) -> None:

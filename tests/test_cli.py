@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -18,6 +17,10 @@ from submine.cli import (
 )
 
 SMALL_SCENE_CFG = {"n_total": 120, "n_known": 6, "n_unknown": 25}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def _write_json(path, payload):
@@ -230,9 +233,10 @@ def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):
     argv = ["gradcheck", str(scene), "--sets", sets, "--family", "fl"]
     code = main(argv + ["--out", str(report), "--quiet"])
     assert code == EXIT_CHECK
-    payload = json.loads(report.read_text())
+    # Strict JSON: a bare NaN token fails to parse.
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
     assert payload["checked"] == 0 and payload["tie_adjacent"] == 18
-    assert math.isnan(payload["max_rel_err"])
+    assert payload["max_abs_err"] is None and payload["max_rel_err"] is None
     assert "18 of 18 probed coordinates were tie-adjacent" in capsys.readouterr().err
 
 
@@ -299,6 +303,17 @@ def test_stage_failure_exits_stage(tmp_path):
     )
     code = main(["select", str(bare), "--out", str(tmp_path / "o.json"), "--quiet"])
     assert code == EXIT_STAGE
+
+
+def test_select_with_everything_filtered_exits_stage(tmp_path, capsys):
+    # No item reaches tau_e, so the filter stage leaves nothing to mine.
+    scene = tmp_path / "dim.csv"
+    write_embeddings_csv(
+        EmbeddingSet(np.eye(3), labels=[1, 0, -1], objectness=[0.1, 0.2, 0.3]), scene
+    )
+    argv = ["select", str(scene), "--tau-e", "0.5", "--out", str(tmp_path / "o.json")]
+    assert main(argv + ["--quiet"]) == EXIT_STAGE
+    assert "filter: empty set after filtering" in capsys.readouterr().err
 
 
 def test_argparse_rejections_map_to_config_exit(tmp_path, capsys):

@@ -14,7 +14,9 @@ from submine import (
     LossConfig,
     SubmodularObjective,
     conditional_gain,
+    conditional_gain_closed,
     cosine_kernel,
+    evaluate,
     finite_difference_check,
     grad_loss,
     loss_cross,
@@ -126,7 +128,10 @@ def test_per_row_scale_invariance():
 
 def test_cross_equals_mean_conditional_gain_at_unit_strength():
     # At nu=1 each per-class cross term is the set-function gain of the class
-    # given the conditioning set, scaled by 1/|T|.
+    # given the conditioning set, scaled by 1/|T|.  At any strength, each
+    # class's terms are the objectives' closed forms: the cross term over
+    # ground T with no diagonal shift, the self term over the family's self
+    # ground (T without the class, T without U, or T) with shift lam.
     rng = np.random.default_rng(24)
     for name, fam in (
         ("fl", Family.FACILITY_LOCATION),
@@ -143,6 +148,25 @@ def test_cross_equals_mean_conditional_gain_at_unit_strength():
             want = sum(conditional_gain(obj, kc, u) for kc in classes) / len(t)
             got = loss_cross(e, classes, u, t, cfg)
             assert got == pytest.approx(want, abs=1e-9)
+            for nu in (0.5, 1.0):
+                cfg = LossConfig(family=name, lam=0.5, nu=nu)
+                cross = SubmodularObjective(
+                    fam, kernel, ground=t, lam=0.5, nu=nu, epsilon=0.0
+                )
+                for kc in classes:
+                    report = loss_total(e, [kc], u, t, cfg)
+                    want = conditional_gain_closed(cross, kc, u) / len(t)
+                    assert report.l_cross == pytest.approx(want, abs=1e-12)
+                    ground = {
+                        Family.FACILITY_LOCATION: t.minus(kc),
+                        Family.GRAPH_CUT: t.minus(u),
+                        Family.LOG_DET: t,
+                    }[fam]
+                    own = SubmodularObjective(
+                        fam, kernel, ground=ground, lam=0.5, epsilon=0.5
+                    )
+                    want = evaluate(own, kc) / len(kc)
+                    assert report.l_self == pytest.approx(want, abs=1e-12)
 
 
 def test_iod_mode_is_same_math():

@@ -1,8 +1,10 @@
-"""Property-based checks of the gain engine and lazy greedy on small instances.
+"""Property-based checks of the gain engine, lazy greedy and the closed-form
+gains on small instances.
 
 Embeddings are small integers, so tied kernel entries and duplicate rows are
 common; instances also reach d = 1, empty pools, k = 0 and k > |pool|.  Every
-per-pick gain is compared with the loop reference in helpers.py.
+per-pick gain is compared with the loop reference in helpers.py, and every
+closed-form gain at nu = 1 with the definitional one.
 """
 
 import numpy as np
@@ -14,6 +16,8 @@ from submine import (
     Family,
     IndexSet,
     SubmodularObjective,
+    conditional_gain,
+    conditional_gain_closed,
     cosine_kernel,
     greedy_max,
     lazy_greedy_max,
@@ -117,3 +121,13 @@ def test_lazy_greedy_is_bitwise_naive_greedy(case):
     lazy = lazy_greedy_max(objective, pool, k, cond)
     assert tuple(lazy.selected) == tuple(naive.selected)
     assert lazy.gains == naive.gains
+
+
+@PROPERTY_SETTINGS
+@given(instances(TRANSFORMS))
+@_with_edge_cases
+def test_closed_gain_is_definitional_gain_at_unit_strength(case):
+    objective, pool, cond, _ = case
+    a = pool.minus(cond)
+    closed = conditional_gain_closed(objective, a, cond)
+    assert abs(closed - conditional_gain(objective, a, cond)) <= 1e-9
