@@ -29,15 +29,19 @@ structure; the finite-difference checker detects probes that cross such a
 boundary by comparing structure signatures and reports them instead of
 flagging errors.
 
-Every term reads the kernel through `_Kernel.block`, which stacks each block
-on a leading probe axis, and returns one value per probe.  A plain loss
-evaluation is a batch of one, and only there are adjoints accumulated.  The
-finite-difference audit uses that a probe on coordinate (i, j) moves row i of
-the unit embeddings alone, so only row and column i of the kernel: it builds
-the n-long kernel rows of several probes of one row with one matrix product
-and evaluates them as one batch over the base kernel.  The batch size
-follows from n, d, |C| and the blocks the family's terms read: a batch's
-scratch stays within one base kernel plus one gradient, n (|C| + d)
+Every term reads the kernel through `_Kernel`, with a leading probe axis,
+and returns one value per probe.  A plain loss evaluation is a batch of one,
+and only there are adjoints accumulated.  The finite-difference audit uses
+that a probe on coordinate (i, j) moves row i of the unit embeddings alone,
+so only row and column i of the kernel: it builds the n-long kernel rows of
+the probes of one row with one matrix product and evaluates them as one
+batch over the base kernel.  Facility location's argmax and max per row and
+graph cut's block sums are answered from the base block and each probe's
+row and column i, in O(|T| + |K_c|) scratch per probe, so those families
+take a whole row per batch.  Graph cut's probe values leave out the base
+sums every probe shares, so the audit's difference quotient is built from
+the changed entries alone.  Log-det solves a block per probe, and its
+batches stay within one base kernel plus one gradient, n (|C| + d)
 entries, or 48 KB when that is more.
 """
 
@@ -50,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import EmbeddingSet, IndexSet, cosine_columns
-from .objectives import Family, _scg
+from .objectives import Family, _Blocks, _scg
 
 FD_STEP = 1e-4
 FD_EXHAUSTIVE_LIMIT = 5000  # probe every coordinate up to this many
@@ -86,14 +90,16 @@ class LossReport:
         object.__setattr__(self, "grad", g)
 
 
-class _Kernel:
+class _Kernel(_Blocks):
     """The cosine kernel's columns C = (union of the K_c) + U, as a batch of
     probes sees them.
 
     `s` is n x |C| with s[a, pos[b]] the cosine of rows a and b: every term
     reads columns in C only.  Without `rows` it is the base kernel, a batch
     of one.  Otherwise probe p sees it with row and column `i` replaced by
-    `rows[p]`, an n-long kernel row.
+    `rows[p]`, an n-long kernel row with rows[p, i] = 1 like s[i, pos[i]].
+    Only `block` builds a block per probe; `best` and `total` answer from
+    the base block and row and column i, in O(|a| + |b|) per probe.
     """
 
     def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
@@ -106,21 +112,77 @@ class _Kernel:
     def size(self) -> int:
         return 1 if self.rows is None else len(self.rows)
 
+    def _moved(self, a: np.ndarray, b: np.ndarray):
+        """Positions of i in a and in b, -1 where absent, or None when no
+        probe changes the block at rows a, columns b."""
+        if self.rows is None:
+            return None
+        pa, pb = _position(a, self.i), _position(b, self.i)
+        return None if pa < 0 and pb < 0 else (pa, pb)
+
     def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The block at sorted rows a and columns b in C, shape
         (probes, |a|, |b|), or (1, |a|, |b|) when no probe changes it."""
         blk = self.s[a[:, None], self.pos[b]][None]
-        if self.rows is None:
+        moved = self._moved(a, b)
+        if moved is None:
             return blk
-        pa, pb = _position(a, self.i), _position(b, self.i)
-        if pa < 0 and pb < 0:
-            return blk
+        pa, pb = moved
         out = np.repeat(blk, len(self.rows), axis=0)
         if pa >= 0:
             out[:, pa, :] = self.rows[:, b]
         if pb >= 0:
             out[:, :, pb] = self.rows[:, a]
         return out
+
+    def best(self, a: np.ndarray, b: np.ndarray):
+        moved = self._moved(a, b)
+        if moved is None:
+            return super().best(a, b)
+        pa, pb = moved
+        p = len(self.rows)
+        blk = self.s[a[:, None], self.pos[b]]
+        if pb >= 0:
+            blk[:, pb] = -np.inf
+        j0 = blk.argmax(axis=1)
+        v0 = blk[np.arange(len(a)), j0]
+        if pb >= 0:
+            # Each probe's column i against the first maximum without it:
+            # column i wins above that maximum, and on a tie when it comes
+            # first, as argmax breaks ties.
+            v = np.take(self.rows, a, axis=1)
+            wins = v >= np.where(j0 > pb, v0, np.nextafter(v0, np.inf))
+            np.copyto(v, v0, where=~wins)
+            j = np.repeat(j0[None], p, axis=0)
+            j[wins] = pb
+        else:
+            v = np.repeat(v0[None], p, axis=0)
+            j = np.repeat(j0[None], p, axis=0)
+        if pa >= 0:
+            r = np.take(self.rows, b, axis=1)
+            j[:, pa] = r.argmax(axis=1)
+            v[:, pa] = r[np.arange(p), j[:, pa]]
+        return j, v
+
+    def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per probe: the block sum less the base block's, which every probe
+        shares.  The changes of row i and column i add up to that
+        difference; the entry they share is 1 before and after."""
+        moved = self._moved(a, b)
+        if moved is None:
+            return super().total(a, b) if self.rows is None else np.zeros(1)
+        pa, pb = moved
+        blk = self.s[a[:, None], self.pos[b]]
+        value = np.zeros(len(self.rows))
+        if pa >= 0:
+            row = np.take(self.rows, b, axis=1)
+            row -= blk[pa]
+            value += row.sum(axis=1)
+        if pb >= 0:
+            col = np.take(self.rows, a, axis=1)
+            col -= blk[:, pb]
+            value += col.sum(axis=1)
+        return value
 
 
 class _Adjoint:
@@ -217,7 +279,13 @@ def _index_sets(
     # Facility location's self term sums over T without the class, graph
     # cut's over T without U; log-det reads no ground set.
     if family is Family.FACILITY_LOCATION:
-        grounds = [np.setdiff1d(t_arr, kc, assume_unique=True) for kc in kcs]
+        keep = np.ones(len(t_arr), dtype=bool)
+        grounds = []
+        for kc in kcs:
+            at = t_arr.searchsorted(kc)  # each class lies inside T
+            keep[at] = False
+            grounds.append(t_arr[keep])
+            keep[at] = True
     elif family is Family.GRAPH_CUT:
         grounds = [np.setdiff1d(t_arr, u_arr, assume_unique=True)] * len(kcs)
     else:
@@ -231,7 +299,7 @@ def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
     diagonal shift is lam.  Adjoints go into adj, and facility location's
     argmax rows into sig, when given."""
     return _scg(
-        cfg.family, kern.block, kern.size, sets.classes, sets.grounds, sets.u[:0],
+        cfg.family, kern, sets.classes, sets.grounds, sets.u[:0],
         [1.0 / len(kc) for kc in sets.classes], lam=cfg.lam, nu=cfg.nu, shift=cfg.lam,
         errors=("", "class kernel not positive definite"), adj=adj, sig=sig,
     )
@@ -243,7 +311,7 @@ def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None)
     location's argmax and hinge rows into sig, when given."""
     k = len(sets.classes)
     return _scg(
-        cfg.family, kern.block, kern.size, sets.classes, [sets.t] * k, sets.u,
+        cfg.family, kern, sets.classes, [sets.t] * k, sets.u,
         [1.0 / len(sets.t)] * k, lam=cfg.lam, nu=cfg.nu, shift=0.0,
         errors=("singular unknown-set kernel", "cross term not positive definite"),
         adj=adj, sig=sig,
@@ -252,7 +320,8 @@ def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None)
 
 def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None, sig=None):
     """Self, cross and total loss per probe of `kern`; the total's adjoints
-    accumulate into g when given."""
+    accumulate into g when given.  For a batch of probes, graph cut's values
+    leave out the base sums the probes share (see `_Kernel.total`)."""
     adj_self = adj_cross = None
     if g is not None:
         adj_self, adj_cross = _Adjoint(g, kern, 1.0), _Adjoint(g, kern, -cfg.eta)
@@ -351,30 +420,16 @@ class _SameSignature:
 
 
 def _coords_per_batch(n: int, d: int, sets: _Sets, family: Family) -> int:
-    """Coordinates whose +h and -h probes may share one batch.
-
-    A probe holds its kernel row and its embedding row twice (moved and
-    normalized), and while a term reads it, that term's largest scratch:
-
-      facility location: a |T| x max(|K_c|, |U|) block and about eight
-        |T|-long argmax, value, margin and mask rows;
-      graph cut: a |T| x max |K_c| block, summed to one value per probe;
-      log-det: about six max(|K_c|, |U|)^2 blocks, solves and factors.
-
-    A batch's scratch is capped at one base kernel plus one gradient,
-    n (|C| + d) entries, but never below 6144 entries (48 KB), so small
-    inputs still batch most of a row.
-    """
-    t = len(sets.t)
+    """Coordinates whose +h and -h probes may share one batch: a whole row,
+    except for log-det, whose stacked solves hold about six
+    max(|K_c|, |U|)^2 blocks per probe besides its kernel row and two
+    embedding rows.  Those are capped at one base kernel plus one gradient,
+    n (|C| + d) entries, but never below 6144 entries (48 KB)."""
+    if family is not Family.LOG_DET:
+        return d
     k = max(len(sets.u), max(len(kc) for kc in sets.classes))
-    if family is Family.FACILITY_LOCATION:
-        term = t * k + 8 * t
-    elif family is Family.GRAPH_CUT:
-        term = t * max(len(kc) for kc in sets.classes)
-    else:
-        term = 6 * k * k
     budget = max(n * (len(sets.cols) + d), 6144)
-    return max(1, budget // (2 * (n + 2 * d + term)))
+    return max(1, budget // (2 * (n + 2 * d + 6 * k * k)))
 
 
 def finite_difference_check(
@@ -398,13 +453,13 @@ def finite_difference_check(
     maxima are NaN, so `max_rel_err < tol` is False for every tolerance.
     `perturb` is a test hook added to one gradient entry before comparison.
 
-    The +h and -h probes of several coordinates of one row are evaluated as
-    one batch: only that row and column of the base kernel change, so one
-    matrix product gives every probe's kernel row.  A batch takes as many
-    coordinates as fit in n (|C| + d) entries of scratch (48 KB at least),
-    counting each probe's embedding row, kernel row and the scratch of the
-    blocks its family's terms read; a row's coordinates are split into as
-    few, and as even, batches as that allows.
+    The +h and -h probes of the coordinates of one row are evaluated as one
+    batch: only that row and column of the base kernel change, so one matrix
+    product gives every probe's kernel row, and facility location and graph
+    cut read no per-probe block (see `_Kernel`).  Log-det's batches take as
+    many coordinates as fit in n (|C| + d) entries of scratch (48 KB at
+    least); a row's coordinates are split into as few, and as even, batches
+    as that allows.
     `h` must be finite and positive, or ValueError is raised.
     """
     if not (math.isfinite(h) and h > 0.0):

@@ -16,8 +16,10 @@ Inf. Theory 2022; Kothawade et al., PRISM, AAAI 2022):
   graph-cut          f(A) - 2 lam nu sum_{a in A, b in Q} s_ab
   log-determinant    log det(S_A + eps I - nu^2 S_AQ (S_Q + eps I)^-1 S_QA)
 
-Each formula exists once, in `_scg`, read through a block reader with a
-leading probe axis and an explicit diagonal shift.  `evaluate` (Q empty) and
+Each formula exists once, in `_scg`, with an explicit diagonal shift.  It
+reads the kernel through a reader with a leading probe axis, which takes the
+block reductions too: facility location's argmax and max per row, graph
+cut's block sums.  `evaluate` (Q empty) and
 `conditional_gain_closed` pass the shift eps.  The training losses in
 losses.py are the same formulas.  Their self term is f(K_c) over ground
 T - K_c (facility location) or T - U (graph cut), and with shift lam
@@ -33,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,17 +124,34 @@ def _cholesky(m: np.ndarray, err: str) -> np.ndarray:
         raise ValueError(err) from None
 
 
-def _best(block: Callable, a: np.ndarray, b: np.ndarray):
-    """Per probe and row of a: the argmax over b and its value.  The block
-    is dropped once reduced, so one block per term is alive at a time."""
-    blk = block(a, b)
-    j = blk.argmax(axis=2)
-    rows = blk.reshape(-1, len(b))
-    return j, rows[np.arange(len(rows)), j.ravel()].reshape(j.shape)
+class _Blocks:
+    """Kernel blocks with a leading probe axis, and the two reductions `_scg`
+    takes of them.  This reader has one probe: the matrix `s` itself."""
+
+    size = 1
+
+    def __init__(self, s: np.ndarray):
+        self.s = s
+
+    def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The block at rows a and columns b, shape (probes, |a|, |b|)."""
+        return self.s[np.ix_(a, b)][None]
+
+    def best(self, a: np.ndarray, b: np.ndarray):
+        """Per probe and row of a: the first argmax over b and its value.
+        The block is dropped once reduced."""
+        blk = self.block(a, b)
+        j = blk.argmax(axis=2)
+        rows = blk.reshape(-1, len(b))
+        return j, rows[np.arange(len(rows)), j.ravel()].reshape(j.shape)
+
+    def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per probe: the sum of the block."""
+        return self.block(a, b).sum(axis=(1, 2))
 
 
 def _scg(
-    family: Family, block: Callable, probes: int, sets: Sequence[np.ndarray],
+    family: Family, reader: _Blocks, sets: Sequence[np.ndarray],
     grounds: Sequence[np.ndarray], q: np.ndarray, weights: Sequence[float], *,
     lam: float, nu: float, shift: float, errors: tuple[str, str], adj=None, sig=None,
 ) -> np.ndarray:
@@ -140,8 +159,11 @@ def _scg(
     closed-form conditional gain with strength nu, or f(sets[c]) when q is
     empty.  The one copy of each formula, for the objectives and the losses.
 
-    `block(rows, cols)` reads a kernel block with a leading axis of
-    `probes`, or of 1 where no probe changes the block.
+    `reader` reads the kernel with a leading axis of `reader.size` probes,
+    or of 1 where no probe changes what is read (see `_Blocks`): facility
+    location takes its blocks' argmax and max over columns (`best`), graph
+    cut their sums (`total`, which may leave out a constant every probe
+    shares), log-det the blocks themselves (`block`).
     Facility location and graph cut sum over rows grounds[c]; with q
     non-empty every class shares grounds[0], and the q-side work (facility
     location's argmax, log-det's factor of q's block) runs once.  Log-det
@@ -154,13 +176,16 @@ def _scg(
     given, takes facility location's argmax and hinge rows, shape (probes,
     |rows|), in a fixed order.
     """
-    total = np.zeros(probes)
+    total = np.zeros(reader.size)
     if len(q) and family is Family.FACILITY_LOCATION:
-        jq, best_q = _best(block, grounds[0], q)
+        jq, best_q = reader.best(grounds[0], q)
         if sig is not None:
             sig(jq)
+        # Only the adjoint, of the first probe, reads argmax rows again.
+        jq = jq[0] if adj is not None else None
+        best_q *= nu
     elif len(q) and family is Family.LOG_DET:
-        c = block(q, q)
+        c = reader.block(q, q)
         if shift:
             c = c + shift * np.eye(len(q))
         _cholesky(c, errors[0])
@@ -170,30 +195,35 @@ def _scg(
         if family is Family.FACILITY_LOCATION:
             if len(g) == 0:
                 continue
-            j, best = _best(block, g, a)
+            j, best = reader.best(g, a)
             if sig is not None:
                 sig(j)
-            if len(q) == 0:
-                total += w * best.sum(axis=1)
-                if adj is not None:
-                    adj.pairs(g, a[j[0]], w)
+            j = j[0] if adj is not None else None
+            if len(q):
+                # The margins, in place: best has a probe axis wherever
+                # best_q has one, as the losses' q lies in g, and a probe
+                # moves a column of q only for an item of q.
+                best -= best_q
+                active = best > 0.0
+                if sig is not None:
+                    sig(active)
+                # The hinge as a masked sum, for a batch and a single evaluation.
+                np.maximum(best, 0.0, out=best)
+            total += w * best.sum(axis=1)
+            del best  # before the next class's rows are read
+            if adj is None:
                 continue
-            margin = best - nu * best_q
-            active = margin > 0.0
-            # Summing the active margins alone keeps one summation order for
-            # a batch of probes and a single evaluation.
-            total += w * np.array([m[k].sum() for m, k in zip(margin, active)])
-            if sig is not None:
-                sig(active)
-            if adj is not None:
+            if len(q) == 0:
+                adj.pairs(g, a[j], w)
+            else:
                 act = active[0]
                 g_act = g[act]
-                adj.pairs(g_act, a[j[0][act]], w)
-                adj.pairs(g_act, q[jq[0][act]], -w * nu)
+                adj.pairs(g_act, a[j[act]], w)
+                adj.pairs(g_act, q[jq[act]], -w * nu)
         elif family is Family.GRAPH_CUT:
-            value = block(g, a).sum(axis=(1, 2)) - lam * block(a, a).sum(axis=(1, 2))
+            value = reader.total(g, a) - lam * reader.total(a, a)
             if len(q):
-                value = value - 2.0 * lam * nu * block(a, q).sum(axis=(1, 2))
+                value = value - 2.0 * lam * nu * reader.total(a, q)
             total += w * value
             if adj is not None:
                 adj.block(g, a, w)
@@ -202,11 +232,11 @@ def _scg(
                     adj.block(a, q, -2.0 * w * lam * nu)
         else:
             # log det of the Schur complement of q's block.
-            m = block(a, a)
+            m = reader.block(a, a)
             if shift:
                 m = m + shift * np.eye(len(a))
             if len(q):
-                b = block(a, q)
+                b = reader.block(a, q)
                 x = np.linalg.solve(c, np.swapaxes(b, 1, 2))  # C^-1 B^T per probe
                 m = m - nu * nu * (b @ x)
             chol = _cholesky(m, errors[1])
@@ -260,10 +290,10 @@ def conditional_gain_closed(
         raise ValueError("conditioning sets overlap")
     a.check_bounds(objective.n)
     q.check_bounds(objective.n)
-    s, eps = objective.kernel.matrix, objective.epsilon
+    eps = objective.epsilon
     value = _scg(
-        objective.family, lambda rows, cols: s[np.ix_(rows, cols)][None], 1,
-        [a.as_array()], [objective.ground.as_array()], q.as_array(), [1.0],
+        objective.family, _Blocks(objective.kernel.matrix), [a.as_array()],
+        [objective.ground.as_array()], q.as_array(), [1.0],
         lam=objective.lam, nu=objective.nu, shift=eps,
         errors=("singular conditioning submatrix", _pd_message(eps)),
     )

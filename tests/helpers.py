@@ -152,8 +152,14 @@ def dense_loss_reference(data, classes, u, t, config):
     Every term reads its blocks of the symmetrized n x n kernel, adjoints
     accumulate into two n x n matrices, and the gradient folds W = G + G^T
     explicitly.  Log-det terms factor and solve with the same formulas as
-    the library (Cholesky, then a solve against the unknown-set kernel), so
-    a probe's value rounds close enough for the 1/(2h) difference quotient.
+    the library (Cholesky, then a solve against the unknown-set kernel), and
+    the facility-location hinge is summed with inactive margins as zeros, as
+    the library sums it, so a probe's value rounds close enough for the
+    1/(2h) difference quotient.  Graph-cut sums accumulate in np.longdouble
+    (at least 80 bits on x86-64 and aarch64 Linux) and its values stay in
+    it: the library builds graph cut's quotients from the changed kernel
+    entries alone, which a float64 difference of two full sums would not
+    match to its own rounding.
     With u None only the self term is evaluated and l_cross is 0.  Returns
     (l_self, l_cross, l_total, grad, signature), where the signature lists
     every facility-location argmax and hinge mask.
@@ -192,8 +198,8 @@ def dense_loss_reference(data, classes, u, t, config):
             l_self += coef * blk[np.arange(len(rows)), j].sum()
             g_self[rows, kc[j]] += coef
         elif fam is Family.GRAPH_CUT:
-            cover = s[np.ix_(t_self, kc)].sum()
-            redun = s[np.ix_(kc, kc)].sum()
+            cover = s[np.ix_(t_self, kc)].sum(dtype=np.longdouble)
+            redun = s[np.ix_(kc, kc)].sum(dtype=np.longdouble)
             l_self += coef * (cover - lam * redun)
             g_self[np.ix_(t_self, kc)] += coef
             g_self[np.ix_(kc, kc)] -= coef * lam
@@ -218,13 +224,13 @@ def dense_loss_reference(data, classes, u, t, config):
                 margin = blk_k[np.arange(len(t_arr)), jk] - nu * best_u
                 active = margin > 0.0
                 sig += [jk, active]
-                l_cross += coef * margin[active].sum()
+                l_cross += coef * np.maximum(margin, 0.0).sum()
                 g_cross[t_arr[active], kc[jk[active]]] += coef
                 g_cross[t_arr[active], u_arr[ju[active]]] -= coef * nu
             elif fam is Family.GRAPH_CUT:
-                cover = s[np.ix_(t_arr, kc)].sum()
-                redun = s[np.ix_(kc, kc)].sum()
-                coupling = s[np.ix_(kc, u_arr)].sum()
+                cover = s[np.ix_(t_arr, kc)].sum(dtype=np.longdouble)
+                redun = s[np.ix_(kc, kc)].sum(dtype=np.longdouble)
+                coupling = s[np.ix_(kc, u_arr)].sum(dtype=np.longdouble)
                 l_cross += coef * (cover - lam * redun - 2.0 * lam * nu * coupling)
                 g_cross[np.ix_(t_arr, kc)] += coef
                 g_cross[np.ix_(kc, kc)] -= coef * lam
@@ -255,7 +261,8 @@ def finite_difference_reference(
 
     Each probe copies the embeddings, moves one coordinate and rebuilds the
     whole n x n kernel and loss through `dense_loss_reference`, so it shares
-    no loss or kernel code with the batched audit.  The analytic gradient
+    no loss or kernel code with the batched audit; the difference of two
+    probes' values is taken before rounding to float64.  The analytic gradient
     under audit is the library's `grad_loss`.  Besides the audit's report it
     returns the probed coordinates under "coords".
     """
@@ -292,7 +299,7 @@ def finite_difference_reference(
         if not (same(sig_up, base_sig) and same(sig_dn, base_sig)):
             ties += 1
             continue
-        fd = (up - dn) / (2.0 * h)
+        fd = float((up - dn) / (2.0 * h))
         a = float(grad[i, j])
         abs_err = abs(a - fd)
         rel_err = abs_err / max(abs(a), abs(fd), 1e-4)
@@ -302,7 +309,7 @@ def finite_difference_reference(
     if checked == 0:
         max_abs = max_rel = float("nan")
     return {
-        "l_total": base_total,
+        "l_total": float(base_total),
         "h": h,
         "checked": checked,
         "tie_adjacent": ties,

@@ -1,11 +1,13 @@
 """Representation losses: values, gradients, and the difference audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import submine.losses
+import submine.objectives
 from helpers import dense_loss_reference, finite_difference_reference
 from submine import (
     EmbeddingSet,
@@ -373,6 +375,66 @@ def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
     empty = finite_difference_check(e, classes, u, t, LossConfig(), max_coords=0)
     assert empty["checked"] == empty["tie_adjacent"] == 0
     assert math.isnan(empty["max_rel_err"])
+
+
+def test_probe_reductions_match_dense_replaced_blocks():
+    # Kernel entries and probe rows are quarters, so maxima tie often: also
+    # between a probe's new column i and the best value without it, with i
+    # before and after that value's column.  Every sum is exact in floats.
+    rng = np.random.default_rng(47)
+    n = 12
+    cols = np.arange(0, n, 2)
+    s = rng.integers(-4, 5, size=(n, len(cols))) / 4.0
+    s[cols, np.arange(len(cols))] = 1.0
+    pos = np.full(n, len(cols))
+    pos[cols] = np.arange(len(cols))
+    kern = submine.losses._Kernel(s, pos)
+    kc, u = cols[:3], cols[3:]
+    t = np.arange(n)
+    ties = {"before": 0, "after": 0}
+    for i in (kc[0], kc[1], kc[2], u[0], u[2], 1, 7):  # in K_c, in U, outside C
+        rows = rng.integers(-4, 5, size=(6, n)) / 4.0
+        rows[:, i] = 1.0
+        probes = kern.probes(int(i), rows)
+        for a, b in ((t, kc), (np.setdiff1d(t, kc), kc), (t, u)):
+            j, v = probes.best(a, b)
+            dense_j, dense_v = submine.objectives._Blocks.best(probes, a, b)
+            assert j.flags.c_contiguous and v.flags.c_contiguous
+            assert j.shape == dense_j.shape and np.array_equal(j, dense_j)
+            assert np.array_equal(v, dense_v)
+            base = kern.block(a, b)[0]
+            want = [math.fsum((blk - base).ravel()) for blk in probes.block(a, b)]
+            assert np.array_equal(probes.total(a, b), want)
+            if i in b:
+                pb = int(np.searchsorted(b, i))
+                without = np.delete(base, pb, axis=1)
+                first = without.argmax(axis=1)
+                first += first >= pb
+                tie = rows[:, a] == without.max(axis=1)
+                ties["before"] += int((tie & (pb < first)).sum())
+                ties["after"] += int((tie & (pb > first)).sum())
+    assert min(ties.values()) > 0, ties
+
+
+def test_audit_memory_stays_proportional_to_kernel_and_gradient():
+    # A probe's facility-location and graph-cut scratch is O(|T| + |K_c|),
+    # not a |T| x |K_c| block, so a whole row of probes per batch keeps the
+    # audit's peak within a multiple of the base kernel plus the gradient,
+    # n (|C| + d) entries.
+    e, classes, u, t = _instance(
+        np.random.default_rng(53), n=100, d=40, class_size=20, u_size=10
+    )
+    entries = e.n * (2 * 20 + 10 + e.d)
+    for fam in ("fl", "gc"):
+        cfg = LossConfig(family=fam)
+        finite_difference_check(e, classes, u, t, cfg)  # one-time allocations
+        tracemalloc.start()
+        try:
+            finite_difference_check(e, classes, u, t, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * entries, (fam, peak / (8 * entries))
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])

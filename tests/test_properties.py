@@ -1,10 +1,11 @@
-"""Property-based checks of the gain engine, lazy greedy and the closed-form
-gains on small instances.
+"""Property-based checks of the gain engine, lazy greedy, the closed-form
+gains and the losses on small instances.
 
 Embeddings are small integers, so tied kernel entries and duplicate rows are
 common; instances also reach d = 1, empty pools, k = 0 and k > |pool|.  Every
 per-pick gain is compared with the loop reference in helpers.py, and every
-closed-form gain at nu = 1 with the definitional one.
+closed-form gain at nu = 1 with the definitional one.  The losses read
+cosines only, so rescaling embedding rows leaves them unchanged.
 """
 
 import numpy as np
@@ -15,12 +16,14 @@ from submine import (
     EmbeddingSet,
     Family,
     IndexSet,
+    LossConfig,
     SubmodularObjective,
     conditional_gain,
     conditional_gain_closed,
     cosine_kernel,
     greedy_max,
     lazy_greedy_max,
+    loss_total,
 )
 from helpers import value_loops
 
@@ -131,3 +134,40 @@ def test_closed_gain_is_definitional_gain_at_unit_strength(case):
     a = pool.minus(cond)
     closed = conditional_gain_closed(objective, a, cond)
     assert abs(closed - conditional_gain(objective, a, cond)) <= 1e-9
+
+
+@st.composite
+def scaled_batches(draw):
+    """(embeddings, classes, u, t, config, scales) with Gaussian rows, so no
+    argmax or hinge sits on a tie, and class plus unknown sets no larger than
+    d, so log-det's cross term is well defined."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 10))
+    d = draw(st.integers(4, 6))
+    n_classes = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 2))
+    perm = [int(i) for i in rng.permutation(n)]
+    classes = [IndexSet.of(perm[c * size : (c + 1) * size]) for c in range(n_classes)]
+    start = n_classes * size
+    u = IndexSet.of(perm[start : start + draw(st.integers(1, 2))])
+    # T holds every class and U, and perhaps not every other row.
+    t = IndexSet.of(perm[: draw(st.integers(start + len(u), n))])
+    family = draw(st.sampled_from(sorted(Family, key=lambda f: f.value)))
+    config = LossConfig(family=family, eta=0.8, nu=draw(st.sampled_from((0.5, 1.0))))
+    scales = np.array(draw(st.lists(st.floats(0.125, 8.0), min_size=n, max_size=n)))
+    return EmbeddingSet(rng.normal(size=(n, d))), classes, u, t, config, scales
+
+
+@PROPERTY_SETTINGS
+@given(scaled_batches())
+def test_loss_is_invariant_to_row_scale(case):
+    embeddings, classes, u, t, config, scales = case
+    base = loss_total(embeddings, classes, u, t, config)
+    scaled = loss_total(
+        EmbeddingSet(embeddings.data * scales[:, None]), classes, u, t, config
+    )
+    for part in ("l_self", "l_cross", "l_total"):
+        assert abs(getattr(scaled, part) - getattr(base, part)) <= 1e-9, part
+    # Each gradient row scales by 1 / scale.
+    worst = np.abs(scaled.grad * scales[:, None] - base.grad).max()
+    assert worst <= 1e-9 * max(1.0, np.abs(base.grad).max())
