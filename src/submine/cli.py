@@ -13,7 +13,6 @@ errors, 4 pipeline stage failure, 5 gradient-check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -29,7 +28,8 @@ from .discovery import (
     known_prototypes,
     run_discovery,
 )
-from .kernels import EmbeddingSet, IndexSet, read_embeddings_csv, write_embeddings_csv
+from .kernels import EmbeddingSet, IndexSet, _csv_text
+from .kernels import read_embeddings_csv, write_embeddings_csv
 from .losses import LossConfig, finite_difference_check, loss_total
 from .objectives import Family
 from .scenes import SceneSpec, gen_scene, gen_separation_cases
@@ -46,10 +46,6 @@ SWEEP_GRIDS = {
     "tau_b": [0.1, 0.3, 0.5],
     "eta": [0.5, 1.0, 1.5],
 }
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _say(args, text: str) -> None:
@@ -83,7 +79,7 @@ def _merge_config(cls, file_cfg: dict, cli_overrides: dict):
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    Path(path).write_text(text, newline="")
 
 
 def _config_dict(cfg) -> dict:
@@ -190,26 +186,24 @@ def _cmd_select(args) -> int:
 
 
 def _write_roles_csv(path, scene, result, config) -> None:
-    comment = json.dumps(_config_dict(config), sort_keys=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["index"] + [f"f{j}" for j in range(scene.d)] + ["truth", "role"]
-        )
-        for i in sorted(result.kept):
-            if i in result.known:
-                role = "known"
-            elif i in result.background:
-                role = "background"
-            elif i in result.unknown:
-                role = "unknown"
-            else:
-                role = "rest"
-            truth = str(int(scene.labels[i])) if scene.labels is not None else ""
-            writer.writerow(
-                [str(i)] + [_fmt(v) for v in scene.data[i]] + [truth, role]
-            )
+    kept = sorted(result.kept)
+    # Precedence known > background > unknown > rest: later updates win.
+    role = dict.fromkeys(result.unknown, "unknown")
+    role.update(dict.fromkeys(result.background, "background"))
+    role.update(dict.fromkeys(result.known, "known"))
+    if scene.labels is None:
+        truth = [""] * len(kept)
+    else:
+        truth = list(map(str, scene.labels[kept].tolist()))
+    text = _csv_text(
+        ["index"] + [f"f{j}" for j in range(scene.d)] + ["truth", "role"],
+        list(map(str, kept)),
+        scene.data[kept],
+        truth,
+        [role.get(i, "rest") for i in kept],
+        comment=json.dumps(_config_dict(config), sort_keys=True),
+    )
+    _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +240,7 @@ def _cmd_loss(args) -> int:
             "l_self": report.l_self,
             "l_cross": report.l_cross,
             "l_total": report.l_total,
-            "grad": [[float(v) for v in row] for row in report.grad],
+            "grad": report.grad.tolist(),
         },
         sort_keys=True,
     )
@@ -261,31 +255,29 @@ def _loss_cases(args, file_cfg: dict) -> int:
         [f.value for f in Family] if args.family == "all" else [args.family]
     )
     cases = gen_separation_cases(seed=args.seed or 0, n_cases=args.cases)
-    lines = []
+    idx, angles, fams, losses = [], [], [], []
     header_cfg = None
     for fam in families:
         config = _loss_config(args, file_cfg, fam)
         if header_cfg is None:
             header_cfg = _config_dict(config)
             header_cfg["family"] = "all" if args.family == "all" else fam
-        for idx, case in enumerate(cases):
+        for i, case in enumerate(cases):
             report = loss_total(
                 case.embeddings, [case.known], case.unknown, case.all_items, config
             )
-            lines.append(
-                [
-                    str(idx),
-                    _fmt(math.degrees(case.angle)),
-                    config.family.value,
-                    _fmt(report.l_self),
-                    _fmt(report.l_cross),
-                    _fmt(report.l_total),
-                ]
-            )
-    text = [f"# {json.dumps(header_cfg, sort_keys=True)}"]
-    text.append("case,angle_deg,family,l_self,l_cross,l_total")
-    text.extend(",".join(row) for row in lines)
-    body = "\n".join(text) + "\n"
+            idx.append(str(i))
+            angles.append(math.degrees(case.angle))
+            fams.append(config.family.value)
+            losses.append([report.l_self, report.l_cross, report.l_total])
+    body = _csv_text(
+        ["case", "angle_deg", "family", "l_self", "l_cross", "l_total"],
+        idx,
+        np.array(angles),
+        fams,
+        np.array(losses),
+        comment=json.dumps(header_cfg, sort_keys=True),
+    )
     if args.out:
         _write_text(args.out, body)
     _say(args, body.rstrip("\n"))
@@ -347,15 +339,13 @@ def _cmd_sweep(args) -> int:
         base = merged
     scene = read_embeddings_csv(args.input)
     if parameter in ("k", "tau_e", "tau_b"):
-        rows, header = _sweep_discovery(args, scene, parameter, values, base)
+        header, columns = _sweep_discovery(args, scene, parameter, values, base)
     else:
-        rows, header = _sweep_loss(scene, parameter, values, base)
+        header, columns = _sweep_loss(scene, parameter, values, base)
     comment = json.dumps(
         {"parameter": parameter, "values": values, "config": base}, sort_keys=True
     )
-    text = [f"# {comment}", ",".join(header)]
-    text.extend(",".join(row) for row in rows)
-    body = "\n".join(text) + "\n"
+    body = _csv_text(header, *columns, comment=comment)
     _write_text(args.out, body)
     _say(args, body.rstrip("\n"))
     return EXIT_OK
@@ -369,57 +359,42 @@ def _sweep_discovery(args, scene, parameter, values, base):
         if args.prototypes
         else known_prototypes(scene)
     )
-    header = [
-        "value",
-        "n_kept",
-        "n_background",
-        "n_unknown",
+    names = [
         "purity",
         "coverage",
         "unknown_prevalence_in_pool",
         "mean_sim_unknown_to_known",
         "mean_sim_unknown_to_background",
     ]
-    rows = []
+    counts, metrics = [], []
     for v in values:
         cfg = _merge_config(DiscoveryConfig, base, {parameter: v})
         result = run_discovery(scene, protos, cfg)
         m = coverage_metrics(result, scene.labels)
-        rows.append(
-            [
-                _fmt(v) if parameter != "k" else str(int(v)),
-                str(len(result.kept)),
-                str(len(result.background)),
-                str(len(result.unknown)),
-                _fmt(m["purity"]),
-                _fmt(m["coverage"]),
-                _fmt(m["unknown_prevalence_in_pool"]),
-                _fmt(m["mean_sim_unknown_to_known"]),
-                _fmt(m["mean_sim_unknown_to_background"]),
-            ]
+        counts.append(
+            f"{len(result.kept)},{len(result.background)},{len(result.unknown)}"
         )
-    return rows, header
+        metrics.append([m[name] for name in names])
+    header = ["value", "n_kept", "n_background", "n_unknown"] + names
+    if parameter == "k":
+        value_col = [str(int(v)) for v in values]
+    else:
+        value_col = np.array(values, dtype=np.float64)
+    return header, [value_col, counts, np.array(metrics)]
 
 
 def _sweep_loss(scene, parameter, values, base):
     classes, u, t = _sets_from_labels(scene)
     if len(u) == 0:
         raise ValueError("scene has no unlabeled unknowns for the loss sweep")
-    header = ["value", "family", "l_self", "l_cross", "l_total"]
-    rows = []
+    fams, losses = [], []
     for v in values:
         cfg = _merge_config(LossConfig, base, {parameter: v})
         report = loss_total(scene, classes, u, t, cfg)
-        rows.append(
-            [
-                _fmt(v),
-                cfg.family.value,
-                _fmt(report.l_self),
-                _fmt(report.l_cross),
-                _fmt(report.l_total),
-            ]
-        )
-    return rows, header
+        fams.append(cfg.family.value)
+        losses.append([report.l_self, report.l_cross, report.l_total])
+    header = ["value", "family", "l_self", "l_cross", "l_total"]
+    return header, [np.array(values, dtype=np.float64), fams, np.array(losses)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .kernels import (
     IndexSet,
     SimilarityKernel,
     UNKNOWN_LABEL,
+    _unit_rows,
     cosine_kernel,
-    row_normalize,
 )
 from .objectives import Family, SubmodularObjective
 
@@ -151,8 +151,8 @@ def match_knowns(
     zero = np.flatnonzero(np.linalg.norm(items, axis=1) == 0.0)
     if len(zero):
         raise ValueError(f"zero-norm row {int(kept_arr[zero[0]])}")
-    unit_items = row_normalize(EmbeddingSet(items)).data
-    unit_protos = row_normalize(EmbeddingSet(prototypes.data)).data
+    unit_items = _unit_rows(items)[0]
+    unit_protos = _unit_rows(prototypes.data)[0]
     cost = 1.0 - unit_items @ unit_protos.T
     pairs = hungarian_assign(cost)
     by_proto = sorted(pairs, key=lambda rc: rc[1])

@@ -6,6 +6,9 @@ embeddings it was built from: the mining pipeline builds it over the kept
 items only, so its indices are kept positions, not scene ids.  The training
 losses read only the columns of their class and unknown sets, which
 `cosine_columns` builds.  Index sets are small immutable tuples.
+
+The CSV codec at the end serves every CSV the CLI reads or writes: one numpy
+call converts a scene's cells, and rows are written by joining cells.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def cosine_kernel(
     The Gram matrix is symmetrized and its diagonal pinned to the transform
     of 1.0 so roundoff cannot leak into downstream log-det factorizations.
     """
-    unit = row_normalize(embeddings).data
+    unit = _unit_rows(embeddings.data)[0]
     gram = unit @ unit.T
     gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
     mat = np.asarray(apply_transform(gram, transform), dtype=np.float64)
@@ -244,66 +247,79 @@ def cosine_columns(
 
 # ---------------------------------------------------------------------------
 # CSV interchange: header f0,...,f{d-1}[,label][,objectness]; '#' lines are
-# comments.  Floats are written with repr() so re-runs are byte-identical.
+# comments.  Every CSV the program writes is built by `_csv_text`, which never
+# quotes a cell: string cells must hold no comma.
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_text(header: list[str], *columns, comment: str | None = None) -> str:
+    """A CSV file's text: an optional '# comment' line, the header, the rows.
+
+    Each column holds one entry per row: a string cell, written as it is, or
+    a row of a float array, whose entries are written with repr(float(x)) so
+    re-runs are byte-identical.
+    """
+    parts = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            rows = np.asarray(col, dtype=np.float64).tolist()
+            col = [",".join(map(repr, r)) if isinstance(r, list) else repr(r) for r in rows]
+        parts.append(col)
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*parts)))
+    return "\n".join(lines) + "\n"
 
 
 def write_embeddings_csv(
     embeddings: EmbeddingSet, path: str | Path, header_comment: str | None = None
 ) -> None:
-    path = Path(path)
-    cols = [f"f{j}" for j in range(embeddings.d)]
+    header = [f"f{j}" for j in range(embeddings.d)]
+    columns: list = [embeddings.data]
     if embeddings.labels is not None:
-        cols.append("label")
+        header.append("label")
+        columns.append(list(map(str, embeddings.labels.tolist())))
     if embeddings.objectness is not None:
-        cols.append("objectness")
-    with path.open("w", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for i in range(embeddings.n):
-            row = [_fmt(v) for v in embeddings.data[i]]
-            if embeddings.labels is not None:
-                row.append(str(int(embeddings.labels[i])))
-            if embeddings.objectness is not None:
-                row.append(_fmt(embeddings.objectness[i]))
-            writer.writerow(row)
+        header.append("objectness")
+        columns.append(embeddings.objectness)
+    text = _csv_text(header, *columns, comment=header_comment)
+    Path(path).write_text(text, newline="")
 
 
 def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
+    """Read a CSV in the layout `write_embeddings_csv` writes.
+
+    The csv module splits fields, so quoted and padded cells and CRLF line
+    ends parse; one numpy call converts the body, parsing each cell as
+    float() does.  Labels are truncated toward zero; one that is not finite
+    or does not fit int64 is an error.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+    if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
     header = [c.strip() for c in rows[0]]
-    d = sum(1 for c in header if c.startswith("f") and c[1:].isdigit())
-    expected = [f"f{j}" for j in range(d)]
-    if d == 0 or header[:d] != expected:
+    for tail in (["label", "objectness"], ["label"], ["objectness"], []):
+        d = len(header) - len(tail)
+        if d >= 1 and header == [f"f{j}" for j in range(d)] + tail:
+            break
+    else:
         raise ValueError(f"{path}: malformed header {header!r}")
-    extras = header[d:]
-    has_label = "label" in extras
-    has_obj = "objectness" in extras
-    if extras != [c for c in ("label", "objectness") if (c == "label" and has_label) or (c == "objectness" and has_obj)]:
-        raise ValueError(f"{path}: malformed header {header!r}")
-    data, labels, objectness = [], [], []
     for r in rows[1:]:
         if len(r) != len(header):
             raise ValueError(f"{path}: row has {len(r)} fields, expected {len(header)}")
-        vals = [float(x) for x in r]
-        data.append(vals[:d])
-        pos = d
-        if has_label:
-            labels.append(int(vals[pos]))
-            pos += 1
-        if has_obj:
-            objectness.append(vals[pos])
+    table = np.array(rows[1:], dtype=np.float64)
+    labels = table[:, d] if "label" in tail else None
+    if labels is not None:
+        bad = np.flatnonzero(~((labels >= -(2.0**63)) & (labels < 2.0**63)))
+        if len(bad):
+            raise ValueError(
+                f"{path}: label {float(labels[bad[0]])!r} in data row {bad[0] + 1} "
+                "is not a finite int64"
+            )
+        labels = labels.astype(np.int64)
     return EmbeddingSet(
-        np.asarray(data),
-        labels=np.asarray(labels) if has_label else None,
-        objectness=np.asarray(objectness) if has_obj else None,
+        table[:, :d],
+        labels=labels,
+        objectness=table[:, -1] if "objectness" in tail else None,
     )

@@ -219,7 +219,9 @@ def _probe_rows(data: np.ndarray, unit: np.ndarray, i: int, js: np.ndarray, h: f
     norms = np.linalg.norm(probes, axis=1)
     if not norms.all():
         raise ValueError(f"zero-norm row {i}")
-    rows = np.clip((probes / norms[:, None]) @ unit.T, -1.0, 1.0)
+    probes /= norms[:, None]
+    rows = probes @ unit.T
+    np.clip(rows, -1.0, 1.0, out=rows)
     rows[:, i] = 1.0
     return rows
 

@@ -5,7 +5,9 @@ enumeration, and numpy.linalg calls.  None of it shares code with the
 vectorized or incremental paths under audit.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -317,3 +319,93 @@ def finite_difference_reference(
         "max_rel_err": max_rel,
         "coords": coords,
     }
+
+
+# ---------------------------------------------------------------------------
+# CSV: the csv-module reader and writers the codec in kernels.py replaced,
+# kept as they were so the codec can be checked byte for byte against them.
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def write_embeddings_csv_reference(embeddings, path, header_comment=None):
+    """One csv.writer row per item, each float formatted on its own."""
+    path = Path(path)
+    cols = [f"f{j}" for j in range(embeddings.d)]
+    if embeddings.labels is not None:
+        cols.append("label")
+    if embeddings.objectness is not None:
+        cols.append("objectness")
+    with path.open("w", newline="") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        for i in range(embeddings.n):
+            row = [_fmt(v) for v in embeddings.data[i]]
+            if embeddings.labels is not None:
+                row.append(str(int(embeddings.labels[i])))
+            if embeddings.objectness is not None:
+                row.append(_fmt(embeddings.objectness[i]))
+            writer.writerow(row)
+
+
+def read_embeddings_csv_reference(path):
+    """float() on every cell, int() on every label, row by row."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    header = [c.strip() for c in rows[0]]
+    d = sum(1 for c in header if c.startswith("f") and c[1:].isdigit())
+    expected = [f"f{j}" for j in range(d)]
+    if d == 0 or header[:d] != expected:
+        raise ValueError(f"{path}: malformed header {header!r}")
+    extras = header[d:]
+    has_label = "label" in extras
+    has_obj = "objectness" in extras
+    if extras != [c for c in ("label", "objectness") if (c == "label" and has_label) or (c == "objectness" and has_obj)]:
+        raise ValueError(f"{path}: malformed header {header!r}")
+    data, labels, objectness = [], [], []
+    for r in rows[1:]:
+        if len(r) != len(header):
+            raise ValueError(f"{path}: row has {len(r)} fields, expected {len(header)}")
+        vals = [float(x) for x in r]
+        data.append(vals[:d])
+        pos = d
+        if has_label:
+            labels.append(int(vals[pos]))
+            pos += 1
+        if has_obj:
+            objectness.append(vals[pos])
+    return EmbeddingSet(
+        np.asarray(data),
+        labels=np.asarray(labels) if has_label else None,
+        objectness=np.asarray(objectness) if has_obj else None,
+    )
+
+
+def roles_csv_reference(path, scene, result, comment):
+    """The roles CSV of `submine select`: one row per kept item, by index."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["index"] + [f"f{j}" for j in range(scene.d)] + ["truth", "role"]
+        )
+        for i in sorted(result.kept):
+            if i in result.known:
+                role = "known"
+            elif i in result.background:
+                role = "background"
+            elif i in result.unknown:
+                role = "unknown"
+            else:
+                role = "rest"
+            truth = str(int(scene.labels[i])) if scene.labels is not None else ""
+            writer.writerow(
+                [str(i)] + [_fmt(v) for v in scene.data[i]] + [truth, role]
+            )

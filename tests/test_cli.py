@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from submine import EmbeddingSet, read_embeddings_csv, write_embeddings_csv
+from submine import (
+    DiscoveryConfig,
+    EmbeddingSet,
+    IndexSet,
+    read_embeddings_csv,
+    write_embeddings_csv,
+)
 from submine.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -13,8 +20,10 @@ from submine.cli import (
     EXIT_OK,
     EXIT_STAGE,
     SWEEP_GRIDS,
+    _write_roles_csv,
     main,
 )
+from helpers import roles_csv_reference
 
 SMALL_SCENE_CFG = {"n_total": 120, "n_known": 6, "n_unknown": 25}
 
@@ -129,6 +138,56 @@ def test_select_reruns_are_byte_identical(tmp_path, small_scene):
     roles_a = (tmp_path / "a.roles.csv").read_bytes()
     roles_b = (tmp_path / "b.roles.csv").read_bytes()
     assert roles_a == roles_b
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+def test_select_roles_csv_matches_reference(tmp_path, small_scene, include_background):
+    out = tmp_path / "mined.json"
+    argv = ["select", str(small_scene), "--out", str(out), "--quiet"]
+    if include_background:
+        argv.append("--include-background")
+    assert main(argv) == EXIT_OK
+    payload = json.loads(out.read_text())
+    result = SimpleNamespace(
+        **{key: IndexSet.of(payload[key]) for key in ("kept", "known", "background", "unknown")}
+    )
+    roles = (tmp_path / "mined.roles.csv").read_text()
+    comment = roles.splitlines()[0][len("# "):]
+    ref = tmp_path / "reference.roles.csv"
+    roles_csv_reference(ref, read_embeddings_csv(small_scene), result, comment)
+    assert roles == ref.read_text()
+    assert "np." not in roles
+
+
+def test_roles_csv_overlapping_sets_follow_reference_precedence(tmp_path):
+    # Overlaps the pipeline does not produce today: known beats background,
+    # background beats unknown, and a kept item in no set is "rest".
+    scene = EmbeddingSet(np.arange(12.0).reshape(6, 2) - 5.5, labels=[1, 0, -1, 0, 2, -1])
+    result = SimpleNamespace(
+        kept=IndexSet.of([5, 0, 1, 2, 3, 4]),
+        known=IndexSet.of([0, 4]),
+        background=IndexSet.of([1, 2, 4]),
+        unknown=IndexSet.of([2, 3, 0]),
+    )
+    config = DiscoveryConfig()
+    _write_roles_csv(tmp_path / "new.csv", scene, result, config)
+    comment = (tmp_path / "new.csv").read_text().splitlines()[0][len("# "):]
+    roles_csv_reference(tmp_path / "ref.csv", scene, result, comment)
+    new = (tmp_path / "new.csv").read_text()
+    assert new == (tmp_path / "ref.csv").read_text()
+    assert [line.split(",")[-1] for line in new.splitlines()[2:]] == [
+        "known", "background", "background", "unknown", "known", "rest"
+    ]
+
+
+@pytest.mark.parametrize("cell", ["1e30", "nan"])
+def test_select_rejects_a_label_outside_int64(tmp_path, capsys, cell):
+    scene = tmp_path / "huge_label.csv"
+    scene.write_text(f"f0,f1,label,objectness\n1.0,0.0,1,0.9\n0.0,1.0,{cell},0.9\n")
+    argv = ["select", str(scene), "--out", str(tmp_path / "o.json"), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "huge_label.csv: label" in err
 
 
 def test_loss_on_explicit_sets(tmp_path, small_scene):

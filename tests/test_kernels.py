@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submine import (
     EMPTY_SET,
@@ -22,7 +24,11 @@ from submine import (
 )
 from submine.kernels import cosine_columns
 from conftest import TOY_MATRIX
-from helpers import random_embeddings
+from helpers import (
+    random_embeddings,
+    read_embeddings_csv_reference,
+    write_embeddings_csv_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +228,126 @@ def test_csv_read_errors(tmp_path):
     bad_header.write_text("x0,x1\n1.0,2.0\n")
     with pytest.raises(ValueError, match="malformed header"):
         read_embeddings_csv(bad_header)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("# comment\nf0,f1,label\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        read_embeddings_csv(header_only)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("f0,f1\n1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="expected 2"):
         read_embeddings_csv(ragged)
     with pytest.raises(OSError):
         read_embeddings_csv(tmp_path / "missing.csv")
+
+
+# ---------------------------------------------------------------------------
+# CSV codec against the csv-module reference in helpers.py
+
+CSV_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Signed zeros, subnormals, extremes and integer-valued floats next to
+# whatever hypothesis draws.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+               -1e-300, 1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0,
+               2.0**53, 1e16, 123456789.0, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+UNIT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0]), st.floats(0.0, 1.0)
+)
+LAYOUTS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@st.composite
+def embedding_sets(draw, has_label, has_obj, label_bound=2**63):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 4))
+    rows = st.lists(FLOATS, min_size=d, max_size=d)
+    data = draw(st.lists(rows, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(-label_bound, label_bound - 1), min_size=n, max_size=n))
+    obj = draw(st.lists(UNIT_FLOATS, min_size=n, max_size=n))
+    return EmbeddingSet(
+        np.array(data),
+        labels=labels if has_label else None,
+        objectness=obj if has_obj else None,
+    )
+
+
+def _same_arrays(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b)
+    )
+
+
+@pytest.mark.parametrize("comment", [None, "unit-test scene"])
+@pytest.mark.parametrize("has_label,has_obj", LAYOUTS)
+def test_csv_writer_is_byte_equal_to_reference(tmp_path_factory, has_label, has_obj, comment):
+    @CSV_SETTINGS
+    @given(embedding_sets(has_label, has_obj))
+    def check(scene):
+        tmp = tmp_path_factory.mktemp("csv")
+        write_embeddings_csv(scene, tmp / "new.csv", header_comment=comment)
+        write_embeddings_csv_reference(scene, tmp / "ref.csv", header_comment=comment)
+        new = (tmp / "new.csv").read_bytes()
+        assert new == (tmp / "ref.csv").read_bytes()
+        assert b"np." not in new
+
+    check()
+
+
+@st.composite
+def decorated_csv(draw, has_label, has_obj):
+    """A scene's CSV text with quoted and padded cells, CRLF or LF line
+    ends, and comment and blank lines between rows."""
+    scene = draw(embedding_sets(has_label, has_obj, label_bound=2**53))
+    header = [f"f{j}" for j in range(scene.d)]
+    header += ["label"] * has_label + ["objectness"] * has_obj
+    body = [[repr(float(v)) for v in row] for row in scene.data]
+    for i, row in enumerate(body):
+        if has_label:
+            row.append(str(int(scene.labels[i])))
+        if has_obj:
+            row.append(repr(float(scene.objectness[i])))
+    cell = st.sampled_from(["{}", " {} ", '"{}"', '" {}\t"', "\t{}"])
+    lines = []
+    for row in [header] + body:
+        lines.append(",".join(draw(cell).format(c) for c in row))
+        lines.extend(draw(st.lists(st.sampled_from(["# note, with a comma", "  # indented", ""]), max_size=2)))
+    if draw(st.booleans()):
+        lines.insert(0, "# leading comment")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+@pytest.mark.parametrize("has_label,has_obj", LAYOUTS)
+def test_csv_reader_matches_reference_on_decorated_files(tmp_path_factory, has_label, has_obj):
+    @CSV_SETTINGS
+    @given(decorated_csv(has_label, has_obj))
+    def check(text):
+        path = tmp_path_factory.mktemp("csv") / "scene.csv"
+        path.write_bytes(text.encode())
+        new, ref = read_embeddings_csv(path), read_embeddings_csv_reference(path)
+        assert _same_arrays(new.data, ref.data)
+        assert _same_arrays(new.labels, ref.labels)
+        assert _same_arrays(new.objectness, ref.objectness)
+
+    check()
+
+
+def test_csv_reader_truncates_labels_as_the_reference_does(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "f0,label\n1.0,1.9\n1.0,-0.5\n1.0,-2.5\n1.0,1e3\n1.0,-9223372036854775808\n"
+    )
+    new, ref = read_embeddings_csv(path), read_embeddings_csv_reference(path)
+    assert new.labels.tolist() == ref.labels.tolist() == [1, 0, -2, 1000, -(2**63)]
+
+
+@pytest.mark.parametrize(
+    "cell", ["1e30", "-1e30", "nan", "inf", "-inf", "9223372036854775808"]
+)
+def test_csv_reader_rejects_labels_outside_int64(tmp_path, cell):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"f0,label\n1.0,1\n1.0,{cell}\n")
+    with pytest.raises(ValueError, match=r"huge\.csv: label .* in data row 2"):
+        read_embeddings_csv(path)
