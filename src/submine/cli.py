@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ import numpy as np
 from .discovery import (
     DiscoveryConfig,
     StageError,
+    _run_each,
     coverage_metrics,
     known_prototypes,
     run_discovery,
@@ -367,9 +369,8 @@ def _sweep_discovery(args, scene, parameter, values, base):
         "mean_sim_unknown_to_background",
     ]
     counts, metrics = [], []
-    for v in values:
-        cfg = _merge_config(DiscoveryConfig, base, {parameter: v})
-        result = run_discovery(scene, protos, cfg)
+    configs = (_merge_config(DiscoveryConfig, base, {parameter: v}) for v in values)
+    for result in _run_each(scene, protos, configs):
         m = coverage_metrics(result, scene.labels)
         counts.append(
             f"{len(result.kept)},{len(result.background)},{len(result.unknown)}"
@@ -483,10 +484,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so one serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     try:

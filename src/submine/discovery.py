@@ -8,19 +8,24 @@ The pipeline runs four stages over one scene:
   4. unknown     greedily maximize the gain conditioned on K u B, budget k
 
 Stages 3 and 4 share one submodular objective whose kernel spans the kept
-items only, so its size follows |kept|, not the scene.  A failure in any
-stage aborts with that stage's name attached.
+items only, so its size follows |kept|, not the scene.  They also share one
+gain state: the knowns are committed once, stage 3 advances the state, and
+stage 4 continues from where stage 3 left it.  A sweep over k or tau_b
+builds the kernel and commits the knowns once, and runs stages 3-4 per
+value on a copy of that state.  A failure in any stage aborts with that
+stage's name attached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .greedy import SelectionResult, greedy_max
+from .greedy import SelectionResult, _conditioned_state, greedy_max
 from .kernels import (
     EmbeddingSet,
     IndexSet,
@@ -29,7 +34,7 @@ from .kernels import (
     _unit_rows,
     cosine_kernel,
 )
-from .objectives import Family, SubmodularObjective
+from .objectives import Family, MarginalState, SubmodularObjective
 
 
 class StageError(RuntimeError):
@@ -160,9 +165,16 @@ def match_knowns(
 
 
 def select_background(
-    objective: SubmodularObjective, pool: IndexSet, known: IndexSet, tau_b: float
+    objective: SubmodularObjective,
+    pool: IndexSet,
+    known: IndexSet | MarginalState,
+    tau_b: float,
 ) -> SelectionResult:
-    """Greedy background pick conditioned on the knowns, budget floor(tau_b * |pool|)."""
+    """Greedy background pick conditioned on the knowns, budget floor(tau_b * |pool|).
+
+    known may be a MarginalState whose selection is the knowns; it is
+    advanced in place to K then B.
+    """
     budget = math.floor(tau_b * len(pool))
     return greedy_max(objective, pool, budget, conditioning=known)
 
@@ -170,18 +182,25 @@ def select_background(
 def select_unknowns(
     objective: SubmodularObjective,
     pool: IndexSet,
-    known: IndexSet,
+    known: IndexSet | MarginalState,
     background: IndexSet,
     k: int,
 ) -> SelectionResult:
-    """Greedy unknown pick conditioned on knowns and background, budget k."""
-    conditioning = known.union(background)
+    """Greedy unknown pick conditioned on knowns and background, budget k.
+
+    known may be the MarginalState stage 3 advanced, whose selection is
+    already K then B; the pick continues from it in place.
+    """
+    if isinstance(known, MarginalState):
+        conditioning, members = known, IndexSet(tuple(known.selected))
+    else:
+        conditioning = members = known.union(background)
     return greedy_max(
         objective,
         pool,
         k,
         conditioning=conditioning,
-        allow_conditioned_candidates=pool.intersects(conditioning),
+        allow_conditioned_candidates=pool.intersects(members),
     )
 
 
@@ -195,18 +214,23 @@ def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(embeddings.data[idx], labels=embeddings.labels[idx])
 
 
-def run_discovery(
-    embeddings: EmbeddingSet,
-    prototypes: EmbeddingSet,
-    config: DiscoveryConfig = DiscoveryConfig(),
-) -> DiscoveryResult:
-    """Full pipeline; raises StageError naming the failing stage.
+@dataclass(frozen=True)
+class _Prepared:
+    """What stages 3 and 4 start from: the scene-level sets, the kept-only
+    objective, and a state with the knowns committed.  The state is never
+    advanced; each selection runs on a copy of it."""
 
-    Stages 3 and 4 run on a kernel over the kept rows only, indexed by kept
-    position; sets are translated to positions on the way in and back to
-    scene indices on the way out.  kept is ascending, so the map is monotone
-    and greedy's lowest-index tie-break picks the same items either way.
-    """
+    kept: IndexSet
+    known: IndexSet
+    known_k: IndexSet  # the knowns as kept positions, in prototype order
+    objective: SubmodularObjective
+    state: MarginalState
+
+
+def _prepare(
+    embeddings: EmbeddingSet, prototypes: EmbeddingSet, config: DiscoveryConfig
+) -> _Prepared:
+    """Stages 1-2, the kept-only kernel and objective, and K committed."""
     try:
         kept = filter_by_objectness(embeddings, config.tau_e)
         if len(kept) == 0:
@@ -217,14 +241,9 @@ def run_discovery(
         known = match_knowns(embeddings, kept, prototypes)
     except ValueError as e:
         raise StageError("match", str(e)) from None
-    kept_arr = kept.as_array()
-
-    def to_scene(s: IndexSet) -> IndexSet:
-        return IndexSet.of(kept_arr[s.as_array()])
-
     try:
         kernel = cosine_kernel(
-            EmbeddingSet(embeddings.data[kept_arr]),
+            EmbeddingSet(embeddings.data[kept.as_array()]),
             transform=config.resolved_transform,
             epsilon=config.epsilon,
         )
@@ -237,8 +256,20 @@ def run_discovery(
             epsilon=config.epsilon,
         )
         known_k = IndexSet.of(_kept_positions(kept, known))
-        pool_v = objective.ground.minus(known_k)
-        bg = select_background(objective, pool_v, known_k, config.tau_b)
+        state = _conditioned_state(objective, known_k)
+    except ValueError as e:
+        raise StageError("background", str(e)) from None
+    return _Prepared(kept, known, known_k, objective, state)
+
+
+def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
+    """Stages 3 and 4 on a copy of the prepared state: stage 4 continues
+    from the state stage 3 left."""
+    objective = prepared.objective
+    state = prepared.state.copy()
+    try:
+        pool_v = objective.ground.minus(prepared.known_k)
+        bg = select_background(objective, pool_v, state, config.tau_b)
     except ValueError as e:
         raise StageError("background", str(e)) from None
     try:
@@ -246,22 +277,64 @@ def run_discovery(
             pool_u = pool_v.minus(bg.selected)
         else:
             pool_u = pool_v
-        un = select_unknowns(objective, pool_u, known_k, bg.selected, config.k)
+        un = select_unknowns(objective, pool_u, state, bg.selected, config.k)
     except ValueError as e:
         raise StageError("unknown", str(e)) from None
+    kept_arr = prepared.kept.as_array()
+
+    def to_scene(s: IndexSet) -> IndexSet:
+        return IndexSet.of(kept_arr[s.as_array()])
+
     bg = replace(bg, selected=to_scene(bg.selected))
     un = replace(un, selected=to_scene(un.selected))
     return DiscoveryResult(
-        kept=kept,
-        known=known,
+        kept=prepared.kept,
+        known=prepared.known,
         background=bg.selected,
         unknown=un.selected,
         pool=to_scene(pool_u),
         background_trace=bg,
         unknown_trace=un,
         config=config,
-        kernel=kernel,
+        kernel=objective.kernel,
     )
+
+
+def run_discovery(
+    embeddings: EmbeddingSet,
+    prototypes: EmbeddingSet,
+    config: DiscoveryConfig = DiscoveryConfig(),
+) -> DiscoveryResult:
+    """Full pipeline; raises StageError naming the failing stage.
+
+    Stages 3 and 4 run on a kernel over the kept rows only, indexed by kept
+    position; sets are translated to positions on the way in and back to
+    scene indices on the way out.  kept is ascending, so the map is monotone
+    and greedy's lowest-index tie-break picks the same items either way.
+    The knowns are committed once: stage 3 continues from that state, and
+    stage 4 from the state stage 3 left, which holds K then B in pick order.
+    """
+    return _select(_prepare(embeddings, prototypes, config), config)
+
+
+def _run_each(
+    embeddings: EmbeddingSet,
+    prototypes: EmbeddingSet,
+    configs: Iterable[DiscoveryConfig],
+) -> Iterator[DiscoveryResult]:
+    """run_discovery for each config in turn.
+
+    Stages 1-2, the kernel and the committed knowns are built once for a run
+    of configs that differ only in tau_b, k and exclude_background_from_pool.
+    """
+    # One entry: the latest preparation, keyed by its config with the fields
+    # stages 3-4 read set to fixed values.
+    last: dict = {}
+    for config in configs:
+        key = replace(config, tau_b=0.0, k=0, exclude_background_from_pool=True)
+        if key not in last:
+            last = {key: _prepare(embeddings, prototypes, config)}
+        yield _select(last[key], config)
 
 
 def _kept_positions(kept: IndexSet, items: IndexSet) -> np.ndarray:

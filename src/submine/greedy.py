@@ -20,6 +20,7 @@ import numpy as np
 from .kernels import EMPTY_SET, IndexSet
 from .objectives import (
     Family,
+    MarginalState,
     SubmodularObjective,
     commit,
     evaluate,
@@ -51,10 +52,16 @@ def _prep(
     objective: SubmodularObjective,
     candidates: IndexSet | Iterable[int],
     k: int,
-    conditioning: IndexSet | None,
+    conditioning: IndexSet | MarginalState | None,
     allow_conditioned: bool = False,
 ):
     cand = candidates if isinstance(candidates, IndexSet) else IndexSet.of(candidates)
+    state = None
+    if isinstance(conditioning, MarginalState):
+        if conditioning.objective is not objective:
+            raise ValueError("conditioning state belongs to another objective")
+        state = conditioning
+        conditioning = IndexSet(tuple(state.selected))
     cond = conditioning if conditioning is not None else EMPTY_SET
     if int(k) != k or k < 0:
         raise ValueError("budget k must be a non-negative integer")
@@ -62,35 +69,30 @@ def _prep(
     cond.check_bounds(objective.n)
     if not allow_conditioned and cand.intersects(cond):
         raise ValueError("candidates overlap conditioning set")
-    state = marginal_state(objective)
-    for q in cond:
-        commit(state, q)
+    if state is None:
+        state = _conditioned_state(objective, cond)
     return cand.sorted().as_array(), cond, state
 
 
-def greedy_max(
-    objective: SubmodularObjective,
-    candidates: IndexSet | Iterable[int],
-    k: int,
-    conditioning: IndexSet | None = None,
-    *,
-    allow_conditioned_candidates: bool = False,
-) -> SelectionResult:
-    """Greedy argmax of the conditional gain under a cardinality budget.
+def _conditioned_state(objective: SubmodularObjective, cond: IndexSet) -> MarginalState:
+    """A fresh state with the items of cond committed in order."""
+    state = marginal_state(objective)
+    for q in cond:
+        commit(state, q)
+    return state
 
-    With allow_conditioned_candidates items already in the conditioning set
-    may appear in the pool; re-selecting one contributes exactly zero gain
-    (set semantics) and leaves the state untouched.
+
+def _greedy(state: MarginalState, order: np.ndarray, cond: IndexSet, k: int) -> SelectionResult:
+    """The greedy loop, continuing from `state`, whose selection is `cond`.
+
+    Each fresh pick is committed into `state` in place.
     """
-    order, cond, state = _prep(
-        objective, candidates, int(k), conditioning, allow_conditioned_candidates
-    )
     fresh = ~np.isin(order, cond.as_array())
     left = np.ones(len(order), dtype=bool)
     picks: list[int] = []
     gains: list[float] = []
     evals = 0
-    for _ in range(min(int(k), len(order))):
+    for _ in range(min(k, len(order))):
         round_gains = np.where(left, 0.0, -np.inf)
         rows = np.flatnonzero(left & fresh)
         round_gains[rows] = state.gains(order[rows])
@@ -101,9 +103,30 @@ def greedy_max(
         left[p] = False
         if fresh[p]:
             commit(state, picks[-1])
-    return SelectionResult(
-        IndexSet.of(picks), tuple(gains), float(sum(gains)), int(k), evals
+    return SelectionResult(IndexSet.of(picks), tuple(gains), float(sum(gains)), k, evals)
+
+
+def greedy_max(
+    objective: SubmodularObjective,
+    candidates: IndexSet | Iterable[int],
+    k: int,
+    conditioning: IndexSet | MarginalState | None = None,
+    *,
+    allow_conditioned_candidates: bool = False,
+) -> SelectionResult:
+    """Greedy argmax of the conditional gain under a cardinality budget.
+
+    conditioning is the set to condition on, or a MarginalState of this
+    objective whose selection is that set: the run then continues from the
+    state and commits its picks into it, instead of re-committing the set.
+    With allow_conditioned_candidates items already in the conditioning set
+    may appear in the pool; re-selecting one contributes exactly zero gain
+    (set semantics) and leaves the state untouched.
+    """
+    order, cond, state = _prep(
+        objective, candidates, int(k), conditioning, allow_conditioned_candidates
     )
+    return _greedy(state, order, cond, int(k))
 
 
 def lazy_greedy_max(

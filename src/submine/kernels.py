@@ -291,7 +291,8 @@ def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
     The csv module splits fields, so quoted and padded cells and CRLF line
     ends parse; one numpy call converts the body, parsing each cell as
     float() does.  Labels are truncated toward zero; one that is not finite
-    or does not fit int64 is an error.
+    or does not fit int64 is an error.  A cell that is not a number, or a
+    feature that is not finite, is an error naming its data row and column.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -308,7 +309,18 @@ def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
     for r in rows[1:]:
         if len(r) != len(header):
             raise ValueError(f"{path}: row has {len(r)} fields, expected {len(header)}")
-    table = np.array(rows[1:], dtype=np.float64)
+    try:
+        table = np.array(rows[1:], dtype=np.float64)
+    except ValueError:
+        for i, r in enumerate(rows[1:], 1):
+            for name, cell in zip(header, r):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: {name} cell {cell.strip()!r} in data row {i} is not a number"
+                    ) from None
+        raise
     labels = table[:, d] if "label" in tail else None
     if labels is not None:
         bad = np.flatnonzero(~((labels >= -(2.0**63)) & (labels < 2.0**63)))
@@ -318,8 +330,18 @@ def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
                 "is not a finite int64"
             )
         labels = labels.astype(np.int64)
-    return EmbeddingSet(
-        table[:, :d],
-        labels=labels,
-        objectness=table[:, -1] if "objectness" in tail else None,
-    )
+    try:
+        return EmbeddingSet(
+            table[:, :d],
+            labels=labels,
+            objectness=table[:, -1] if "objectness" in tail else None,
+        )
+    except ValueError:
+        bad = np.argwhere(~np.isfinite(table[:, :d]))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"{path}: {header[j]} value {float(table[i, j])!r} in data row {i + 1} "
+                "is not finite"
+            ) from None
+        raise

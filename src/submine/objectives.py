@@ -32,6 +32,7 @@ on each commit.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -321,6 +322,13 @@ class MarginalState:
         self.value = 0.0
         self._s = objective.kernel.matrix
 
+    def copy(self) -> "MarginalState":
+        """An independent state with the same selection: it shares the kernel
+        and the caches no commit changes, and copies the ones commits update."""
+        new = copy.copy(self)
+        new.selected = list(self.selected)
+        return new
+
 
 class _FacilityLocationState(MarginalState):
     def __init__(self, objective):
@@ -335,6 +343,12 @@ class _FacilityLocationState(MarginalState):
         if self._best is not None:
             np.maximum(np.subtract(block, self._best, out=block), 0.0, out=block)
         return block.sum(axis=1)
+
+    def copy(self):
+        new = super().copy()
+        if self._best is not None:
+            new._best = self._best.copy()
+        return new
 
     def commit(self, v: int) -> None:
         col = self._s[self._g, v]
@@ -352,16 +366,32 @@ class _GraphCutState(MarginalState):
         lam = self.objective.lam
         return self._colsum[items] - lam * (2.0 * self._cross[items] + self._s[items, items])
 
+    def copy(self):
+        new = super().copy()
+        new._cross = self._cross.copy()
+        return new
+
     def commit(self, v: int) -> None:
         self.value += float(self.gains(v))
         self._cross += self._s[:, v]
 
 
 class _LogDetState(MarginalState):
+    # Rows of the first factor buffer; a full buffer doubles.
+    FIRST_ROWS = 16
+
     def __init__(self, objective):
         super().__init__(objective)
-        self._factor = np.zeros((0, objective.n))
+        # Row r is the Cholesky row of the r-th commit; rows past the
+        # selection are unused.
+        self._factor = np.empty((self.FIRST_ROWS, objective.n))
         self._resid = np.diagonal(self._s) + objective.epsilon
+
+    def copy(self):
+        new = super().copy()
+        new._factor = self._factor.copy()
+        new._resid = self._resid.copy()
+        return new
 
     def gains(self, items) -> np.ndarray:
         resid = self._resid[items]
@@ -371,9 +401,14 @@ class _LogDetState(MarginalState):
 
     def commit(self, v: int) -> None:
         gain = float(self.gains(v))
-        e = (self._s[:, v] - self._factor[:, v] @ self._factor) / math.sqrt(self._resid[v])
+        k = len(self.selected)
+        f = self._factor[:k]
+        e = (self._s[:, v] - f[:, v] @ f) / math.sqrt(self._resid[v])
         self._resid -= e * e
-        self._factor = np.vstack([self._factor, e])
+        if k == len(self._factor):
+            self._factor = np.empty((2 * k, self.objective.n))
+            self._factor[:k] = f
+        self._factor[k] = e
         self.value += gain
 
 

@@ -132,7 +132,17 @@ def full_scene_discovery(scene, prototypes, config):
         nu=config.nu,
         epsilon=config.epsilon,
     )
-    pool_v = kept.minus(known)
+    bg, un, pool_u = recommit_stages(objective, kept.minus(known), known, config)
+    return kernel, bg, un, pool_u
+
+
+def recommit_stages(objective, pool_v, known, config):
+    """Stages 3 and 4 as two independent greedy_max runs from fresh states.
+
+    Stage 4 rebuilds its state by re-committing K u B, which the pipeline
+    instead carries over from stage 3.  Returns (background trace, unknown
+    trace, stage-4 pool).
+    """
     bg = greedy_max(
         objective, pool_v, math.floor(config.tau_b * len(pool_v)), conditioning=known
     )
@@ -145,7 +155,31 @@ def full_scene_discovery(scene, prototypes, config):
         conditioning=cond,
         allow_conditioned_candidates=pool_u.intersects(cond),
     )
-    return kernel, bg, un, pool_u
+    return bg, un, pool_u
+
+
+class VStackLogDetState:
+    """Log-det gains with the factor regrown by np.vstack on every commit.
+
+    The same incremental Cholesky rows (Chen, Zhang & Zhou, NeurIPS 2018) as
+    the library's state, whose factor instead grows in place.
+    """
+
+    def __init__(self, objective):
+        self.s = objective.kernel.matrix
+        self.factor = np.zeros((0, objective.n))
+        self.resid = np.diagonal(self.s) + objective.epsilon
+        self.value = 0.0
+
+    def gains(self, items):
+        return np.log(self.resid[items])
+
+    def commit(self, v):
+        gain = float(self.gains(v))
+        e = (self.s[:, v] - self.factor[:, v] @ self.factor) / math.sqrt(self.resid[v])
+        self.resid -= e * e
+        self.factor = np.vstack([self.factor, e])
+        self.value += gain
 
 
 def dense_loss_reference(data, classes, u, t, config):

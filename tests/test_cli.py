@@ -20,6 +20,7 @@ from submine.cli import (
     EXIT_OK,
     EXIT_STAGE,
     SWEEP_GRIDS,
+    _parser,
     _write_roles_csv,
     main,
 )
@@ -188,6 +189,22 @@ def test_select_rejects_a_label_outside_int64(tmp_path, capsys, cell):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "huge_label.csv: label" in err
+
+
+@pytest.mark.parametrize(
+    "cell,message",
+    [
+        ("abc", "bad_cell.csv: f1 cell 'abc' in data row 2 is not a number"),
+        ("inf", "bad_cell.csv: f1 value inf in data row 2 is not finite"),
+    ],
+)
+def test_select_names_the_row_and_column_of_a_bad_cell(tmp_path, capsys, cell, message):
+    scene = tmp_path / "bad_cell.csv"
+    scene.write_text(f"f0,f1,label,objectness\n1.0,0.0,1,0.9\n0.0,{cell},1,0.9\n")
+    argv = ["select", str(scene), "--out", str(tmp_path / "o.json"), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
 
 
 def test_loss_on_explicit_sets(tmp_path, small_scene):
@@ -379,6 +396,22 @@ def test_argparse_rejections_map_to_config_exit(tmp_path, capsys):
     assert main(["resolve"]) == EXIT_CONFIG
     assert main(["select", "x.csv", "--family", "dpp"]) == EXIT_CONFIG
     capsys.readouterr()  # swallow argparse usage text
+
+
+def test_parser_reuse_after_a_rejection_matches_a_fresh_parser(tmp_path, small_scene, capsys):
+    def select(name):
+        out = tmp_path / f"{name}.json"
+        argv = ["select", str(small_scene), "--family", "logdet", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        return stdout, out.read_bytes(), (tmp_path / f"{name}.roles.csv").read_bytes()
+
+    _parser.cache_clear()
+    fresh = select("fresh")
+    assert main(["select", str(small_scene), "--k", "many"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert select("reused") == fresh
+    assert _parser() is _parser()
 
 
 def test_sweep_grids_are_the_documented_defaults():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,10 @@ from submine import (
     select_unknowns,
 )
 
-from helpers import full_scene_discovery
+import submine.greedy
+from submine.discovery import _run_each
+from submine.objectives import _STATES
+from helpers import full_scene_discovery, recommit_stages
 
 # A scaled-down copy of the default scene keeps pipeline tests quick.
 SMALL_SCENE = SceneSpec(n_total=120, n_known=6, n_unknown=25)
@@ -350,3 +354,111 @@ def test_stage_error_formatting():
     assert str(err) == "background: boom"
     assert err.stage == "background"
     assert isinstance(err, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# one pass: stage 4 continues from stage 3, sweeps prepare once
+
+
+def _positions(kept, items):
+    return IndexSet.of(np.searchsorted(kept.as_array(), items.as_array()))
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+@pytest.mark.parametrize("family", list(Family))
+def test_stage_four_continues_from_stage_three_like_a_recommit(family, include_background):
+    for seed in range(5):
+        scene = gen_scene(SceneSpec(seed=seed))
+        config = DiscoveryConfig(
+            family=family, exclude_background_from_pool=not include_background
+        )
+        result = run_discovery(scene, known_prototypes(scene), config)
+        objective = SubmodularObjective(
+            family,
+            result.kernel,
+            IndexSet.of(range(len(result.kept))),
+            lam=config.lam,
+            nu=config.nu,
+            epsilon=config.epsilon,
+        )
+        known = _positions(result.kept, result.known)
+        bg, un, pool = recommit_stages(
+            objective, objective.ground.minus(known), known, config
+        )
+        assert _positions(result.kept, result.pool) == pool
+        for got, want in ((result.background_trace, bg), (result.unknown_trace, un)):
+            assert _positions(result.kept, got.selected) == want.selected
+            assert got.gains == want.gains
+            assert (got.budget, got.evaluations) == (want.budget, want.evaluations)
+
+
+def _same_runs(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.kept, a.known, a.pool, a.config) == (b.kept, b.known, b.pool, b.config)
+        assert a.background_trace == b.background_trace
+        assert a.unknown_trace == b.unknown_trace
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sweep_runs_equal_runs_per_value(family, monkeypatch):
+    scene = gen_scene(SMALL_SCENE)
+    protos = known_prototypes(scene)
+    base = DiscoveryConfig(family=family)
+    grids = [
+        [replace(base, k=k) for k in (0, 5, 10, 30, 100)],
+        [replace(base, tau_b=t) for t in (0.1, 0.3, 0.5)],
+        [replace(base, tau_b=t, exclude_background_from_pool=False) for t in (0.5, 0.1)],
+    ]
+    for configs in grids:
+        _same_runs(
+            list(_run_each(scene, protos, configs)),
+            [run_discovery(scene, protos, c) for c in configs],
+        )
+    # Negative control: sharing the prepared state without a copy lets the
+    # second value's stage 3 see the first value's picks.
+    for cls in _STATES.values():
+        monkeypatch.setattr(cls, "copy", lambda self: self)
+    for configs in grids[:2]:
+        with pytest.raises(StageError, match="overlap"):
+            list(_run_each(scene, protos, configs))
+
+
+def _count_commits(monkeypatch):
+    calls = []
+    real = submine.greedy.commit
+
+    def counted(state, v):
+        calls.append(v)
+        return real(state, v)
+
+    monkeypatch.setattr(submine.greedy, "commit", counted)
+    return calls
+
+
+def _fresh_unknowns(result):
+    return len(result.unknown.minus(result.background))
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+def test_pipeline_commits_each_item_once(include_background, monkeypatch):
+    scene = gen_scene(SMALL_SCENE)
+    protos = known_prototypes(scene)
+    calls = _count_commits(monkeypatch)
+    config = DiscoveryConfig(
+        family=Family.LOG_DET, k=30, exclude_background_from_pool=not include_background
+    )
+    result = run_discovery(scene, protos, config)
+    assert len(calls) == len(result.known) + len(result.background) + _fresh_unknowns(result)
+    calls.clear()
+    configs = [replace(config, tau_b=t) for t in (0.1, 0.3, 0.5, 0.9)]
+    results = list(_run_each(scene, protos, configs))
+    assert len(calls) == len(result.known) + sum(
+        len(r.background) + _fresh_unknowns(r) for r in results
+    )
+    # A tau_e sweep prepares, and so commits K, once per value.
+    calls.clear()
+    configs = [replace(config, tau_e=t) for t in (0.1, 0.2)]
+    results = list(_run_each(scene, protos, configs))
+    assert len(calls) == sum(
+        len(r.known) + len(r.background) + _fresh_unknowns(r) for r in results
+    )

@@ -24,7 +24,13 @@ from submine import (
     total_information,
 )
 from submine.objectives import DEFAULT_LOGDET_EPSILON
-from helpers import fl_loops, random_objective, random_subset, value_loops
+from helpers import (
+    VStackLogDetState,
+    fl_loops,
+    random_objective,
+    random_subset,
+    value_loops,
+)
 
 FAMILY_SETUPS = [
     (Family.FACILITY_LOCATION, "raw-cosine", None),
@@ -210,3 +216,47 @@ def test_toy_marginal_chain(toy_objective):
     assert marginal_gain(state, 2) == pytest.approx(0.6, abs=1e-12)
     state = commit(state, 2)
     assert state.value == pytest.approx(2.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("family,transform,eps", FAMILY_SETUPS)
+def test_state_copy_leaves_the_original_untouched(family, transform, eps):
+    rng = np.random.default_rng(505)
+    obj = random_objective(rng, family, n=12, transform=transform, epsilon=eps, lam=0.6)
+    state = marginal_state(obj)
+    for v in (3, 7, 1):
+        commit(state, v)
+    items = np.array([i for i in range(12) if i not in (3, 7, 1)])
+    gains, value = state.gains(items), state.value
+    twin = state.copy()
+    assert np.array_equal(twin.gains(items), gains) and twin.value == value
+    for v in (0, 5, 9):
+        commit(twin, v)
+    assert np.array_equal(state.gains(items), gains)
+    assert state.value == value and state.selected == [3, 7, 1]
+    assert twin.selected == [3, 7, 1, 0, 5, 9]
+    # The original still commits as if no copy had been taken.
+    fresh = marginal_state(obj)
+    for v in (3, 7, 1, 0):
+        commit(fresh, v)
+    commit(state, 0)
+    rest = np.array([i for i in range(12) if i not in (3, 7, 1, 0)])
+    assert np.array_equal(state.gains(rest), fresh.gains(rest))
+    assert state.value == fresh.value
+
+
+def test_logdet_factor_growth_matches_vstack_bit_for_bit():
+    rng = np.random.default_rng(606)
+    n = 80
+    obj = random_objective(rng, Family.LOG_DET, n=n, epsilon=1e-2)
+    state = marginal_state(obj)
+    first_rows = len(state._factor)
+    ref = VStackLogDetState(obj)
+    # Past two doublings of the first buffer.
+    order = [int(v) for v in rng.permutation(n)[: 2 * first_rows + 3]]
+    for r, v in enumerate(order):
+        commit(state, v)
+        ref.commit(v)
+        rest = np.array(order[r + 1:], dtype=np.intp)
+        assert np.array_equal(state.gains(rest), ref.gains(rest))
+        assert state.value == ref.value
+    assert len(state._factor) > first_rows
