@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: generate | select | loss | gradcheck | sweep.  Flag values
-override --config file entries, which override built-in defaults.  All file
-outputs are deterministic for a fixed seed: floats are written with repr(),
-JSON keys are sorted, and CSVs carry the resolved configuration as a single
-leading comment line.
+Subcommands: generate | select | loss | gradcheck | sweep.  Each reads its
+inputs, builds its config, runs, then writes its outputs and echoes them to
+stdout unless --quiet.  A config is its dataclass's defaults, overridden by
+the --config file, overridden by every flag whose dest names one of its
+fields; no handler lists the fields.  All file outputs are deterministic for
+a fixed seed: floats are written with repr(), JSON keys are sorted, and CSVs
+carry the resolved configuration as a single leading comment line.
 
 Exit codes: 0 success, 2 invalid configuration or inputs, 3 file-system
 errors, 4 pipeline stage failure, 5 gradient-check failure.
@@ -50,11 +52,6 @@ SWEEP_GRIDS = {
 }
 
 
-def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
-
-
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
@@ -66,22 +63,35 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _merge_config(cls, file_cfg: dict, cli_overrides: dict):
-    """defaults < config file < explicit CLI flags, with key validation."""
+def _config_file(args) -> dict:
+    return _load_json(args.config) if args.config else {}
+
+
+def _config(args, cls, file_cfg: dict | None = None, **fixed):
+    """cls from defaults < the --config file (or file_cfg) < every flag whose
+    dest is a field of cls < fixed, with key validation.  A flag or fixed
+    value of None leaves the field unset."""
+    if file_cfg is None:
+        file_cfg = _config_file(args)
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(file_cfg) - names
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = {key: val for key, val in vars(args).items() if key in names}
     merged = dict(file_cfg)
-    merged.update({k: v for k, v in cli_overrides.items() if v is not None})
+    merged.update({k: v for k, v in {**flags, **fixed}.items() if v is not None})
     try:
         return cls(**merged)
     except TypeError as e:
         raise ValueError(str(e)) from None
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, newline="")
+def _emit(args, path: str | None, text: str) -> None:
+    """Write text to path when there is one, then echo it unless --quiet."""
+    if path:
+        Path(path).write_text(text, newline="")
+    if not args.quiet:
+        print(text.rstrip("\n"))
 
 
 def _config_dict(cfg) -> dict:
@@ -92,18 +102,31 @@ def _config_dict(cfg) -> dict:
     return out
 
 
-def _parse_sets(spec: dict, n: int):
+def _parse_sets(path: str, n: int):
+    """The known classes, U and T of a --sets file: K a list of lists of
+    integers (or K1..Kn lists of integers), U and the optional T (default:
+    every item) lists of integers.  Anything else raises ValueError naming
+    the file and the key."""
+    spec = _load_json(path)
+
+    def items(key, value) -> IndexSet:
+        if not isinstance(value, list) or any(type(i) is not int for i in value):
+            raise ValueError(f"{path}: {key} must be a list of integers")
+        return IndexSet.of(value)
+
     if "K" in spec:
-        classes = [IndexSet.of(c) for c in spec["K"]]
+        if not isinstance(spec["K"], list):
+            raise ValueError(f"{path}: K must be a list of lists of integers")
+        classes = [items(f"K[{j}]", c) for j, c in enumerate(spec["K"])]
     else:
         keyed = sorted(
             (int(k[1:]), k) for k in spec if k.startswith("K") and k[1:].isdigit()
         )
-        classes = [IndexSet.of(spec[k]) for _, k in keyed]
+        classes = [items(k, spec[k]) for _, k in keyed]
     if not classes:
         raise ValueError("sets file defines no known classes (K or K1..Kn)")
-    u = IndexSet.of(spec.get("U", ()))
-    t = IndexSet.of(spec["T"]) if "T" in spec else IndexSet.of(range(n))
+    u = items("U", spec.get("U", []))
+    t = items("T", spec["T"]) if "T" in spec else IndexSet.of(range(n))
     return classes, u, t
 
 
@@ -127,13 +150,13 @@ def _sets_from_labels(embeddings: EmbeddingSet):
 
 
 def _cmd_generate(args) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
-    spec = _merge_config(SceneSpec, file_cfg, {"seed": args.seed})
+    spec = _config(args, SceneSpec)
     scene = gen_scene(spec)
     comment = json.dumps(_config_dict(spec), sort_keys=True)
     write_embeddings_csv(scene, args.out, header_comment=comment)
-    _say(
+    _emit(
         args,
+        None,
         json.dumps(
             {
                 "out": str(args.out),
@@ -155,35 +178,25 @@ def _cmd_generate(args) -> int:
 # select
 
 
-def _cmd_select(args) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
-    cli = {
-        "tau_e": args.tau_e,
-        "tau_b": args.tau_b,
-        "k": args.k,
-        "family": args.family,
-        "lam": args.lam,
-        "nu": args.nu,
-        "epsilon": args.epsilon,
-        "transform": args.transform,
-    }
-    if args.include_background:
-        cli["exclude_background_from_pool"] = False
-    config = _merge_config(DiscoveryConfig, file_cfg, cli)
-    scene = read_embeddings_csv(args.input)
+def _prototypes(args, scene: EmbeddingSet) -> EmbeddingSet:
+    """The --prototypes file, or else the scene's labeled known items."""
     if args.prototypes:
-        protos = read_embeddings_csv(args.prototypes)
-    else:
-        protos = known_prototypes(scene)
-    result = run_discovery(scene, protos, config)
+        return read_embeddings_csv(args.prototypes)
+    return known_prototypes(scene)
+
+
+def _cmd_select(args) -> int:
+    background = False if args.include_background else None
+    config = _config(args, DiscoveryConfig, exclude_background_from_pool=background)
+    scene = read_embeddings_csv(args.input)
+    result = run_discovery(scene, _prototypes(args, scene), config)
     metrics = (
         coverage_metrics(result, scene.labels) if scene.labels is not None else {}
     )
     payload = json.dumps(result.to_json_dict(metrics), sort_keys=True, indent=2)
-    _write_text(args.out, payload + "\n")
+    _emit(args, args.out, payload + "\n")
     roles_out = args.roles_out or str(Path(args.out).with_suffix("")) + ".roles.csv"
     _write_roles_csv(roles_out, scene, result, config)
-    _say(args, payload)
     return EXIT_OK
 
 
@@ -205,26 +218,22 @@ def _write_roles_csv(path, scene, result, config) -> None:
         [role.get(i, "rest") for i in kept],
         comment=json.dumps(_config_dict(config), sort_keys=True),
     )
-    _write_text(path, text)
+    Path(path).write_text(text, newline="")
 
 
 # ---------------------------------------------------------------------------
 # loss / gradcheck
 
 
-def _loss_config(args, file_cfg: dict, family) -> LossConfig:
-    cli = {
-        "family": family,
-        "eta": args.eta,
-        "lam": args.lam,
-        "nu": args.nu,
-        "mode": args.mode,
-    }
-    return _merge_config(LossConfig, file_cfg, cli)
+def _loss_inputs(args, file_cfg: dict):
+    """The scene, its --sets file and the loss config, built in that order."""
+    scene = read_embeddings_csv(args.input)
+    classes, u, t = _parse_sets(args.sets, scene.n)
+    return scene, classes, u, t, _config(args, LossConfig, file_cfg)
 
 
 def _cmd_loss(args) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
+    file_cfg = _config_file(args)
     if args.cases is not None:
         return _loss_cases(args, file_cfg)
     if args.family == "all":
@@ -233,9 +242,7 @@ def _cmd_loss(args) -> int:
         raise ValueError("an input CSV is required without --cases")
     if not args.sets:
         raise ValueError("--sets is required without --cases")
-    scene = read_embeddings_csv(args.input)
-    classes, u, t = _parse_sets(_load_json(args.sets), scene.n)
-    config = _loss_config(args, file_cfg, args.family)
+    scene, classes, u, t, config = _loss_inputs(args, file_cfg)
     report = loss_total(scene, classes, u, t, config)
     payload = json.dumps(
         {
@@ -246,9 +253,7 @@ def _cmd_loss(args) -> int:
         },
         sort_keys=True,
     )
-    if args.out:
-        _write_text(args.out, payload + "\n")
-    _say(args, payload)
+    _emit(args, args.out, payload + "\n")
     return EXIT_OK
 
 
@@ -260,7 +265,7 @@ def _loss_cases(args, file_cfg: dict) -> int:
     idx, angles, fams, losses = [], [], [], []
     header_cfg = None
     for fam in families:
-        config = _loss_config(args, file_cfg, fam)
+        config = _config(args, LossConfig, file_cfg, family=fam)
         if header_cfg is None:
             header_cfg = _config_dict(config)
             header_cfg["family"] = "all" if args.family == "all" else fam
@@ -280,19 +285,12 @@ def _loss_cases(args, file_cfg: dict) -> int:
         np.array(losses),
         comment=json.dumps(header_cfg, sort_keys=True),
     )
-    if args.out:
-        _write_text(args.out, body)
-    _say(args, body.rstrip("\n"))
+    _emit(args, args.out, body)
     return EXIT_OK
 
 
 def _cmd_gradcheck(args) -> int:
-    file_cfg = _load_json(args.config) if args.config else {}
-    if args.family == "all":
-        raise ValueError("gradcheck runs one family at a time")
-    scene = read_embeddings_csv(args.input)
-    classes, u, t = _parse_sets(_load_json(args.sets), scene.n)
-    config = _loss_config(args, file_cfg, args.family)
+    scene, classes, u, t, config = _loss_inputs(args, _config_file(args))
     result = finite_difference_check(
         scene,
         classes,
@@ -307,10 +305,7 @@ def _cmd_gradcheck(args) -> int:
     if result["checked"] == 0:
         # No error was measured: write null, not the NaN strict JSON rejects.
         report.update(max_abs_err=None, max_rel_err=None)
-    payload = json.dumps(report, sort_keys=True)
-    if args.out:
-        _write_text(args.out, payload + "\n")
-    _say(args, payload)
+    _emit(args, args.out, json.dumps(report, sort_keys=True) + "\n")
     if result["checked"] == 0:
         probed = result["checked"] + result["tie_adjacent"]
         print(
@@ -332,35 +327,30 @@ def _cmd_sweep(args) -> int:
     if parameter not in ("k", "tau_e", "tau_b", "eta", "lam", "nu"):
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     values = sweep.get("values", SWEEP_GRIDS.get(parameter))
-    if not values:
+    if "values" in sweep and not (isinstance(values, list) and values):
+        raise ValueError(f"{args.sweep}: values must be a non-empty list")
+    if values is None:
         raise ValueError(f"no default grid for {parameter!r}; give explicit values")
     base = sweep.get("config", {})
-    if args.config:
-        merged = _load_json(args.config)
-        merged.update(base)
-        base = merged
+    if not isinstance(base, dict):
+        raise ValueError(f"{args.sweep}: config must be a JSON object")
+    base = {**_config_file(args), **base}
     scene = read_embeddings_csv(args.input)
     if parameter in ("k", "tau_e", "tau_b"):
         header, columns = _sweep_discovery(args, scene, parameter, values, base)
     else:
-        header, columns = _sweep_loss(scene, parameter, values, base)
+        header, columns = _sweep_loss(args, scene, parameter, values, base)
     comment = json.dumps(
         {"parameter": parameter, "values": values, "config": base}, sort_keys=True
     )
-    body = _csv_text(header, *columns, comment=comment)
-    _write_text(args.out, body)
-    _say(args, body.rstrip("\n"))
+    _emit(args, args.out, _csv_text(header, *columns, comment=comment))
     return EXIT_OK
 
 
 def _sweep_discovery(args, scene, parameter, values, base):
     if scene.labels is None:
         raise ValueError("sweep needs a labeled scene")
-    protos = (
-        read_embeddings_csv(args.prototypes)
-        if args.prototypes
-        else known_prototypes(scene)
-    )
+    protos = _prototypes(args, scene)
     names = [
         "purity",
         "coverage",
@@ -369,7 +359,7 @@ def _sweep_discovery(args, scene, parameter, values, base):
         "mean_sim_unknown_to_background",
     ]
     counts, metrics = [], []
-    configs = (_merge_config(DiscoveryConfig, base, {parameter: v}) for v in values)
+    configs = (_config(args, DiscoveryConfig, base, **{parameter: v}) for v in values)
     for result in _run_each(scene, protos, configs):
         m = coverage_metrics(result, scene.labels)
         counts.append(
@@ -384,13 +374,13 @@ def _sweep_discovery(args, scene, parameter, values, base):
     return header, [value_col, counts, np.array(metrics)]
 
 
-def _sweep_loss(scene, parameter, values, base):
+def _sweep_loss(args, scene, parameter, values, base):
     classes, u, t = _sets_from_labels(scene)
     if len(u) == 0:
         raise ValueError("scene has no unlabeled unknowns for the loss sweep")
     fams, losses = [], []
     for v in values:
-        cfg = _merge_config(LossConfig, base, {parameter: v})
+        cfg = _config(args, LossConfig, base, **{parameter: v})
         report = loss_total(scene, classes, u, t, cfg)
         fams.append(cfg.family.value)
         losses.append([report.l_self, report.l_cross, report.l_total])
@@ -406,6 +396,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (u64)")
     p.add_argument("--config", default=None, help="JSON file with config overrides")
     p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
+
+
+def _add_loss_knobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--nu", type=float, default=None)
+    p.add_argument("--mode", default=None, choices=["owod", "iod"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,10 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", nargs="?", const=3, type=int, default=None,
                    help="evaluate N built-in separation cases instead of a scene")
     p.add_argument("--family", default="fl", choices=["fl", "gc", "logdet", "all"])
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--mode", default=None, choices=["owod", "iod"])
+    _add_loss_knobs(p)
     p.add_argument("--out", default=None, help="output path (JSON, or CSV with --cases)")
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the analytic gradient")
@@ -454,10 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="scene CSV")
     p.add_argument("--sets", required=True, help="JSON with K (or K1..Kn), U, optional T")
     p.add_argument("--family", default="fl", choices=["fl", "gc", "logdet"])
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--mode", default=None, choices=["owod", "iod"])
+    _add_loss_knobs(p)
     p.add_argument("--h", type=float, default=1e-4, help="central-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
     p.add_argument("--perturb-grad", dest="perturb_grad", type=float, default=0.0,

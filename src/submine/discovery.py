@@ -55,6 +55,8 @@ class DiscoveryConfig:
     exclude_background_from_pool off, stage 4 literally draws from the whole
     post-match pool: already-conditioned background items compete with zero
     gain and can only win when every fresh candidate has negative gain.
+    Greedy ranks items by the definitional gain f(A u Q) - f(Q), so nu must
+    be 1; the field stays so the resolved config echoes it.
     """
 
     tau_e: float = 0.2
@@ -76,8 +78,13 @@ class DiscoveryConfig:
             raise ValueError("tau_b must lie in [0, 1]")
         if int(self.k) != self.k or self.k < 0:
             raise ValueError("k must be a non-negative integer")
-        if self.lam < 0.0 or self.nu < 0.0 or self.epsilon < 0.0:
-            raise ValueError("lam, nu and epsilon must be non-negative")
+        if self.lam < 0.0 or self.epsilon < 0.0:
+            raise ValueError("lam and epsilon must be non-negative")
+        if self.nu != 1.0:
+            raise ValueError(
+                "nu must be 1: mining ranks items by the definitional gain; "
+                "nu applies to the loss and the closed-form gains only"
+            )
 
     @property
     def resolved_transform(self) -> str:
@@ -191,17 +198,10 @@ def select_unknowns(
     known may be the MarginalState stage 3 advanced, whose selection is
     already K then B; the pick continues from it in place.
     """
-    if isinstance(known, MarginalState):
-        conditioning, members = known, IndexSet(tuple(known.selected))
-    else:
-        conditioning = members = known.union(background)
-    return greedy_max(
-        objective,
-        pool,
-        k,
-        conditioning=conditioning,
-        allow_conditioned_candidates=pool.intersects(members),
-    )
+    if not isinstance(known, MarginalState):
+        known = known.union(background)
+    # Pool items already conditioned on score zero and leave the state as is.
+    return greedy_max(objective, pool, k, known, allow_conditioned_candidates=True)
 
 
 def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
@@ -252,7 +252,6 @@ def _prepare(
             kernel=kernel,
             ground=IndexSet.of(range(len(kept))),
             lam=config.lam,
-            nu=config.nu,
             epsilon=config.epsilon,
         )
         known_k = IndexSet.of(_kept_positions(kept, known))

@@ -344,12 +344,6 @@ class _FacilityLocationState(MarginalState):
             np.maximum(np.subtract(block, self._best, out=block), 0.0, out=block)
         return block.sum(axis=1)
 
-    def copy(self):
-        new = super().copy()
-        if self._best is not None:
-            new._best = self._best.copy()
-        return new
-
     def commit(self, v: int) -> None:
         col = self._s[self._g, v]
         self._best = col if self._best is None else np.maximum(self._best, col)

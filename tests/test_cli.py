@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import argparse
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -10,6 +12,8 @@ from submine import (
     DiscoveryConfig,
     EmbeddingSet,
     IndexSet,
+    LossConfig,
+    SceneSpec,
     read_embeddings_csv,
     write_embeddings_csv,
 )
@@ -20,6 +24,7 @@ from submine.cli import (
     EXIT_OK,
     EXIT_STAGE,
     SWEEP_GRIDS,
+    _config_dict,
     _parser,
     _write_roles_csv,
     main,
@@ -421,3 +426,160 @@ def test_sweep_grids_are_the_documented_defaults():
         "tau_b": [0.1, 0.3, 0.5],
         "eta": [0.5, 1.0, 1.5],
     }
+
+
+def _flag_dests(command):
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions}
+
+
+def test_every_config_field_is_a_flag_dest():
+    # The handlers map flags to config fields by dest: a renamed dest would
+    # silently stop reaching its field.
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert fields(DiscoveryConfig) - {"exclude_background_from_pool"} <= _flag_dests("select")
+    assert fields(LossConfig) <= _flag_dests("loss")
+    assert fields(LossConfig) <= _flag_dests("gradcheck")
+    assert "seed" in fields(SceneSpec) and "seed" in _flag_dests("generate")
+
+
+def _comment(path):
+    return json.loads(path.read_text().splitlines()[0][len("# "):])
+
+
+# field: (value in the --config file, flag value); each differs from the default.
+SELECT_PRECEDENCE = {
+    "tau_e": (0.15, "0.1"),
+    "tau_b": (0.2, "0.1"),
+    "k": (5, "3"),
+    "family": ("fl", "logdet"),
+    "lam": (0.4, "0.3"),
+    "epsilon": (1e-3, "1e-2"),
+    "transform": ("raw-cosine", "affine-shift"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SELECT_PRECEDENCE))
+def test_select_flag_beats_file_beats_default(tmp_path, small_scene, field):
+    file_value, flag_value = SELECT_PRECEDENCE[field]
+    cfg = _write_json(tmp_path / "cfg.json", {field: file_value})
+    out = tmp_path / "mined.json"
+    base = ["select", str(small_scene), "--out", str(out), "--quiet"]
+    flag = ["--" + field.replace("_", "-"), flag_value]
+    expect = {
+        "default": DiscoveryConfig(),
+        "file": DiscoveryConfig(**{field: file_value}),
+        "flag": DiscoveryConfig(**{field: type(file_value)(flag_value)}),
+    }
+    for source, argv in (
+        ("default", base),
+        ("file", base + ["--config", cfg]),
+        ("flag", base + ["--config", cfg] + flag),
+    ):
+        assert main(argv) == EXIT_OK
+        want = json.loads(json.dumps(_config_dict(expect[source])))[field]
+        assert _comment(tmp_path / "mined.roles.csv")[field] == want, source
+    assert expect["default"] != expect["file"] != expect["flag"]
+
+
+def test_select_nu_reaches_the_config_from_file_and_flag(tmp_path, small_scene, capsys):
+    # nu must be 1 in mining, so the file and the flag show by being refused.
+    half = _write_json(tmp_path / "half.json", {"nu": 0.5})
+    base = ["select", str(small_scene), "--out", str(tmp_path / "o.json"), "--quiet"]
+    assert main(base + ["--nu", "0.5"]) == EXIT_CONFIG
+    assert main(base + ["--config", half]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("definitional gain") == 2
+    assert main(base + ["--config", half, "--nu", "1"]) == EXIT_OK
+
+
+# field: (default, value in the --config file, flag value)
+LOSS_PRECEDENCE = {
+    "eta": (1.0, 0.7, "0.9"),
+    "lam": (0.5, 0.4, "0.3"),
+    "nu": (1.0, 0.5, "0.8"),
+    "mode": ("owod", "iod", "owod"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(LOSS_PRECEDENCE))
+def test_loss_flag_beats_file_beats_default(tmp_path, field):
+    default, file_value, flag_value = LOSS_PRECEDENCE[field]
+    cfg = _write_json(tmp_path / "cfg.json", {field: file_value})
+    out = tmp_path / "cases.csv"
+    base = ["loss", "--cases", "1", "--family", "gc", "--out", str(out), "--quiet"]
+    for argv, want in (
+        (base, default),
+        (base + ["--config", cfg], file_value),
+        (base + ["--config", cfg, f"--{field}", flag_value], type(default)(flag_value)),
+    ):
+        assert main(argv) == EXIT_OK
+        assert _comment(out)[field] == want
+
+
+def test_loss_family_flag_beats_file(tmp_path):
+    # --family has a built-in default, so the flag always wins over the file.
+    cfg = _write_json(tmp_path / "cfg.json", {"family": "logdet"})
+    out = tmp_path / "cases.csv"
+    argv = ["loss", "--cases", "1", "--family", "gc", "--config", cfg]
+    assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_OK
+    assert _comment(out)["family"] == "gc"
+    assert out.read_text().splitlines()[2].split(",")[2] == "graph-cut"
+
+
+def test_generate_seed_flag_beats_file_beats_default(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {"seed": 3, "n_total": 40, "n_known": 4, "n_unknown": 8})
+    out = tmp_path / "scene.csv"
+    base = ["generate", "--out", str(out), "--quiet", "--config", cfg]
+    assert main(base) == EXIT_OK and _comment(out)["seed"] == 3
+    assert main(base + ["--seed", "4"]) == EXIT_OK and _comment(out)["seed"] == 4
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ({"K": [1, 2], "U": [3]}, "K[0]"),
+        ({"K": 5, "U": [3]}, "K"),
+        ({"K": [[0, 1]], "U": [3], "T": 7}, "T"),
+        ({"K": [[0, 1.5]], "U": [3]}, "K[0]"),
+        ({"K": [[0, 1], ["2"]], "U": [3]}, "K[1]"),
+        ({"K": [[0, 1]], "U": ["3"]}, "U"),
+        ({"K": [[0, 1]], "U": [True]}, "U"),
+        ({"K1": [0, 1], "K2": 2, "U": [3]}, "K2"),
+    ],
+)
+@pytest.mark.parametrize("command", ["loss", "gradcheck"])
+def test_malformed_sets_file_exits_config(tmp_path, small_scene, capsys, spec, key, command):
+    sets = _write_json(tmp_path / "sets.json", spec)
+    argv = [command, str(small_scene), "--sets", sets, "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"sets.json: {key} must be a list of" in err
+
+
+def test_sweep_config_must_be_an_object(tmp_path, small_scene, capsys):
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "k", "config": [1, 2]})
+    cfg = _write_json(tmp_path / "cfg.json", {"k": 3})
+    argv = ["sweep", str(small_scene), "--sweep", sweep, "--out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("sweep.json: config must be a JSON object") == 2
+
+
+@pytest.mark.parametrize("values", [[], 3, None])
+def test_sweep_values_must_be_a_non_empty_list(tmp_path, small_scene, capsys, values):
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "k", "values": values})
+    argv = ["sweep", str(small_scene), "--sweep", sweep, "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sweep.json: values must be a non-empty list" in err
+    assert "no default grid" not in err
+
+
+def test_nu_sweep_still_runs_on_the_loss_side(tmp_path, small_scene):
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "nu", "values": [0.5, 1.0]})
+    out = tmp_path / "s.csv"
+    argv = ["sweep", str(small_scene), "--sweep", sweep, "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2 + 2

@@ -226,6 +226,11 @@ def test_discovery_config_validation():
         DiscoveryConfig(tau_b=-0.1)
     with pytest.raises(ValueError, match="k must be"):
         DiscoveryConfig(k=-1)
+    # Greedy ranks by the definitional gain, so nu would change nothing.
+    for nu in (0.0, 0.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="definitional gain"):
+            DiscoveryConfig(nu=nu)
+    assert DiscoveryConfig(nu=1).nu == 1
     assert DiscoveryConfig(family="fl").resolved_transform == "clip-at-zero"
     assert DiscoveryConfig(family="logdet").resolved_transform == "raw-cosine"
     assert (
