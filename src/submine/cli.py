@@ -131,8 +131,6 @@ def _parse_sets(path: str, n: int):
 
 
 def _sets_from_labels(embeddings: EmbeddingSet):
-    if embeddings.labels is None:
-        raise ValueError("scene has no labels; pass --sets")
     labels = embeddings.labels
     class_ids = sorted(int(c) for c in np.unique(labels) if c >= 1)
     if not class_ids:
@@ -268,7 +266,8 @@ def _loss_cases(args, file_cfg: dict) -> int:
         config = _config(args, LossConfig, file_cfg, family=fam)
         if header_cfg is None:
             header_cfg = _config_dict(config)
-            header_cfg["family"] = "all" if args.family == "all" else fam
+            # The flag as given, else the file's value, else the default's alias.
+            header_cfg["family"] = args.family or file_cfg.get("family", "fl")
         for i, case in enumerate(cases):
             report = loss_total(
                 case.embeddings, [case.known], case.unknown, case.all_items, config
@@ -336,6 +335,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"{args.sweep}: config must be a JSON object")
     base = {**_config_file(args), **base}
     scene = read_embeddings_csv(args.input)
+    if scene.labels is None:
+        raise ValueError("sweep needs a labeled scene")
     if parameter in ("k", "tau_e", "tau_b"):
         header, columns = _sweep_discovery(args, scene, parameter, values, base)
     else:
@@ -348,8 +349,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _sweep_discovery(args, scene, parameter, values, base):
-    if scene.labels is None:
-        raise ValueError("sweep needs a labeled scene")
     protos = _prototypes(args, scene)
     names = [
         "purity",
@@ -439,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", default=None, help="JSON with K (or K1..Kn), U, optional T")
     p.add_argument("--cases", nargs="?", const=3, type=int, default=None,
                    help="evaluate N built-in separation cases instead of a scene")
-    p.add_argument("--family", default="fl", choices=["fl", "gc", "logdet", "all"])
+    p.add_argument("--family", default=None, choices=["fl", "gc", "logdet", "all"])
     _add_loss_knobs(p)
     p.add_argument("--out", default=None, help="output path (JSON, or CSV with --cases)")
 
@@ -447,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("input", help="scene CSV")
     p.add_argument("--sets", required=True, help="JSON with K (or K1..Kn), U, optional T")
-    p.add_argument("--family", default="fl", choices=["fl", "gc", "logdet"])
+    p.add_argument("--family", default=None, choices=["fl", "gc", "logdet"])
     _add_loss_knobs(p)
     p.add_argument("--h", type=float, default=1e-4, help="central-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")

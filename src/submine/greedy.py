@@ -1,15 +1,13 @@
 """Budgeted greedy maximization of conditional gains, plus an exhaustive oracle.
 
-The naive greedy runs exactly k rounds (no early stop on negative gains) and
-breaks ties by lowest item index.  The lazy variant keeps stale upper bounds
-in a heap and must select the identical sequence; it only saves marginal-gain
-evaluations.  Brute force enumerates every subset up to the budget and is the
-ground truth for small instances.
+Greedy runs exactly k rounds (no early stop on negative gains) and breaks ties
+by lowest item index.  greedy_max and lazy_greedy_max share one loop, which may
+prune rounds with stale upper bounds (Minoux 1978; Leskovec et al., KDD 2007)
+without changing a pick or a gain.  Brute force, the oracle, tries every subset.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -30,15 +28,17 @@ from .objectives import (
 
 # Subset-enumeration guard for brute_force_opt.
 MAX_BRUTE_FORCE_SUBSETS = 10_000_000
+# Rows a pruned round scores per call after the first round.
+PRUNE_CHUNK = 16
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of one selection run.
 
-    gains holds the per-round marginal gains in pick order; objective_value is
-    their sum, i.e. the conditional gain of the selected set given the
-    conditioning set.  evaluations counts objective/marginal evaluations.
+    gains: the per-round marginal gains in pick order; objective_value: their
+    sum, the conditional gain of the selection given the conditioning set;
+    evaluations: rows scored by MarginalState.gains (brute force: sets valued).
     """
 
     selected: IndexSet
@@ -82,26 +82,38 @@ def _conditioned_state(objective: SubmodularObjective, cond: IndexSet) -> Margin
     return state
 
 
-def _greedy(state: MarginalState, order: np.ndarray, cond: IndexSet, k: int) -> SelectionResult:
-    """The greedy loop, continuing from `state`, whose selection is `cond`.
-
-    Each fresh pick is committed into `state` in place.
-    """
-    fresh = ~np.isin(order, cond.as_array())
-    left = np.ones(len(order), dtype=bool)
+def _greedy(
+    state: MarginalState, order: np.ndarray, cond: IndexSet, k: int, prune: bool
+) -> SelectionResult:
+    """The greedy loop from `state`, whose selection is `cond`; fresh picks are
+    committed into it, and picks from cond gain 0 unscored.  prune (sound under
+    diminishing returns) takes a row's last gain as a bound on its next; a round
+    then scores rows by descending bound, lowest index first, until every
+    unscored bound is below the best gain, so no unscored row can win or tie."""
+    fresh = ~np.isin(order, cond.as_array())  # live and not in cond
+    # Per row: its gain this round, else its last gain; picked rows -inf.
+    round_gains = np.where(fresh, -np.inf, 0.0)
     picks: list[int] = []
     gains: list[float] = []
     evals = 0
     for _ in range(min(k, len(order))):
-        round_gains = np.where(left, 0.0, -np.inf)
-        rows = np.flatnonzero(left & fresh)
-        round_gains[rows] = state.gains(order[rows])
-        evals += len(rows)
+        rows = np.flatnonzero(fresh)
+        step, start, best = len(rows), 0, -np.inf
+        if prune and picks:  # the first round scores every row
+            rows, step = rows[np.argsort(-round_gains[rows], kind="stable")], PRUNE_CHUNK
+        while start < len(rows) and round_gains[rows[start]] >= best:
+            chunk = rows[start : start + step]
+            round_gains[chunk] = g = state.gains(order[chunk])
+            evals += len(chunk)
+            start += step
+            if prune:
+                best = max(best, g.max())
         p = int(np.argmax(round_gains))  # the first maximum: lowest index wins
         picks.append(int(order[p]))
         gains.append(float(round_gains[p]))
-        left[p] = False
+        round_gains[p] = -np.inf
         if fresh[p]:
+            fresh[p] = False
             commit(state, picks[-1])
     return SelectionResult(IndexSet.of(picks), tuple(gains), float(sum(gains)), k, evals)
 
@@ -122,11 +134,17 @@ def greedy_max(
     With allow_conditioned_candidates items already in the conditioning set
     may appear in the pool; re-selecting one contributes exactly zero gain
     (set semantics) and leaves the state untouched.
+
+    Only facility location prunes: its gains cost O(|ground|) a row, graph
+    cut's and log-det's O(1).  Its gains only fall once a commit has set each
+    ground item's best, or from the start on a non-negative ground x pool block.
     """
     order, cond, state = _prep(
         objective, candidates, int(k), conditioning, allow_conditioned_candidates
     )
-    return _greedy(state, order, cond, int(k))
+    prune = objective.family is Family.FACILITY_LOCATION and (len(state.selected) > 0 or np.all(
+        objective.kernel.matrix[np.ix_(objective.ground.as_array(), order)] >= 0.0))
+    return _greedy(state, order, cond, int(k), prune)
 
 
 def lazy_greedy_max(
@@ -135,12 +153,11 @@ def lazy_greedy_max(
     k: int,
     conditioning: IndexSet | None = None,
 ) -> SelectionResult:
-    """Heap-accelerated greedy; identical picks and gains to greedy_max.
+    """Pruned greedy for every family; identical picks and gains to greedy_max.
 
-    The stale-bound argument needs diminishing returns: facility-location and
-    graph-cut raise ValueError on a negative kernel entry among those their
-    gains read (ground x pool and pool x pool, the pool taken with the
-    conditioning set); log-determinant needs a positive-definite kernel.
+    Bounds need diminishing returns: facility location and graph cut raise
+    ValueError on a negative kernel entry their gains read (ground x pool,
+    pool x pool; the pool with the conditioning set); log-det needs a PD kernel.
     """
     order, cond, state = _prep(objective, candidates, int(k), conditioning)
     family = objective.family
@@ -149,24 +166,7 @@ def lazy_greedy_max(
         rows = objective.ground.as_array() if family is Family.FACILITY_LOCATION else cols
         if np.any(objective.kernel.matrix[np.ix_(rows, cols)] < 0.0):
             raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
-    heap = [(-float(g), int(v), 0) for g, v in zip(state.gains(order), order)]
-    evals = len(heap)
-    heapq.heapify(heap)
-    picks: list[int] = []
-    gains: list[float] = []
-    for rnd in range(min(int(k), len(heap))):
-        while True:
-            neg, v, stamp = heapq.heappop(heap)
-            if stamp == rnd:
-                break
-            evals += 1
-            heapq.heappush(heap, (-marginal_gain(state, v), v, rnd))
-        picks.append(v)
-        gains.append(-neg)
-        commit(state, v)
-    return SelectionResult(
-        IndexSet.of(picks), tuple(gains), float(sum(gains)), int(k), evals
-    )
+    return _greedy(state, order, cond, int(k), prune=True)
 
 
 def brute_force_opt(

@@ -23,6 +23,7 @@ from submine import (
     match_knowns,
 )
 from submine.losses import FD_EXHAUSTIVE_LIMIT
+from submine.objectives import commit, marginal_state
 
 
 def fl_loops(s, members, ground):
@@ -64,6 +65,31 @@ def value_loops(objective, members):
     if objective.family is Family.GRAPH_CUT:
         return gc_loops(s, members, ground, objective.lam)
     return logdet_loops(s, members, objective.epsilon)
+
+
+def full_round_greedy(objective, candidates, k, conditioning=()):
+    """Greedy without bound pruning: every round scores each live candidate
+    outside the conditioning set through MarginalState.gains, in one call,
+    gives each live conditioned one gain 0, and takes the first maximum in
+    index order.  Returns (picks, gains)."""
+    state = marginal_state(objective)
+    for q in conditioning:
+        commit(state, q)
+    live = sorted(set(candidates))
+    picks, gains = [], []
+    for _ in range(min(k, len(live))):
+        fresh = [v for v in live if v not in state.selected]
+        scored = dict(zip(fresh, state.gains(np.array(fresh, dtype=int))))
+        best = None
+        for v in live:
+            if best is None or scored.get(v, 0.0) > scored.get(best, 0.0):
+                best = v
+        picks.append(best)
+        gains.append(float(scored.get(best, 0.0)))
+        live.remove(best)
+        if best in scored:
+            commit(state, best)
+    return tuple(picks), tuple(gains)
 
 
 def random_embeddings(rng, n, d):

@@ -519,13 +519,39 @@ def test_loss_flag_beats_file_beats_default(tmp_path, field):
 
 
 def test_loss_family_flag_beats_file(tmp_path):
-    # --family has a built-in default, so the flag always wins over the file.
+    # A --family flag overrides the --config file's family.
     cfg = _write_json(tmp_path / "cfg.json", {"family": "logdet"})
     out = tmp_path / "cases.csv"
     argv = ["loss", "--cases", "1", "--family", "gc", "--config", cfg]
     assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_OK
     assert _comment(out)["family"] == "gc"
     assert out.read_text().splitlines()[2].split(",")[2] == "graph-cut"
+
+
+def test_loss_family_file_beats_default(tmp_path):
+    # --family has no built-in default, so a --config file's family applies.
+    cfg = _write_json(tmp_path / "cfg.json", {"family": "gc"})
+    out = tmp_path / "cases.csv"
+    base = ["loss", "--cases", "1", "--out", str(out), "--quiet"]
+    for argv, alias, family in (
+        (base, "fl", "facility-location"),
+        (base + ["--config", cfg], "gc", "graph-cut"),
+    ):
+        assert main(argv) == EXIT_OK
+        assert _comment(out)["family"] == alias
+        assert out.read_text().splitlines()[2].split(",")[2] == family
+
+
+def test_sweep_needs_a_labeled_scene(tmp_path, capsys):
+    scene = tmp_path / "unlabeled.csv"
+    write_embeddings_csv(EmbeddingSet(np.eye(3), objectness=np.ones(3)), scene)
+    for parameter in ("k", "eta"):
+        sweep = _write_json(tmp_path / "sweep.json", {"parameter": parameter})
+        argv = ["sweep", str(scene), "--sweep", sweep, "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: sweep needs a labeled scene" in err
+        assert "--sets" not in err
 
 
 def test_generate_seed_flag_beats_file_beats_default(tmp_path):

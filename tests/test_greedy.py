@@ -76,7 +76,7 @@ def test_lazy_greedy_is_bit_identical_to_naive():
 
 def test_lazy_greedy_rejects_negative_kernels():
     # Raw cosine breaks diminishing returns for facility-location and
-    # graph-cut, where stale heap bounds would silently pick wrongly.
+    # graph-cut, where stale bounds would silently pick wrongly.
     rng = np.random.default_rng(808)
     for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
         obj = random_objective(rng, family, n=12, transform="raw-cosine")
@@ -108,12 +108,19 @@ def test_lazy_greedy_checks_only_entries_the_gains_read():
 
 
 def test_lazy_greedy_saves_evaluations():
+    # Facility-location greedy_max prunes with stale bounds as lazy greedy
+    # does; graph cut keeps full rounds, scoring every live row every round.
     rng = np.random.default_rng(33)
-    obj = random_objective(rng, Family.FACILITY_LOCATION, n=40, transform="clip-at-zero")
-    naive = greedy_max(obj, IndexSet.of(range(40)), 10)
-    lazy = lazy_greedy_max(obj, IndexSet.of(range(40)), 10)
+    n, k = 40, 10
+    full_rounds = sum(n - r for r in range(k))
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="clip-at-zero")
+    naive = greedy_max(obj, IndexSet.of(range(n)), k)
+    lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
     assert tuple(lazy.selected) == tuple(naive.selected)
-    assert lazy.evaluations < naive.evaluations
+    assert naive.evaluations < full_rounds
+    assert lazy.evaluations < full_rounds
+    gc = random_objective(rng, Family.GRAPH_CUT, n=n, transform="clip-at-zero")
+    assert greedy_max(gc, IndexSet.of(range(n)), k).evaluations == full_rounds
 
 
 def test_tie_break_prefers_lowest_index():

@@ -1,12 +1,15 @@
-"""Property-based checks of the gain engine, lazy greedy, the closed-form
-gains and the losses on small instances.
+"""Property-based checks of the gain engine, greedy with and without bound
+pruning, the closed-form gains and the losses on small instances.
 
 Embeddings are small integers, so tied kernel entries and duplicate rows are
 common; instances also reach d = 1, empty pools, k = 0 and k > |pool|.  Every
-per-pick gain is compared with the loop reference in helpers.py, and every
+per-pick gain is compared with the loop reference in helpers.py, every pick
+and gain of a pruned run with the full-round loop there, and every
 closed-form gain at nu = 1 with the definitional one.  The losses read
 cosines only, so rescaling embedding rows leaves them unchanged.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,6 +20,7 @@ from submine import (
     Family,
     IndexSet,
     LossConfig,
+    SimilarityKernel,
     SubmodularObjective,
     conditional_gain,
     conditional_gain_closed,
@@ -25,7 +29,8 @@ from submine import (
     lazy_greedy_max,
     loss_total,
 )
-from helpers import value_loops
+from submine import greedy
+from helpers import full_round_greedy, value_loops
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -124,6 +129,58 @@ def test_lazy_greedy_is_bitwise_naive_greedy(case):
     lazy = lazy_greedy_max(objective, pool, k, cond)
     assert tuple(lazy.selected) == tuple(naive.selected)
     assert lazy.gains == naive.gains
+
+
+@st.composite
+def pruning_cases(draw, transforms, signed):
+    """(objective, pool, conditioning, k, chunk) with up to 24 items, so that
+    pruned rounds span several chunks of `chunk` rows.  Half the kernels are
+    quantized: entries on a small grid (negative ones only when signed) tie
+    many gains; a log-det diagonal of n keeps the matrix positive definite."""
+    n = draw(st.integers(1, 24))
+    family = draw(st.sampled_from(sorted(transforms, key=lambda f: f.value)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ground = IndexSet.of(int(i) for i in np.flatnonzero(rng.random(n) < 0.7))
+    lam = draw(st.sampled_from((0.0, 0.5, 2.0)))
+    if draw(st.booleans()):
+        grid = (-0.5, 0.0, 0.5, 1.0) if signed else (0.0, 0.5, 1.0)
+        m = np.triu(rng.choice(grid, size=(n, n)))
+        m = m + np.triu(m, 1).T
+        if family is Family.LOG_DET:
+            np.fill_diagonal(m, float(n))
+        objective = SubmodularObjective(family, SimilarityKernel(m), ground, lam=lam, epsilon=1e-4)
+    else:
+        rows = rng.integers(-2, 3, size=(n, draw(st.integers(1, 3))))
+        transform = draw(st.sampled_from(transforms[family]))
+        objective = make_objective(rows, family, transform, ground, lam)
+    pool = IndexSet.of(int(i) for i in rng.permutation(n)[: draw(st.integers(0, n))])
+    cond = IndexSet.of(int(i) for i in rng.permutation(n)[: draw(st.integers(0, n))])
+    if not draw(st.booleans()):
+        cond = IndexSet.of([])
+    k = draw(st.integers(0, n + 2))
+    chunk = draw(st.sampled_from((1, 2, greedy.PRUNE_CHUNK)))
+    return objective, pool, cond, k, chunk
+
+
+@PROPERTY_SETTINGS
+@given(pruning_cases(TRANSFORMS, signed=True))
+def test_greedy_max_is_bitwise_full_round_greedy(case):
+    # Conditioned candidates are allowed, and facility location prunes even
+    # on signed kernels once the conditioning set is committed.
+    objective, pool, cond, k, chunk = case
+    with mock.patch.object(greedy, "PRUNE_CHUNK", chunk):
+        result = greedy_max(objective, pool, k, cond, allow_conditioned_candidates=True)
+    assert (tuple(result.selected), result.gains) == full_round_greedy(objective, pool, k, cond)
+
+
+@PROPERTY_SETTINGS
+@given(pruning_cases(LAZY_TRANSFORMS, signed=False))
+def test_lazy_greedy_is_bitwise_full_round_greedy(case):
+    objective, pool, cond, k, chunk = case
+    cond = cond.minus(pool)
+    with mock.patch.object(greedy, "PRUNE_CHUNK", chunk):
+        result = lazy_greedy_max(objective, pool, k, cond)
+    assert (tuple(result.selected), result.gains) == full_round_greedy(objective, pool, k, cond)
 
 
 @PROPERTY_SETTINGS
