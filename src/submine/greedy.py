@@ -153,11 +153,12 @@ def lazy_greedy_max(
     k: int,
     conditioning: IndexSet | None = None,
 ) -> SelectionResult:
-    """Pruned greedy for every family; identical picks and gains to greedy_max.
+    """Pruned greedy; identical picks and gains to greedy_max.
 
     Bounds need diminishing returns: facility location and graph cut raise
     ValueError on a negative kernel entry their gains read (ground x pool,
-    pool x pool; the pool with the conditioning set); log-det needs a PD kernel.
+    pool x pool; the pool with the conditioning set).  Log-det, whose gains
+    cost O(1), runs full rounds, so a kernel that is not PD raises.
     """
     order, cond, state = _prep(objective, candidates, int(k), conditioning)
     family = objective.family
@@ -166,7 +167,7 @@ def lazy_greedy_max(
         rows = objective.ground.as_array() if family is Family.FACILITY_LOCATION else cols
         if np.any(objective.kernel.matrix[np.ix_(rows, cols)] < 0.0):
             raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
-    return _greedy(state, order, cond, int(k), prune=True)
+    return _greedy(state, order, cond, int(k), prune=family is not Family.LOG_DET)
 
 
 def brute_force_opt(

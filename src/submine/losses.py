@@ -35,14 +35,13 @@ and only there are adjoints accumulated.  The finite-difference audit uses
 that a probe on coordinate (i, j) moves row i of the unit embeddings alone,
 so only row and column i of the kernel: it builds the n-long kernel rows of
 the probes of one row with one matrix product and evaluates them as one
-batch over the base kernel.  Facility location's argmax and max per row and
-graph cut's block sums are answered from the base block and each probe's
-row and column i, in O(|T| + |K_c|) scratch per probe, so those families
-take a whole row per batch.  Graph cut's probe values leave out the base
-sums every probe shares, so the audit's difference quotient is built from
-the changed entries alone.  Log-det solves a block per probe, and its
-batches stay within one base kernel plus one gradient, n (|C| + d)
-entries, or 48 KB when that is more.
+batch over the base kernel, one batch per probed row for every family.  No
+block is built per probe: facility location's argmax and max per row, graph
+cut's block sums and log-det's log-determinants are answered from the base
+block and each probe's row and column i.  A log-det probe reads i's residual
+given the rest of its block, or two residuals when i is in U.  Graph cut's
+and log-det's probe values leave out a constant every probe shares, so the
+audit's difference quotient is built from the changed entries alone.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import EmbeddingSet, IndexSet, cosine_columns
-from .objectives import Family, _Blocks, _scg
+from .objectives import Family, _Blocks, _cholesky, _scg
 
 FD_STEP = 1e-4
 FD_EXHAUSTIVE_LIMIT = 5000  # probe every coordinate up to this many
@@ -98,8 +97,8 @@ class _Kernel(_Blocks):
     reads columns in C only.  Without `rows` it is the base kernel, a batch
     of one.  Otherwise probe p sees it with row and column `i` replaced by
     `rows[p]`, an n-long kernel row with rows[p, i] = 1 like s[i, pos[i]].
-    Only `block` builds a block per probe; `best` and `total` answer from
-    the base block and row and column i, in O(|a| + |b|) per probe.
+    `block` reads the base kernel alone; `best`, `total` and `logdet`
+    answer from the base block and row and column i, with no block per probe.
     """
 
     def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
@@ -121,19 +120,8 @@ class _Kernel(_Blocks):
         return None if pa < 0 and pb < 0 else (pa, pb)
 
     def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The block at sorted rows a and columns b in C, shape
-        (probes, |a|, |b|), or (1, |a|, |b|) when no probe changes it."""
-        blk = self.s[a[:, None], self.pos[b]][None]
-        moved = self._moved(a, b)
-        if moved is None:
-            return blk
-        pa, pb = moved
-        out = np.repeat(blk, len(self.rows), axis=0)
-        if pa >= 0:
-            out[:, pa, :] = self.rows[:, b]
-        if pb >= 0:
-            out[:, :, pb] = self.rows[:, a]
-        return out
+        """The base block at sorted rows a and columns b in C, (1, |a|, |b|)."""
+        return self.s[a[:, None], self.pos[b]][None]
 
     def best(self, a: np.ndarray, b: np.ndarray):
         moved = self._moved(a, b)
@@ -183,6 +171,33 @@ class _Kernel(_Blocks):
             col -= blk[:, pb]
             value += col.sum(axis=1)
         return value
+
+    def logdet(self, a, q, nu, shift, errors) -> np.ndarray:
+        """Per probe: log det of the Schur complement of q's block C in the
+        block J of a + q (a x q entries times nu, both shifted), less the
+        same without i, which every probe shares: log of i's residual in J,
+        less that in C when i is in q, 0 when i is in neither.  A residual
+        <= 0 raises ValueError(errors[0]) in C, errors[1] in J."""
+        value = np.zeros(len(self.rows))
+        if self.i in q:
+            value -= np.log(self._residual(q, q[:0], nu, shift, errors[0]))
+        if self.i in q or self.i in a:
+            value += np.log(self._residual(a, q, nu, shift, errors[1]))
+        return value
+
+    def _residual(self, a, q, nu, shift, error) -> np.ndarray:
+        """Per probe: i's residual in the block of a + q, its a x q entries
+        times nu and its diagonal shifted, given the base block without i."""
+        b = np.concatenate([a[a != self.i], q[q != self.i]])
+        on_a = np.arange(len(b)) < len(a) - (self.i in a)
+        blk = self.s[b[:, None], self.pos[b]] + shift * np.eye(len(b))
+        blk *= np.where(on_a[:, None] == on_a, 1.0, nu)
+        v = np.take(self.rows, b, axis=1) * np.where(on_a == (self.i in a), 1.0, nu)
+        x = np.linalg.solve(_cholesky(blk, error), v.T)
+        resid = self.rows[:, self.i] + shift - (x * x).sum(axis=0)
+        if np.any(resid <= 0.0):
+            raise ValueError(error)
+        return resid
 
 
 class _Adjoint:
@@ -421,19 +436,6 @@ class _SameSignature:
         self.same &= (sig == next(self._base)).all(axis=1)
 
 
-def _coords_per_batch(n: int, d: int, sets: _Sets, family: Family) -> int:
-    """Coordinates whose +h and -h probes may share one batch: a whole row,
-    except for log-det, whose stacked solves hold about six
-    max(|K_c|, |U|)^2 blocks per probe besides its kernel row and two
-    embedding rows.  Those are capped at one base kernel plus one gradient,
-    n (|C| + d) entries, but never below 6144 entries (48 KB)."""
-    if family is not Family.LOG_DET:
-        return d
-    k = max(len(sets.u), max(len(kc) for kc in sets.classes))
-    budget = max(n * (len(sets.cols) + d), 6144)
-    return max(1, budget // (2 * (n + 2 * d + 6 * k * k)))
-
-
 def finite_difference_check(
     embeddings: EmbeddingSet,
     classes: Sequence[IndexSet],
@@ -457,11 +459,9 @@ def finite_difference_check(
 
     The +h and -h probes of the coordinates of one row are evaluated as one
     batch: only that row and column of the base kernel change, so one matrix
-    product gives every probe's kernel row, and facility location and graph
-    cut read no per-probe block (see `_Kernel`).  Log-det's batches take as
-    many coordinates as fit in n (|C| + d) entries of scratch (48 KB at
-    least); a row's coordinates are split into as few, and as even, batches
-    as that allows.
+    product gives every probe's kernel row, and no family builds a block per
+    probe (see `_Kernel`): a log-det probe reads one residual, or two when
+    i is in U.
     `h` must be finite and positive, or ValueError is raised.
     """
     if not (math.isfinite(h) and h > 0.0):
@@ -479,7 +479,6 @@ def finite_difference_check(
     else:
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(n * d, size=min(max_coords, n * d), replace=False))
-    per_batch = _coords_per_batch(n, d, sets, config.family)
     max_abs = 0.0
     max_rel = 0.0
     checked = 0
@@ -487,26 +486,22 @@ def finite_difference_check(
     # `flat` is sorted, so each row's coordinates start where the row does.
     rows, starts = np.unique(flat // d, return_index=True)
     for i, row in zip(rows.tolist(), np.split(flat, starts[1:])):
-        # As few batches as per_batch allows, of even size.
-        batches = -(-len(row) // per_batch)
-        size = -(-len(row) // batches)
-        for start in range(0, len(row), size):
-            js = row[start : start + size] % d
-            c = len(js)
-            probes = kern.probes(i, _probe_rows(data, unit, i, js, h))
-            same = _SameSignature(base_sig, 2 * c)
-            _, _, tot = _parts(probes, sets, config, sig=same)
-            ok = same.same[:c] & same.same[c:]
-            ties += c - int(ok.sum())
-            if not ok.any():
-                continue
-            fd = (tot[:c] - tot[c:])[ok] / (2.0 * h)
-            a = grad[i, js[ok]]
-            abs_err = np.abs(a - fd)
-            rel_err = abs_err / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
-            max_abs = max(max_abs, float(abs_err.max()))
-            max_rel = max(max_rel, float(rel_err.max()))
-            checked += len(fd)
+        js = row % d
+        c = len(js)
+        probes = kern.probes(i, _probe_rows(data, unit, i, js, h))
+        same = _SameSignature(base_sig, 2 * c)
+        _, _, tot = _parts(probes, sets, config, sig=same)
+        ok = same.same[:c] & same.same[c:]
+        ties += c - int(ok.sum())
+        if not ok.any():
+            continue
+        fd = (tot[:c] - tot[c:])[ok] / (2.0 * h)
+        a = grad[i, js[ok]]
+        abs_err = np.abs(a - fd)
+        rel_err = abs_err / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
+        max_abs = max(max_abs, float(abs_err.max()))
+        max_rel = max(max_rel, float(rel_err.max()))
+        checked += len(fd)
     if checked == 0:
         max_abs = max_rel = float("nan")
     return {

@@ -127,9 +127,10 @@ def _cholesky(m: np.ndarray, err: str) -> np.ndarray:
 
 class _Blocks:
     """Kernel blocks with a leading probe axis, and the two reductions `_scg`
-    takes of them.  This reader has one probe: the matrix `s` itself."""
+    takes of them.  This reader has one probe, the matrix `s`: no `rows`."""
 
     size = 1
+    rows = None
 
     def __init__(self, s: np.ndarray):
         self.s = s
@@ -164,7 +165,8 @@ def _scg(
     or of 1 where no probe changes what is read (see `_Blocks`): facility
     location takes its blocks' argmax and max over columns (`best`), graph
     cut their sums (`total`, which may leave out a constant every probe
-    shares), log-det the blocks themselves (`block`).
+    shares), log-det the blocks themselves (`block`), or for `rows` that
+    each move one item, its residuals per class (`logdet`, the same way).
     Facility location and graph cut sum over rows grounds[c]; with q
     non-empty every class shares grounds[0], and the q-side work (facility
     location's argmax, log-det's factor of q's block) runs once.  Log-det
@@ -185,7 +187,7 @@ def _scg(
         # Only the adjoint, of the first probe, reads argmax rows again.
         jq = jq[0] if adj is not None else None
         best_q *= nu
-    elif len(q) and family is Family.LOG_DET:
+    elif len(q) and family is Family.LOG_DET and reader.rows is None:
         c = reader.block(q, q)
         if shift:
             c = c + shift * np.eye(len(q))
@@ -231,6 +233,8 @@ def _scg(
                 adj.block(a, a, -w * lam)
                 if len(q):
                     adj.block(a, q, -2.0 * w * lam * nu)
+        elif reader.rows is not None:
+            total += w * reader.logdet(a, q, nu, shift, errors)
         else:
             # log det of the Schur complement of q's block.
             m = reader.block(a, a)

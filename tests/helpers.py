@@ -208,7 +208,33 @@ class VStackLogDetState:
         self.value += gain
 
 
-def dense_loss_reference(data, classes, u, t, config):
+def cholesky_longdouble(m):
+    """Lower Cholesky factor of m in np.longdouble, column by column;
+    raises AssertionError on a pivot that is not positive."""
+    m = np.asarray(m, dtype=np.longdouble)
+    chol = np.zeros_like(m)
+    for j in range(len(m)):
+        pivot = m[j, j] - chol[j, :j] @ chol[j, :j]
+        assert pivot > 0.0, "reference Cholesky needs a positive definite matrix"
+        chol[j, j] = np.sqrt(pivot)
+        chol[j + 1 :, j] = (m[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / chol[j, j]
+    return chol
+
+
+def solve_lower_longdouble(chol, b):
+    """chol^-1 b by forward substitution in np.longdouble."""
+    x = np.array(b, dtype=np.longdouble)
+    for j in range(len(chol)):
+        x[j] = (x[j] - chol[j, :j] @ x[:j]) / chol[j, j]
+    return x
+
+
+def logdet_longdouble(m):
+    """log det of a positive definite m, in np.longdouble."""
+    return 2.0 * np.log(np.diagonal(cholesky_longdouble(m))).sum()
+
+
+def dense_loss_reference(data, classes, u, t, config, longdouble=False):
     """The loss and its gradient over the full n x n cosine kernel.
 
     Every term reads its blocks of the symmetrized n x n kernel, adjoints
@@ -222,6 +248,9 @@ def dense_loss_reference(data, classes, u, t, config):
     it: the library builds graph cut's quotients from the changed kernel
     entries alone, which a float64 difference of two full sums would not
     match to its own rounding.
+    With `longdouble`, log-det values are evaluated in np.longdouble from
+    the embeddings on (unit rows, their products, Cholesky factors and
+    solves), close to exact; the gradient is computed as without it.
     With u None only the self term is evaluated and l_cross is 0.  Returns
     (l_self, l_cross, l_total, grad, signature), where the signature lists
     every facility-location argmax and hinge mask.
@@ -247,6 +276,12 @@ def dense_loss_reference(data, classes, u, t, config):
     def logdet(m):
         return 2.0 * np.log(np.diagonal(np.linalg.cholesky(m))).sum()
 
+    if longdouble:
+        unit_ld = data.astype(np.longdouble)
+        unit_ld /= np.sqrt((unit_ld * unit_ld).sum(axis=1))[:, None]
+        s_ld = unit_ld @ unit_ld.T
+        np.fill_diagonal(s_ld, 1.0)
+
     l_self = 0.0
     for kc in kcs:
         coef = 1.0 / len(kc)
@@ -267,7 +302,10 @@ def dense_loss_reference(data, classes, u, t, config):
             g_self[np.ix_(kc, kc)] -= coef * lam
         else:
             m = s[np.ix_(kc, kc)] + lam * np.eye(len(kc))
-            l_self += coef * logdet(m)
+            if longdouble:
+                l_self += coef * logdet_longdouble(s_ld[np.ix_(kc, kc)] + lam * np.eye(len(kc)))
+            else:
+                l_self += coef * logdet(m)
             g_self[np.ix_(kc, kc)] += coef * np.linalg.inv(m)
 
     l_cross = 0.0
@@ -303,7 +341,13 @@ def dense_loss_reference(data, classes, u, t, config):
                 x = np.linalg.solve(c, b.T)
                 p = x.T
                 m = a - nu * nu * (b @ x)
-                l_cross += coef * logdet(m)
+                if longdouble:
+                    y = solve_lower_longdouble(
+                        cholesky_longdouble(s_ld[np.ix_(u_arr, u_arr)]), s_ld[np.ix_(u_arr, kc)]
+                    )
+                    l_cross += coef * logdet_longdouble(s_ld[np.ix_(kc, kc)] - nu * nu * (y.T @ y))
+                else:
+                    l_cross += coef * logdet(m)
                 minv = np.linalg.inv(m)
                 g_cross[np.ix_(kc, kc)] += coef * minv
                 g_cross[np.ix_(kc, u_arr)] -= 2.0 * coef * nu * nu * (minv @ p)
@@ -317,7 +361,8 @@ def dense_loss_reference(data, classes, u, t, config):
 
 
 def finite_difference_reference(
-    embeddings, classes, u, t, config, h=1e-4, seed=0, max_coords=200, perturb=0.0
+    embeddings, classes, u, t, config, h=1e-4, seed=0, max_coords=200, perturb=0.0,
+    longdouble=False,
 ):
     """The gradient audit as one dense loss evaluation per probe.
 
@@ -326,11 +371,13 @@ def finite_difference_reference(
     no loss or kernel code with the batched audit; the difference of two
     probes' values is taken before rounding to float64.  The analytic gradient
     under audit is the library's `grad_loss`.  Besides the audit's report it
-    returns the probed coordinates under "coords".
+    returns the probed coordinates under "coords", and the difference
+    quotients of the checked ones, unrounded, under "quotients".
+    `longdouble` goes to `dense_loss_reference`.
     """
 
     def point(data):
-        _, _, total, _, sig = dense_loss_reference(data, classes, u, t, config)
+        _, _, total, _, sig = dense_loss_reference(data, classes, u, t, config, longdouble)
         return total, sig
 
     def same(a, b):
@@ -352,6 +399,7 @@ def finite_difference_reference(
     max_rel = 0.0
     checked = 0
     ties = 0
+    quotients = []
     for i, j in coords:
         probe = np.array(data)
         probe[i, j] += h
@@ -361,7 +409,8 @@ def finite_difference_reference(
         if not (same(sig_up, base_sig) and same(sig_dn, base_sig)):
             ties += 1
             continue
-        fd = float((up - dn) / (2.0 * h))
+        quotients.append((up - dn) / (2.0 * h))
+        fd = float(quotients[-1])
         a = float(grad[i, j])
         abs_err = abs(a - fd)
         rel_err = abs_err / max(abs(a), abs(fd), 1e-4)
@@ -378,6 +427,7 @@ def finite_difference_reference(
         "max_abs_err": max_abs,
         "max_rel_err": max_rel,
         "coords": coords,
+        "quotients": quotients,
     }
 
 

@@ -268,41 +268,36 @@ def test_loss_argument_validation(tmp_path, small_scene):
     assert main(["loss", "--quiet"]) == EXIT_CONFIG
 
 
-def test_gradcheck_pass_and_negative_control(tmp_path, small_scene):
+@pytest.fixture
+def scene_12d(tmp_path):
+    """The small scene in 12-d, its means padded with zeros: the 2-d scene
+    cannot hold a positive definite log-det block over 7 items."""
+    spec, zeros = SceneSpec(), [0.0] * 10
+    cfg = dict(
+        SMALL_SCENE_CFG,
+        d=12,
+        cluster_means=[list(m) + zeros for m in spec.cluster_means],
+        background_mean=list(spec.background_mean) + zeros,
+    )
+    out = tmp_path / "scene12.csv"
+    args = ["generate", "--config", _write_json(tmp_path / "cfg12.json", cfg)]
+    assert main(args + ["--out", str(out), "--quiet"]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("family", ["fl", "gc", "logdet"])
+def test_gradcheck_pass_and_negative_control(tmp_path, scene_12d, family):
     sets = _write_json(
         tmp_path / "sets.json", {"K": [[0, 1, 2], [3, 4, 5]], "U": [6, 7, 8, 9]}
     )
-    report = tmp_path / "check.json"
-    code = main(
-        [
-            "gradcheck",
-            str(small_scene),
-            "--sets",
-            sets,
-            "--family",
-            "gc",
-            "--out",
-            str(report),
-            "--quiet",
-        ]
-    )
-    assert code == EXIT_OK
-    payload = json.loads(report.read_text())
+    args = ["gradcheck", str(scene_12d), "--sets", sets, "--family", family, "--quiet"]
+    reports = [tmp_path / "check1.json", tmp_path / "check2.json"]
+    for report in reports:
+        assert main(args + ["--out", str(report)]) == EXIT_OK
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    payload = json.loads(reports[0].read_text())
     assert payload["max_rel_err"] < 1e-5
-    code = main(
-        [
-            "gradcheck",
-            str(small_scene),
-            "--sets",
-            sets,
-            "--family",
-            "gc",
-            "--perturb-grad",
-            "1e-3",
-            "--quiet",
-        ]
-    )
-    assert code == EXIT_CHECK
+    assert main(args + ["--perturb-grad", "1e-3"]) == EXIT_CHECK
 
 
 def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):

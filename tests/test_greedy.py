@@ -87,6 +87,33 @@ def test_lazy_greedy_rejects_negative_kernels():
     assert lazy_greedy_max(ld, IndexSet.of(range(12)), 4).gains == naive.gains
 
 
+def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
+    # A unit Gram matrix in 8-d plus symmetric noise: past rank 8 its
+    # residuals can turn non-positive, on rows a pruned round would not score.
+    rng = np.random.default_rng(404)
+    n, raised = 40, 0
+    for _ in range(200):
+        x = rng.normal(size=(n, 8))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        noise = rng.uniform(-0.1, 0.1, size=(n, n))
+        obj = SubmodularObjective(
+            Family.LOG_DET, SimilarityKernel(x @ x.T + (noise + noise.T) / 2.0),
+            IndexSet.of(range(n)), epsilon=1e-4,
+        )
+        k = int(rng.integers(2, 20))
+        try:
+            naive = greedy_max(obj, IndexSet.of(range(n)), k)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="not positive definite"):
+                lazy_greedy_max(obj, IndexSet.of(range(n)), k)
+            continue
+        lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
+        assert tuple(lazy.selected) == tuple(naive.selected)
+        assert lazy.gains == naive.gains
+    assert 0 < raised < 200
+
+
 def test_lazy_greedy_checks_only_entries_the_gains_read():
     # s[2, 3] < 0: facility-location over ground {0, 1} never reads it, while
     # graph-cut's cross sums over the pool {2, 3} do.

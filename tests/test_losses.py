@@ -8,7 +8,7 @@ import pytest
 
 import submine.losses
 import submine.objectives
-from helpers import dense_loss_reference, finite_difference_reference
+from helpers import dense_loss_reference, finite_difference_reference, logdet_longdouble
 from submine import (
     EmbeddingSet,
     Family,
@@ -25,6 +25,7 @@ from submine import (
     loss_self,
     loss_total,
 )
+from submine.kernels import cosine_columns
 from submine.losses import FD_EXHAUSTIVE_LIMIT
 
 FAMILIES = ["fl", "gc", "logdet"]
@@ -303,28 +304,60 @@ def test_finite_difference_check_that_checks_nothing_is_nan():
 
 def _assert_same_audit(got, want, tol=1e-9):
     """Counts agree exactly, the base loss to 1e-12 relative (the reference
-    evaluates the dense kernel), the error maxima to tol."""
+    evaluates the dense kernel), the error maxima to tol unless it is None."""
     for key in ("checked", "tie_adjacent", "h"):
         assert got[key] == want[key], key
     assert got["l_total"] == pytest.approx(want["l_total"], rel=1e-12, abs=1e-15)
-    for key in ("max_abs_err", "max_rel_err"):
+    for key in ("max_abs_err", "max_rel_err") if tol is not None else ():
         if math.isnan(want[key]):
             assert math.isnan(got[key]), key
         else:
             assert abs(got[key] - want[key]) <= tol, key
 
 
-def test_batched_audit_matches_reference_loop():
+def _spy_quotients(monkeypatch):
+    """Collects the audit's difference quotients, one per probed coordinate
+    in probe order, from the probe batches' totals."""
+    quotients = []
+    parts = submine.losses._parts
+
+    def spy(kern, sets, cfg, g=None, sig=None):
+        out = parts(kern, sets, cfg, g, sig)
+        if kern.rows is not None:
+            c = len(kern.rows) // 2
+            quotients.extend((out[2][:c] - out[2][c:]) / (2.0 * submine.losses.FD_STEP))
+        return out
+
+    monkeypatch.setattr(submine.losses, "_parts", spy)
+    return quotients
+
+
+def test_batched_audit_matches_reference_loop(monkeypatch):
+    # Log-det quotients are held to accuracy instead: at 1e-9 on max_rel_err
+    # they would only check that the audit rounds like the float64 loop, and
+    # against exact quotients no float64 audit meets 1e-9.  Each instance's
+    # audit must be as close to the np.longdouble reference's quotients as
+    # the float64 loop's are.
     rng = np.random.default_rng(41)
+    quotients = _spy_quotients(monkeypatch)
     for fam in FAMILIES:
         for eta in (0.5, 1.0, 1.5):
             for nu in (0.5, 1.0):
                 e, classes, u, t = _instance(rng, d=12)
                 cfg = LossConfig(family=fam, eta=eta, nu=nu)
-                _assert_same_audit(
-                    finite_difference_check(e, classes, u, t, cfg),
-                    finite_difference_reference(e, classes, u, t, cfg),
-                )
+                quotients.clear()
+                got = finite_difference_check(e, classes, u, t, cfg)
+                want = finite_difference_reference(e, classes, u, t, cfg)
+                if fam != "logdet":
+                    _assert_same_audit(got, want)
+                    continue
+                _assert_same_audit(got, want, tol=None)
+                exact = finite_difference_reference(e, classes, u, t, cfg, longdouble=True)
+                q = np.array(exact["quotients"])
+                assert len(quotients) == len(q) == got["checked"]
+                audit_err = np.abs(np.array(quotients, dtype=np.longdouble) - q).max()
+                loop_err = np.abs(np.array(want["quotients"], dtype=np.longdouble) - q).max()
+                assert audit_err <= loop_err, (eta, nu, audit_err, loop_err)
 
 
 def test_batched_audit_matches_reference_on_ties():
@@ -377,6 +410,15 @@ def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
     assert math.isnan(empty["max_rel_err"])
 
 
+def _replaced_blocks(kern, i, rows, a, b):
+    """Each probe's block at rows a, columns b of the base kernel, with row
+    and column i replaced by the probe's kernel row."""
+    out = np.repeat(kern.block(a, b), len(rows), axis=0)
+    out[:, a == i, :] = rows[:, None, b]
+    out[:, :, b == i] = rows[:, a, None]
+    return out
+
+
 def test_probe_reductions_match_dense_replaced_blocks():
     # Kernel entries and probe rows are quarters, so maxima tie often: also
     # between a probe's new column i and the best value without it, with i
@@ -398,12 +440,14 @@ def test_probe_reductions_match_dense_replaced_blocks():
         probes = kern.probes(int(i), rows)
         for a, b in ((t, kc), (np.setdiff1d(t, kc), kc), (t, u)):
             j, v = probes.best(a, b)
-            dense_j, dense_v = submine.objectives._Blocks.best(probes, a, b)
+            blocks = _replaced_blocks(kern, i, rows, a, b)
+            dense_j = blocks.argmax(axis=2)
+            dense_v = np.take_along_axis(blocks, dense_j[..., None], axis=2)[..., 0]
             assert j.flags.c_contiguous and v.flags.c_contiguous
             assert j.shape == dense_j.shape and np.array_equal(j, dense_j)
             assert np.array_equal(v, dense_v)
             base = kern.block(a, b)[0]
-            want = [math.fsum((blk - base).ravel()) for blk in probes.block(a, b)]
+            want = [math.fsum((blk - base).ravel()) for blk in blocks]
             assert np.array_equal(probes.total(a, b), want)
             if i in b:
                 pb = int(np.searchsorted(b, i))
@@ -415,17 +459,48 @@ def test_probe_reductions_match_dense_replaced_blocks():
                 ties["after"] += int((tie & (pb > first)).sum())
     assert min(ties.values()) > 0, ties
 
+    # Log-det over a cosine kernel, whose blocks are positive definite: each
+    # probe's value less the first one's against the same difference of
+    # longdouble log-dets of the dense replaced blocks, J's over K_c + q
+    # with its K_c x q entries times nu, less C's over q.
+    data = rng.normal(size=(n, 8))
+    s, unit, _ = cosine_columns(data, cols)
+    kern = submine.losses._Kernel(s, pos)
+    for i in (kc[0], kc[2], u[0], u[2], 1):  # in K_c, in U, outside C
+        rows = submine.losses._probe_rows(data, unit, int(i), np.arange(8), 0.3)
+        probes = kern.probes(int(i), rows)
+        for q in (u[:0], u):
+            b = np.concatenate([kc, q])
+            on_kc = np.isin(b, kc)
+            for nu in (0.0, 0.5, 1.0):
+                for shift in (0.0, 0.5):
+                    weight = np.where(on_kc[:, None] == on_kc, 1.0, nu)
+                    dense = [
+                        logdet_longdouble(blk * weight + shift * np.eye(len(b)))
+                        - logdet_longdouble(c + shift * np.eye(len(q)))
+                        for blk, c in zip(
+                            _replaced_blocks(kern, i, rows, b, b),
+                            _replaced_blocks(kern, i, rows, q, q),
+                        )
+                    ]
+                    got = probes.logdet(kc, q, nu, shift, ("C", "J"))
+                    assert got.shape == (len(rows),)
+                    want = np.array(dense) - dense[0]
+                    assert np.abs((got - got[0]) - want).max() <= 1e-12, (i, len(q), nu, shift)
+
+
+def _audit_instance():
+    return _instance(np.random.default_rng(53), n=100, d=40, class_size=20, u_size=10)
+
 
 def test_audit_memory_stays_proportional_to_kernel_and_gradient():
-    # A probe's facility-location and graph-cut scratch is O(|T| + |K_c|),
-    # not a |T| x |K_c| block, so a whole row of probes per batch keeps the
-    # audit's peak within a multiple of the base kernel plus the gradient,
-    # n (|C| + d) entries.
-    e, classes, u, t = _instance(
-        np.random.default_rng(53), n=100, d=40, class_size=20, u_size=10
-    )
+    # A probe's scratch is O(|T| + |K_c|) for facility location and graph
+    # cut, and O(|K_c| + |U|) for log-det, not a block, so a whole row of
+    # probes per batch keeps the audit's peak within a multiple of the base
+    # kernel plus the gradient, n (|C| + d) entries.
+    e, classes, u, t = _audit_instance()
     entries = e.n * (2 * 20 + 10 + e.d)
-    for fam in ("fl", "gc"):
+    for fam in FAMILIES:
         cfg = LossConfig(family=fam)
         finite_difference_check(e, classes, u, t, cfg)  # one-time allocations
         tracemalloc.start()
@@ -435,6 +510,23 @@ def test_audit_memory_stays_proportional_to_kernel_and_gradient():
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 8 * entries, (fam, peak / (8 * entries))
+
+
+def test_audit_takes_one_batch_per_probed_row(monkeypatch):
+    e, classes, u, t = _audit_instance()
+    calls = []
+    probe_rows = submine.losses._probe_rows
+
+    def spy(data, unit, i, js, h):
+        calls.append(i)
+        return probe_rows(data, unit, i, js, h)
+
+    monkeypatch.setattr(submine.losses, "_probe_rows", spy)
+    for fam in FAMILIES:
+        calls.clear()
+        result = finite_difference_check(e, classes, u, t, LossConfig(family=fam))
+        assert result["checked"] + result["tie_adjacent"] == e.n * e.d
+        assert calls == list(range(e.n)), fam
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
