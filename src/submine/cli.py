@@ -2,11 +2,13 @@
 
 Subcommands: generate | select | loss | gradcheck | sweep.  Each reads its
 inputs, builds its config, runs, then writes its outputs and echoes them to
-stdout unless --quiet.  A config is its dataclass's defaults, overridden by
-the --config file, overridden by every flag whose dest names one of its
-fields; no handler lists the fields.  All file outputs are deterministic for
-a fixed seed: floats are written with repr(), JSON keys are sorted, and CSVs
-carry the resolved configuration as a single leading comment line.
+stdout unless --quiet.  Every output file is written by one writer,
+`kernels.write_text`, over the file's old bytes.  A config is its
+dataclass's defaults, overridden by the --config file, overridden by every
+flag whose dest names one of its fields; no handler lists the fields.  All
+file outputs are deterministic for a fixed seed: floats are written with
+repr(), JSON keys are sorted, and CSVs carry the resolved configuration as a
+single leading comment line.
 
 Exit codes: 0 success, 2 invalid configuration or inputs, 3 file-system
 errors, 4 pipeline stage failure, 5 gradient-check failure.
@@ -33,7 +35,7 @@ from .discovery import (
     run_discovery,
 )
 from .kernels import EmbeddingSet, IndexSet, _csv_text
-from .kernels import read_embeddings_csv, write_embeddings_csv
+from .kernels import read_embeddings_csv, write_embeddings_csv, write_text
 from .losses import LossConfig, finite_difference_check, loss_total
 from .objectives import Family
 from .scenes import SceneSpec, gen_scene, gen_separation_cases
@@ -89,7 +91,7 @@ def _config(args, cls, file_cfg: dict | None = None, **fixed):
 def _emit(args, path: str | None, text: str) -> None:
     """Write text to path when there is one, then echo it unless --quiet."""
     if path:
-        Path(path).write_text(text, newline="")
+        write_text(path, text)
     if not args.quiet:
         print(text.rstrip("\n"))
 
@@ -216,7 +218,7 @@ def _write_roles_csv(path, scene, result, config) -> None:
         [role.get(i, "rest") for i in kept],
         comment=json.dumps(_config_dict(config), sort_keys=True),
     )
-    Path(path).write_text(text, newline="")
+    write_text(path, text)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,15 +136,21 @@ def test_select_config_file_and_flag_precedence(tmp_path, small_scene):
 
 
 def test_select_reruns_are_byte_identical(tmp_path, small_scene):
-    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-    for out in (out_a, out_b):
-        assert (
-            main(["select", str(small_scene), "--out", str(out), "--quiet"]) == EXIT_OK
-        )
-    assert out_a.read_bytes() == out_b.read_bytes()
-    roles_a = (tmp_path / "a.roles.csv").read_bytes()
-    roles_b = (tmp_path / "b.roles.csv").read_bytes()
-    assert roles_a == roles_b
+    def run(name):
+        out = tmp_path / f"{name}.json"
+        assert main(["select", str(small_scene), "--out", str(out), "--quiet"]) == EXIT_OK
+
+    run("a")
+    run("b")
+    # The third run writes over files that hold more bytes than it writes.
+    for suffix in (".json", ".roles.csv"):
+        size = (tmp_path / f"a{suffix}").stat().st_size
+        (tmp_path / f"stale{suffix}").write_bytes(b"#" * (2 * size + 1))
+    run("stale")
+    for suffix in (".json", ".roles.csv"):
+        first = (tmp_path / f"a{suffix}").read_bytes()
+        assert first == (tmp_path / f"b{suffix}").read_bytes()
+        assert first == (tmp_path / f"stale{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("include_background", [False, True])
@@ -369,6 +376,68 @@ def test_missing_input_exits_io(tmp_path):
         ["select", str(tmp_path / "nowhere.csv"), "--out", str(tmp_path / "o.json")]
     )
     assert code == EXIT_IO
+
+
+def test_output_to_a_directory_exits_io(tmp_path, small_scene):
+    code = main(["select", str(small_scene), "--out", str(tmp_path), "--quiet"])
+    assert code == EXIT_IO
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_select_writes_to_dev_null(small_scene):
+    # A character device cannot be cut to length: the writer must not try.
+    argv = ["select", str(small_scene), "--out", "/dev/null", "--roles-out", "/dev/null"]
+    assert main(argv + ["--quiet"]) == EXIT_OK
+
+
+def _run_into(name, tmp_path, scene, scene_12d, out):
+    """One run of `name` with its outputs at `out` (and `out`.roles for
+    select): its exit code and the output paths."""
+    sets = _write_json(
+        tmp_path / "sets.json", {"K": [[0, 1, 2], [3, 4, 5]], "U": [6, 7, 8, 9]}
+    )
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "k", "values": [0, 2]})
+    argv = {
+        "generate": ["generate", "--config", _write_json(tmp_path / "c.json", SMALL_SCENE_CFG)],
+        "select": ["select", str(scene), "--roles-out", out + ".roles"],
+        "loss": ["loss", str(scene), "--sets", sets, "--family", "gc"],
+        "loss-cases": ["loss", "--cases", "--family", "all"],
+        "gradcheck": ["gradcheck", str(scene_12d), "--sets", sets, "--family", "logdet"],
+        "sweep": ["sweep", str(scene), "--sweep", sweep],
+    }[name]
+    outputs = [out, out + ".roles"] if name == "select" else [out]
+    return main(argv + ["--out", out, "--quiet"]), outputs
+
+
+@pytest.mark.parametrize("name", ["generate", "loss", "loss-cases", "gradcheck", "sweep"])
+def test_rerun_over_a_longer_file_writes_fresh_bytes(tmp_path, small_scene, scene_12d, name):
+    code, fresh = _run_into(name, tmp_path, small_scene, scene_12d, str(tmp_path / "fresh"))
+    assert code == EXIT_OK
+    stale = str(tmp_path / "stale")
+    with open(stale, "wb") as fh:
+        fh.write(b"#" * (2 * os.path.getsize(fresh[0]) + 1))
+    assert _run_into(name, tmp_path, small_scene, scene_12d, stale)[0] == EXIT_OK
+    with open(fresh[0], "rb") as a, open(stale, "rb") as b:
+        assert a.read() == b.read()
+
+
+@pytest.mark.parametrize(
+    "name", ["generate", "select", "loss", "loss-cases", "gradcheck", "sweep"]
+)
+def test_no_output_is_truncated_to_zero(tmp_path, small_scene, scene_12d, monkeypatch, name):
+    # Opening an output with O_TRUNC makes ext4 flush it on close() when a
+    # rerun replaces it; every output goes through os.open without that flag.
+    real_open, opened = os.open, []
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    code, outputs = _run_into(name, tmp_path, small_scene, scene_12d, str(tmp_path / "o"))
+    assert code == EXIT_OK
+    assert set(outputs) <= {path for path, _ in opened}
+    assert not [path for path, flags in opened if flags & os.O_TRUNC]
 
 
 def test_stage_failure_exits_stage(tmp_path):

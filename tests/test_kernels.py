@@ -1,6 +1,7 @@
 """Embedding containers, index sets, cosine kernels, and CSV interchange."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from submine import (
     row_normalize,
     write_embeddings_csv,
 )
-from submine.kernels import cosine_columns
+from submine.kernels import cosine_columns, write_text
 from conftest import TOY_MATRIX
 from helpers import (
     random_embeddings,
@@ -217,6 +218,20 @@ def test_csv_round_trip_without_metadata(tmp_path):
     back = read_embeddings_csv(path)
     assert back.labels is None and back.objectness is None
     assert np.array_equal(back.data, e.data)
+
+
+def test_write_text_keeps_links_and_mode_of_a_longer_file(tmp_path):
+    # Written over the old bytes, the file keeps its inode, so a hard link
+    # sees the new text, a symlink still points at it and its mode stays.
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"old bytes, more of them than the new text holds\n")
+    target.chmod(0o640)
+    os.link(target, tmp_path / "hard.txt")
+    (tmp_path / "sym.txt").symlink_to(target)
+    write_text(tmp_path / "sym.txt", "new\r\ntext\n")
+    assert (tmp_path / "sym.txt").is_symlink()
+    assert (tmp_path / "hard.txt").read_bytes() == b"new\r\ntext\n"
+    assert target.stat().st_mode & 0o777 == 0o640
 
 
 def test_csv_read_errors(tmp_path):
