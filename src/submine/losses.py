@@ -29,17 +29,19 @@ structure; the finite-difference checker detects probes that cross such a
 boundary by comparing structure signatures and reports them instead of
 flagging errors.
 
-Every term reads the kernel through `_Kernel`, with a leading probe axis,
-and returns one value per probe.  A plain loss evaluation is a batch of one,
-and only there are adjoints accumulated.  The finite-difference audit uses
-that a probe on coordinate (i, j) moves row i of the unit embeddings alone,
-so only row and column i of the kernel: it builds the n-long kernel rows of
-the probes of one row with one matrix product and evaluates them as one
-batch over the base kernel, one batch per probed row for every family.  No
-block is built per probe: facility location's argmax and max per row, graph
-cut's block sums and log-det's log-determinants are answered from the base
-block and each probe's row and column i.  A log-det probe reads i's residual
-given the rest of its block, or two residuals when i is in U.  Graph cut's
+Every term reads the kernel through the objectives' one reader, `_Kernel`,
+with a leading probe axis, and returns one value per probe.  A plain loss
+evaluation is a batch of one, and only there are adjoints accumulated.  The
+finite-difference audit uses that a probe on coordinate (i, j) moves row i
+of the unit embeddings alone, so only row and column i of the kernel: it
+builds the n-long kernel rows of the probes of one row with one matrix
+product and evaluates them as one batch over the base kernel, one batch per
+probed row for every family.  No block is built per probe: facility
+location's argmax and max per row, graph cut's block sums and log-det's
+log-determinants are answered from the base block and each probe's row and
+column i.  A log-det probe reads i's residual
+given the rest of each class's block, and when i is in U, its residual in
+U's block once per batch, which every class's gain subtracts.  Graph cut's
 and log-det's probe values leave out a constant every probe shares, so the
 audit's difference quotient is built from the changed entries alone.
 """
@@ -53,7 +55,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import EmbeddingSet, IndexSet, cosine_columns
-from .objectives import Family, _Blocks, _cholesky, _scg
+from .objectives import Family, _Kernel, _scg
 
 FD_STEP = 1e-4
 FD_EXHAUSTIVE_LIMIT = 5000  # probe every coordinate up to this many
@@ -89,117 +91,6 @@ class LossReport:
         object.__setattr__(self, "grad", g)
 
 
-class _Kernel(_Blocks):
-    """The cosine kernel's columns C = (union of the K_c) + U, as a batch of
-    probes sees them.
-
-    `s` is n x |C| with s[a, pos[b]] the cosine of rows a and b: every term
-    reads columns in C only.  Without `rows` it is the base kernel, a batch
-    of one.  Otherwise probe p sees it with row and column `i` replaced by
-    `rows[p]`, an n-long kernel row with rows[p, i] = 1 like s[i, pos[i]].
-    `block` reads the base kernel alone; `best`, `total` and `logdet`
-    answer from the base block and row and column i, with no block per probe.
-    """
-
-    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
-        self.s, self.pos, self.i, self.rows = s, pos, i, rows
-
-    def probes(self, i: int, rows: np.ndarray) -> "_Kernel":
-        return _Kernel(self.s, self.pos, i, rows)
-
-    @property
-    def size(self) -> int:
-        return 1 if self.rows is None else len(self.rows)
-
-    def _moved(self, a: np.ndarray, b: np.ndarray):
-        """Positions of i in a and in b, -1 where absent, or None when no
-        probe changes the block at rows a, columns b."""
-        if self.rows is None:
-            return None
-        pa, pb = _position(a, self.i), _position(b, self.i)
-        return None if pa < 0 and pb < 0 else (pa, pb)
-
-    def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The base block at sorted rows a and columns b in C, (1, |a|, |b|)."""
-        return self.s[a[:, None], self.pos[b]][None]
-
-    def best(self, a: np.ndarray, b: np.ndarray):
-        moved = self._moved(a, b)
-        if moved is None:
-            return super().best(a, b)
-        pa, pb = moved
-        p = len(self.rows)
-        blk = self.s[a[:, None], self.pos[b]]
-        if pb >= 0:
-            blk[:, pb] = -np.inf
-        j0 = blk.argmax(axis=1)
-        v0 = blk[np.arange(len(a)), j0]
-        if pb >= 0:
-            # Each probe's column i against the first maximum without it:
-            # column i wins above that maximum, and on a tie when it comes
-            # first, as argmax breaks ties.
-            v = np.take(self.rows, a, axis=1)
-            wins = v >= np.where(j0 > pb, v0, np.nextafter(v0, np.inf))
-            np.copyto(v, v0, where=~wins)
-            j = np.repeat(j0[None], p, axis=0)
-            j[wins] = pb
-        else:
-            v = np.repeat(v0[None], p, axis=0)
-            j = np.repeat(j0[None], p, axis=0)
-        if pa >= 0:
-            r = np.take(self.rows, b, axis=1)
-            j[:, pa] = r.argmax(axis=1)
-            v[:, pa] = r[np.arange(p), j[:, pa]]
-        return j, v
-
-    def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per probe: the block sum less the base block's, which every probe
-        shares.  The changes of row i and column i add up to that
-        difference; the entry they share is 1 before and after."""
-        moved = self._moved(a, b)
-        if moved is None:
-            return super().total(a, b) if self.rows is None else np.zeros(1)
-        pa, pb = moved
-        blk = self.s[a[:, None], self.pos[b]]
-        value = np.zeros(len(self.rows))
-        if pa >= 0:
-            row = np.take(self.rows, b, axis=1)
-            row -= blk[pa]
-            value += row.sum(axis=1)
-        if pb >= 0:
-            col = np.take(self.rows, a, axis=1)
-            col -= blk[:, pb]
-            value += col.sum(axis=1)
-        return value
-
-    def logdet(self, a, q, nu, shift, errors) -> np.ndarray:
-        """Per probe: log det of the Schur complement of q's block C in the
-        block J of a + q (a x q entries times nu, both shifted), less the
-        same without i, which every probe shares: log of i's residual in J,
-        less that in C when i is in q, 0 when i is in neither.  A residual
-        <= 0 raises ValueError(errors[0]) in C, errors[1] in J."""
-        value = np.zeros(len(self.rows))
-        if self.i in q:
-            value -= np.log(self._residual(q, q[:0], nu, shift, errors[0]))
-        if self.i in q or self.i in a:
-            value += np.log(self._residual(a, q, nu, shift, errors[1]))
-        return value
-
-    def _residual(self, a, q, nu, shift, error) -> np.ndarray:
-        """Per probe: i's residual in the block of a + q, its a x q entries
-        times nu and its diagonal shifted, given the base block without i."""
-        b = np.concatenate([a[a != self.i], q[q != self.i]])
-        on_a = np.arange(len(b)) < len(a) - (self.i in a)
-        blk = self.s[b[:, None], self.pos[b]] + shift * np.eye(len(b))
-        blk *= np.where(on_a[:, None] == on_a, 1.0, nu)
-        v = np.take(self.rows, b, axis=1) * np.where(on_a == (self.i in a), 1.0, nu)
-        x = np.linalg.solve(_cholesky(blk, error), v.T)
-        resid = self.rows[:, self.i] + shift - (x * x).sum(axis=0)
-        if np.any(resid <= 0.0):
-            raise ValueError(error)
-        return resid
-
-
 class _Adjoint:
     """dL/ds over the base kernel's entries, n x |C| like it.  One term's
     adjoints land scaled by `weight`, that term's weight in the total."""
@@ -214,12 +105,6 @@ class _Adjoint:
     def pairs(self, a: np.ndarray, b: np.ndarray, v: float) -> None:
         """Add v at the distinct entries (a[k], b[k])."""
         self.g[a, self.pos[b]] += self.weight * v
-
-
-def _position(arr: np.ndarray, i: int) -> int:
-    """Index of i in the sorted array arr, or -1."""
-    k = int(arr.searchsorted(i))
-    return k if k < len(arr) and arr[k] == i else -1
 
 
 def _probe_rows(data: np.ndarray, unit: np.ndarray, i: int, js: np.ndarray, h: float):
@@ -460,8 +345,8 @@ def finite_difference_check(
     The +h and -h probes of the coordinates of one row are evaluated as one
     batch: only that row and column of the base kernel change, so one matrix
     product gives every probe's kernel row, and no family builds a block per
-    probe (see `_Kernel`): a log-det probe reads one residual, or two when
-    i is in U.
+    probe (see `objectives._Kernel`): a log-det probe reads one residual
+    per class, and when i is in U one more per batch.
     `h` must be finite and positive, or ValueError is raised.
     """
     if not (math.isfinite(h) and h > 0.0):

@@ -17,13 +17,14 @@ Inf. Theory 2022; Kothawade et al., PRISM, AAAI 2022):
   log-determinant    log det(S_A + eps I - nu^2 S_AQ (S_Q + eps I)^-1 S_QA)
 
 Each formula exists once, in `_scg`, with an explicit diagonal shift.  It
-reads the kernel through a reader with a leading probe axis, which takes the
-block reductions too: facility location's argmax and max per row, graph
-cut's block sums.  `evaluate` (Q empty) and
-`conditional_gain_closed` pass the shift eps.  The training losses in
-losses.py are the same formulas.  Their self term is f(K_c) over ground
-T - K_c (facility location) or T - U (graph cut), and with shift lam
-(log-det); their cross term is f(K_c | U) over ground T with shift 0.
+reads the kernel through one reader, `_Kernel`, with a leading probe axis,
+which takes the block reductions too: facility location's argmax and max per
+row, graph cut's block sums, log-det's log residuals of a probed item.
+`evaluate` (Q empty) and `conditional_gain_closed` read the base kernel, a
+batch of one, with the shift eps.  The training losses in losses.py are the
+same formulas.  Their self term is f(K_c) over ground T - K_c (facility
+location) or T - U (graph cut), and with shift lam (log-det); their cross
+term is f(K_c | U) over ground T with shift 0.
 
 Incremental selection goes through one mutable state per family: it scores a
 whole array of candidates in one numpy call and updates its caches in place
@@ -125,35 +126,123 @@ def _cholesky(m: np.ndarray, err: str) -> np.ndarray:
         raise ValueError(err) from None
 
 
-class _Blocks:
-    """Kernel blocks with a leading probe axis, and the two reductions `_scg`
-    takes of them.  This reader has one probe, the matrix `s`: no `rows`."""
+def _position(arr: np.ndarray, i: int) -> int:
+    """Index of i in the sorted array arr, or -1."""
+    k = int(arr.searchsorted(i))
+    return k if k < len(arr) and arr[k] == i else -1
 
-    size = 1
-    rows = None
 
-    def __init__(self, s: np.ndarray):
-        self.s = s
+class _Kernel:
+    """Kernel columns as a batch of probes sees them, with a leading probe
+    axis, and the reductions `_scg` takes of their blocks.
+
+    `s` is n x m with s[a, pos[b]] the entry of items a and b: the
+    objectives read an n x n kernel with pos the identity, the losses the
+    cosine kernel's columns C = (union of the K_c) + U.  Without `rows` it
+    is the base kernel, a batch of one, read at sets in any order.
+    Otherwise probe p sees it with row and column `i` replaced by `rows[p]`,
+    an n-long kernel row with rows[p, i] = 1 like s[i, pos[i]], and sets are
+    sorted.  `block` reads the base kernel alone; `best`, `total` and
+    `logdet` answer from the base block and row and column i, with no block
+    per probe.
+    """
+
+    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
+        self.s, self.pos, self.i, self.rows = s, pos, i, rows
+
+    def probes(self, i: int, rows: np.ndarray) -> "_Kernel":
+        return _Kernel(self.s, self.pos, i, rows)
+
+    @property
+    def size(self) -> int:
+        return 1 if self.rows is None else len(self.rows)
+
+    def _moved(self, a: np.ndarray, b: np.ndarray):
+        """Positions of i in a and in b, -1 where absent, or None when no
+        probe changes the block at rows a, columns b."""
+        if self.rows is None:
+            return None
+        pa, pb = _position(a, self.i), _position(b, self.i)
+        return None if pa < 0 and pb < 0 else (pa, pb)
 
     def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The block at rows a and columns b, shape (probes, |a|, |b|)."""
-        return self.s[np.ix_(a, b)][None]
+        """The base block at rows a and columns b, shape (1, |a|, |b|)."""
+        return self.s[a[:, None], self.pos[b]][None]
 
     def best(self, a: np.ndarray, b: np.ndarray):
-        """Per probe and row of a: the first argmax over b and its value.
-        The block is dropped once reduced."""
-        blk = self.block(a, b)
-        j = blk.argmax(axis=2)
-        rows = blk.reshape(-1, len(b))
-        return j, rows[np.arange(len(rows)), j.ravel()].reshape(j.shape)
+        """Per probe and row of a: the first argmax over b and its value,
+        shape (probes, |a|), or (1, |a|) where no probe moves the block."""
+        blk = self.s[a[:, None], self.pos[b]]
+        moved = self._moved(a, b)
+        if moved is None:
+            j = blk.argmax(axis=1)
+            return j[None], blk[np.arange(len(a)), j][None]
+        pa, pb = moved
+        p = len(self.rows)
+        if pb >= 0:
+            blk[:, pb] = -np.inf
+        j0 = blk.argmax(axis=1)
+        v0 = blk[np.arange(len(a)), j0]
+        if pb >= 0:
+            # Each probe's column i against the first maximum without it:
+            # column i wins above that maximum, and on a tie when it comes
+            # first, as argmax breaks ties.
+            v = np.take(self.rows, a, axis=1)
+            wins = v >= np.where(j0 > pb, v0, np.nextafter(v0, np.inf))
+            np.copyto(v, v0, where=~wins)
+            j = np.repeat(j0[None], p, axis=0)
+            j[wins] = pb
+        else:
+            v = np.repeat(v0[None], p, axis=0)
+            j = np.repeat(j0[None], p, axis=0)
+        if pa >= 0:
+            r = np.take(self.rows, b, axis=1)
+            j[:, pa] = r.argmax(axis=1)
+            v[:, pa] = r[np.arange(p), j[:, pa]]
+        return j, v
 
     def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per probe: the sum of the block."""
-        return self.block(a, b).sum(axis=(1, 2))
+        """Per probe: the block sum; for a batch, less the base block's, which
+        every probe shares: the changes of row i and column i add up to that
+        difference, and the entry they share is 1 before and after."""
+        moved = self._moved(a, b)
+        if moved is None:
+            return self.block(a, b).sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
+        pa, pb = moved
+        blk = self.s[a[:, None], self.pos[b]]
+        value = np.zeros(len(self.rows))
+        if pa >= 0:
+            row = np.take(self.rows, b, axis=1)
+            row -= blk[pa]
+            value += row.sum(axis=1)
+        if pb >= 0:
+            col = np.take(self.rows, a, axis=1)
+            col -= blk[:, pb]
+            value += col.sum(axis=1)
+        return value
+
+    def logdet(self, a, q, nu, shift, error) -> np.ndarray:
+        """Per probe of a batch: log det of the block of a + q (a x q entries
+        times nu, diagonal shifted) less the same without i, which every
+        probe shares: the log of i's residual, or 0 when i is in neither
+        set.  A residual <= 0 raises ValueError(error)."""
+        in_a = self.i in a
+        if not in_a and self.i not in q:
+            return np.zeros(len(self.rows))
+        b = np.concatenate([a[a != self.i], q[q != self.i]])
+        on_a = np.arange(len(b)) < len(a) - in_a
+        blk = self.s[b[:, None], self.pos[b]] + shift * np.eye(len(b))
+        blk *= np.where(on_a[:, None] == on_a, 1.0, nu)
+        v = np.take(self.rows, b, axis=1) * np.where(on_a == in_a, 1.0, nu)
+        x = np.linalg.solve(_cholesky(blk, error), v.T)
+        resid = self.rows[:, self.i] + shift - (x * x).sum(axis=0)
+        if np.any(resid <= 0.0):
+            raise ValueError(error)
+        return np.log(resid)
 
 
 def _scg(
-    family: Family, reader: _Blocks, sets: Sequence[np.ndarray],
+    family: Family, reader: _Kernel, sets: Sequence[np.ndarray],
     grounds: Sequence[np.ndarray], q: np.ndarray, weights: Sequence[float], *,
     lam: float, nu: float, shift: float, errors: tuple[str, str], adj=None, sig=None,
 ) -> np.ndarray:
@@ -162,17 +251,18 @@ def _scg(
     empty.  The one copy of each formula, for the objectives and the losses.
 
     `reader` reads the kernel with a leading axis of `reader.size` probes,
-    or of 1 where no probe changes what is read (see `_Blocks`): facility
+    or of 1 where no probe changes what is read (see `_Kernel`): facility
     location takes its blocks' argmax and max over columns (`best`), graph
     cut their sums (`total`, which may leave out a constant every probe
-    shares), log-det the blocks themselves (`block`), or for `rows` that
-    each move one item, its residuals per class (`logdet`, the same way).
+    shares), log-det the blocks themselves (`block`), or for a batch of
+    probes, i's log residual in each block (`logdet`, the same way).
     Facility location and graph cut sum over rows grounds[c]; with q
-    non-empty every class shares grounds[0], and the q-side work (facility
-    location's argmax, log-det's factor of q's block) runs once.  Log-det
-    adds `shift` to the diagonals of the blocks of sets[c] and q, and raises
-    ValueError(errors[0]) when q's block is not positive definite,
-    ValueError(errors[1]) when a gain's block is not.
+    non-empty every class shares grounds[0].  The q-side work runs once per
+    batch: facility location's argmax, log-det's factor of q's block, or for
+    a batch of probes i's log residual in q's block, which every class's
+    gain subtracts.  Log-det adds `shift` to the diagonals of the blocks of
+    sets[c] and q, and raises ValueError(errors[0]) when q's block is not
+    positive definite, ValueError(errors[1]) when a gain's block is not.
 
     `adj`, when given, takes the adjoint of the first probe's value as
     `adj.block(rows, cols, v)` and `adj.pairs(rows, cols, v)`.  `sig`, when
@@ -187,7 +277,9 @@ def _scg(
         # Only the adjoint, of the first probe, reads argmax rows again.
         jq = jq[0] if adj is not None else None
         best_q *= nu
-    elif len(q) and family is Family.LOG_DET and reader.rows is None:
+    elif family is Family.LOG_DET and reader.rows is not None:
+        log_c = reader.logdet(q, q[:0], nu, shift, errors[0])
+    elif len(q) and family is Family.LOG_DET:
         c = reader.block(q, q)
         if shift:
             c = c + shift * np.eye(len(q))
@@ -234,7 +326,7 @@ def _scg(
                 if len(q):
                     adj.block(a, q, -2.0 * w * lam * nu)
         elif reader.rows is not None:
-            total += w * reader.logdet(a, q, nu, shift, errors)
+            total += w * (reader.logdet(a, q, nu, shift, errors[1]) - log_c)
         else:
             # log det of the Schur complement of q's block.
             m = reader.block(a, a)
@@ -297,8 +389,8 @@ def conditional_gain_closed(
     q.check_bounds(objective.n)
     eps = objective.epsilon
     value = _scg(
-        objective.family, _Blocks(objective.kernel.matrix), [a.as_array()],
-        [objective.ground.as_array()], q.as_array(), [1.0],
+        objective.family, _Kernel(objective.kernel.matrix, np.arange(objective.n)),
+        [a.as_array()], [objective.ground.as_array()], q.as_array(), [1.0],
         lam=objective.lam, nu=objective.nu, shift=eps,
         errors=("singular conditioning submatrix", _pd_message(eps)),
     )
@@ -418,7 +510,9 @@ _STATES = {
 
 
 def marginal_state(objective: SubmodularObjective) -> MarginalState:
-    """Fresh state for the empty selection."""
+    """Fresh state for the empty selection; its gains are definitional."""
+    if objective.nu != 1.0:
+        raise ValueError(f"nu must be 1 for definitional gains, got {objective.nu}")
     return _STATES[objective.family](objective)
 
 

@@ -91,6 +91,49 @@ def test_select_outputs_schema_and_roles(tmp_path, small_scene):
     assert roles_seen <= {"known", "background", "unknown", "rest"}
 
 
+def _labeled_rows_csv(tmp_path, scene_path):
+    """A prototypes file holding the scene's labeled rows, and the scene."""
+    scene = read_embeddings_csv(scene_path)
+    protos = tmp_path / "protos.csv"
+    write_embeddings_csv(EmbeddingSet(scene.data[scene.labels >= 1]), protos)
+    return protos, scene
+
+
+def test_select_prototypes_file_of_the_labeled_rows_matches_the_default(tmp_path, small_scene):
+    protos, _ = _labeled_rows_csv(tmp_path, small_scene)
+    for name, extra in (("default", []), ("protos", ["--prototypes", str(protos)])):
+        argv = ["select", str(small_scene), "--out", str(tmp_path / f"{name}.json"), "--quiet"]
+        assert main(argv + extra) == EXIT_OK
+    for suffix in (".json", ".roles.csv"):
+        want = (tmp_path / f"default{suffix}").read_bytes()
+        assert (tmp_path / f"protos{suffix}").read_bytes() == want
+
+
+def test_select_on_an_unlabeled_scene_with_prototypes(tmp_path, small_scene):
+    protos, scene = _labeled_rows_csv(tmp_path, small_scene)
+    unlabeled = tmp_path / "unlabeled.csv"
+    write_embeddings_csv(EmbeddingSet(scene.data, objectness=scene.objectness), unlabeled)
+    out = tmp_path / "mined.json"
+    argv = ["select", str(unlabeled), "--prototypes", str(protos), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["metrics"] == {} and len(payload["unknown"]) == 10
+    lines = (tmp_path / "mined.roles.csv").read_text().splitlines()
+    assert lines[1] == "index,f0,f1,truth,role"
+    assert len(lines) == 2 + len(payload["kept"])
+    assert all(line.split(",")[-2] == "" for line in lines[2:])
+
+
+def test_select_with_more_prototypes_than_kept_items_exits_stage(tmp_path, small_scene, capsys):
+    scene = read_embeddings_csv(small_scene)
+    kept = int((scene.objectness >= DiscoveryConfig().tau_e).sum())
+    argv = ["select", str(small_scene), "--prototypes", str(small_scene),
+            "--out", str(tmp_path / "big.json")]
+    assert main(argv) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert f"error: match: more prototypes ({scene.n}) than kept items ({kept})" in err
+
+
 def test_select_ignores_zero_norm_row_the_filter_drops(tmp_path, small_scene):
     scene = read_embeddings_csv(small_scene)
     row = int(np.flatnonzero(scene.objectness < 0.2)[0])

@@ -27,6 +27,7 @@ from submine import (
     select_unknowns,
 )
 
+import submine.discovery
 import submine.greedy
 from submine.discovery import _run_each
 from submine.objectives import _STATES
@@ -217,6 +218,32 @@ def test_pipeline_stage_errors():
     with pytest.raises(StageError, match="more prototypes") as info:
         run_discovery(tiny, EmbeddingSet(np.eye(3)), DiscoveryConfig())
     assert info.value.stage == "match"
+
+
+def _scene_with_equal_rows(first, second):
+    """8 items, rows `first` and `second` equal; items 0 and 1 are known."""
+    data = np.random.default_rng(5).normal(size=(8, 4))
+    data[second] = data[first]
+    return EmbeddingSet(data, labels=[1, 2, 0, 0, 0, 0, -1, -1], objectness=[0.9] * 8)
+
+
+def test_singular_log_det_names_the_stage_that_committed_it(monkeypatch):
+    # Without a diagonal shift, committing an item equal to one already
+    # committed is singular: while committing the knowns that is the
+    # background stage, before stage 3 selects anything.
+    stage3 = []
+    monkeypatch.setattr(submine.discovery, "select_background", lambda *a: stage3.append(a))
+    scene = _scene_with_equal_rows(0, 1)
+    with pytest.raises(StageError, match="^background: singular kernel submatrix$") as info:
+        run_discovery(scene, known_prototypes(scene), DiscoveryConfig(family="logdet", epsilon=0.0))
+    assert info.value.stage == "background" and not stage3
+    monkeypatch.undo()
+    # With no background budget, stage 4 must take both equal rows.
+    scene = _scene_with_equal_rows(3, 4)
+    config = DiscoveryConfig(family="logdet", epsilon=0.0, tau_b=0.0, k=6)
+    with pytest.raises(StageError, match="^unknown: singular kernel submatrix$") as info:
+        run_discovery(scene, known_prototypes(scene), config)
+    assert info.value.stage == "unknown"
 
 
 def test_discovery_config_validation():

@@ -11,9 +11,11 @@ from submine import (
     SimilarityKernel,
     SubmodularObjective,
     brute_force_opt,
+    conditional_gain_closed,
     evaluate,
     greedy_max,
     lazy_greedy_max,
+    marginal_state,
 )
 from helpers import random_objective
 
@@ -236,3 +238,30 @@ def test_brute_force_guard_rejects_huge_search():
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=40, transform="clip-at-zero")
     with pytest.raises(ValueError, match="search space too large"):
         brute_force_opt(obj, IndexSet.of(range(40)), 40)
+
+
+@pytest.mark.parametrize("family, transform, eps", LAZY_SETUPS)
+def test_gain_engines_refuse_nu_other_than_one(family, transform, eps):
+    # The engines' gains are definitional, which the closed form with
+    # strength nu matches at nu = 1 only.
+    pool, cond = IndexSet.of(range(3, 9)), IndexSet.of([0, 1, 2])
+    for nu in (0.5, 1.0):
+        obj = random_objective(np.random.default_rng(3), family, n=9, transform=transform,
+                               nu=nu, epsilon=eps)
+        selectors = (greedy_max, lazy_greedy_max, brute_force_opt)
+        runs = [lambda: marginal_state(obj)] + [lambda f=f: f(obj, pool, 3, cond) for f in selectors]
+        for run in runs:
+            if nu == 1.0:
+                run()
+            else:
+                with pytest.raises(ValueError, match="^nu must be 1"):
+                    run()
+    got = greedy_max(obj, pool, 3, cond)
+    closed = conditional_gain_closed(obj, got.selected, cond)
+    assert got.objective_value == pytest.approx(closed, abs=1e-9)
+
+
+def test_conditioning_state_of_another_objective_rejected(toy_objective):
+    fl, other = toy_objective("fl"), toy_objective("fl")
+    with pytest.raises(ValueError, match="belongs to another objective"):
+        greedy_max(fl, IndexSet.of([0, 2]), 1, marginal_state(other))

@@ -483,7 +483,9 @@ def test_probe_reductions_match_dense_replaced_blocks():
                             _replaced_blocks(kern, i, rows, q, q),
                         )
                     ]
-                    got = probes.logdet(kc, q, nu, shift, ("C", "J"))
+                    got = probes.logdet(kc, q, nu, shift, "J")
+                    if len(q):
+                        got = got - probes.logdet(q, q[:0], nu, shift, "C")
                     assert got.shape == (len(rows),)
                     want = np.array(dense) - dense[0]
                     assert np.abs((got - got[0]) - want).max() <= 1e-12, (i, len(q), nu, shift)
