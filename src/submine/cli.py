@@ -34,7 +34,7 @@ from .discovery import (
     known_prototypes,
     run_discovery,
 )
-from .kernels import EmbeddingSet, IndexSet, _csv_text
+from .kernels import TRANSFORMS, EmbeddingSet, IndexSet, _csv_text
 from .kernels import read_embeddings_csv, write_embeddings_csv, write_text
 from .losses import LossConfig, finite_difference_check, loss_total
 from .objectives import Family
@@ -179,10 +179,13 @@ def _cmd_generate(args) -> int:
 
 
 def _prototypes(args, scene: EmbeddingSet) -> EmbeddingSet:
-    """The --prototypes file, or else the scene's labeled known items."""
-    if args.prototypes:
-        return read_embeddings_csv(args.prototypes)
-    return known_prototypes(scene)
+    """The --prototypes file, of the scene's dimension, or else the scene's knowns."""
+    if not args.prototypes:
+        return known_prototypes(scene)
+    protos = read_embeddings_csv(args.prototypes)
+    if protos.d != scene.d:
+        raise ValueError(f"{args.prototypes}: {protos.d} features, the scene has {scene.d}")
+    return protos
 
 
 def _cmd_select(args) -> int:
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--transform", default=None, choices=["raw-cosine", "clip-at-zero", "affine-shift"])
+    p.add_argument("--transform", default=None, choices=TRANSFORMS)
     p.add_argument("--include-background", action="store_true",
                    help="keep conditioned background items in the unknown pool")
     p.add_argument("--out", default="discovery.json", help="result JSON path")

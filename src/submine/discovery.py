@@ -30,6 +30,7 @@ from .kernels import (
     EmbeddingSet,
     IndexSet,
     SimilarityKernel,
+    TRANSFORMS,
     UNKNOWN_LABEL,
     _unit_rows,
     cosine_kernel,
@@ -80,6 +81,8 @@ class DiscoveryConfig:
             raise ValueError("k must be a non-negative integer")
         if self.lam < 0.0 or self.epsilon < 0.0:
             raise ValueError("lam and epsilon must be non-negative")
+        if self.transform is not None and self.transform not in TRANSFORMS:
+            raise ValueError(f"unknown transform {self.transform!r}")
         if self.nu != 1.0:
             raise ValueError(
                 "nu must be 1: mining ranks items by the definitional gain; "
@@ -164,7 +167,7 @@ def match_knowns(
     if len(zero):
         raise ValueError(f"zero-norm row {int(kept_arr[zero[0]])}")
     unit_items = _unit_rows(items)[0]
-    unit_protos = _unit_rows(prototypes.data)[0]
+    unit_protos = _unit_rows(prototypes.data, "prototype row")[0]
     cost = 1.0 - unit_items @ unit_protos.T
     pairs = hungarian_assign(cost)
     by_proto = sorted(pairs, key=lambda rc: rc[1])

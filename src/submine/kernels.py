@@ -7,14 +7,16 @@ items only, so its indices are kept positions, not scene ids.  The training
 losses read only the columns of their class and unknown sets, which
 `cosine_columns` builds.  Index sets are small immutable tuples.
 
-The CSV codec at the end serves every CSV the CLI reads or writes: one numpy
-call converts a scene's cells, and rows are written by joining cells.
+The CSV codec at the end serves every CSV the CLI reads or writes: one
+`np.loadtxt` call splits and converts a scene's cells (the csv module splits
+a file again only to name a fault), and rows are written by joining cells.
 `write_text` is the one writer of every file the program writes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import stat
 from dataclasses import dataclass, field
@@ -134,15 +136,15 @@ class IndexSet:
 EMPTY_SET = IndexSet(())
 
 
-def _unit_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(data: np.ndarray, row: str = "row") -> tuple[np.ndarray, np.ndarray]:
     """The rows of `data` scaled to unit norm, and their norms.
 
-    Raises ValueError naming the first zero-norm row.
+    Raises ValueError naming the first zero-norm row: "zero-norm {row} {index}".
     """
     norms = np.linalg.norm(data, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
-        raise ValueError(f"zero-norm row {zero[0]}")
+        raise ValueError(f"zero-norm {row} {zero[0]}")
     return data / norms[:, None], norms
 
 
@@ -301,42 +303,71 @@ def write_text(path: str | Path, text: str) -> None:
             fh.truncate()
 
 
+def _rows(lines: Iterable[str]) -> Iterator[str]:
+    """The lines that are neither blank nor comments."""
+    for line in lines:
+        first = next(csv.reader([line]))[0] if line[0] == '"' else line
+        if line != "\n" and first.lstrip()[:1] != "#":
+            yield line
+
+
+_CELLS = dict(delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2)
+
+
+def _reads(cells: list[str]) -> bool:
+    """Whether numpy's float parser reads every cell, each quoted so that no
+    comma or quote in it splits it."""
+    try:
+        np.loadtxt([",".join('"' + c.replace('"', '""') + '"' for c in cells)], **_CELLS)
+    except ValueError:
+        return False
+    return True
+
+
+def _fault(path: Path, header: list[str]) -> str | None:
+    """The first ragged row or bad cell, in the rows the csv module splits.
+    A row is checked whole first: one parse per cell costs microseconds."""
+    with path.open() as fh:
+        rows = list(csv.reader(_rows(fh)))[1:]
+    for i, r in enumerate(rows, 1):
+        if len(r) != len(header):
+            return f"{path}: row has {len(r)} fields, expected {len(header)}"
+        if not _reads(r):
+            name, cell = next((n, c) for n, c in zip(header, r) if not _reads([c]))
+            return f"{path}: {name} cell {cell.strip()!r} in data row {i} is not a number"
+    return None
+
+
 def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
     """Read a CSV in the layout `write_embeddings_csv` writes.
 
-    The csv module splits fields, so quoted and padded cells and CRLF line
-    ends parse; one numpy call converts the body, parsing each cell as
-    float() does.  Labels are truncated toward zero; one that is not finite
-    or does not fit int64 is an error.  A cell that is not a number, or a
-    feature that is not finite, is an error naming its data row and column.
+    Lines end in LF, CRLF or CR; blank lines and those whose first cell,
+    unquoted and left-stripped, starts with '#' are dropped.  One
+    `np.loadtxt` call splits and converts the rest: quoted and padded cells
+    parse, each as `float()` does but without underscores or non-ASCII
+    digits.  Labels are truncated toward zero; one that is not finite or
+    does not fit int64 is an error, as are a ragged row, a cell that is not
+    a number and a feature that is not finite, named by data row and column.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
-    header = [c.strip() for c in rows[0]]
-    for tail in (["label", "objectness"], ["label"], ["objectness"], []):
-        d = len(header) - len(tail)
-        if d >= 1 and header == [f"f{j}" for j in range(d)] + tail:
-            break
-    else:
-        raise ValueError(f"{path}: malformed header {header!r}")
-    for r in rows[1:]:
-        if len(r) != len(header):
-            raise ValueError(f"{path}: row has {len(r)} fields, expected {len(header)}")
-    try:
-        table = np.array(rows[1:], dtype=np.float64)
-    except ValueError:
-        for i, r in enumerate(rows[1:], 1):
-            for name, cell in zip(header, r):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: {name} cell {cell.strip()!r} in data row {i} is not a number"
-                    ) from None
-        raise
+    with path.open() as fh:
+        lines = _rows(fh)
+        head, first = next(lines, None), next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        header = [c.strip() for c in next(csv.reader([head]))]
+        for tail in (["label", "objectness"], ["label"], ["objectness"], []):
+            d = len(header) - len(tail)
+            if d >= 1 and header == [f"f{j}" for j in range(d)] + tail:
+                break
+        else:
+            raise ValueError(f"{path}: malformed header {header!r}")
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), **_CELLS)
+            if table.shape[1] != len(header):
+                raise ValueError(f"rows have {table.shape[1]} fields, expected {len(header)}")
+        except ValueError as e:
+            raise ValueError(_fault(path, header) or f"{path}: {e}") from None
     labels = table[:, d] if "label" in tail else None
     if labels is not None:
         bad = np.flatnonzero(~((labels >= -(2.0**63)) & (labels < 2.0**63)))

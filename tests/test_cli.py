@@ -134,6 +134,32 @@ def test_select_with_more_prototypes_than_kept_items_exits_stage(tmp_path, small
     assert f"error: match: more prototypes ({scene.n}) than kept items ({kept})" in err
 
 
+def test_select_with_prototypes_of_another_dimension_exits_config(tmp_path, small_scene, capsys):
+    protos = tmp_path / "p3.csv"
+    protos.write_text("f0,f1,f2\n1.0,0.0,0.0\n")
+    argv = ["select", str(small_scene), "--prototypes", str(protos),
+            "--out", str(tmp_path / "o.json")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {protos}: 3 features, the scene has 2\n"
+
+
+def test_select_names_a_zero_norm_prototype_row_as_a_prototype(tmp_path, small_scene, capsys):
+    protos = tmp_path / "zero.csv"
+    protos.write_text("f0,f1\n0,0\n")
+    argv = ["select", str(small_scene), "--prototypes", str(protos),
+            "--out", str(tmp_path / "o.json")]
+    assert main(argv) == EXIT_STAGE
+    assert capsys.readouterr().err == "error: match: zero-norm prototype row 0\n"
+
+
+def test_select_with_an_unknown_transform_in_the_config_exits_config(tmp_path, small_scene, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"transform": 3})
+    argv = ["select", str(small_scene), "--config", cfg, "--out", str(tmp_path / "o.json")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unknown transform 3\n"
+
+
 def test_select_ignores_zero_norm_row_the_filter_drops(tmp_path, small_scene):
     scene = read_embeddings_csv(small_scene)
     row = int(np.flatnonzero(scene.objectness < 0.2)[0])

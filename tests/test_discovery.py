@@ -258,6 +258,9 @@ def test_discovery_config_validation():
         with pytest.raises(ValueError, match="definitional gain"):
             DiscoveryConfig(nu=nu)
     assert DiscoveryConfig(nu=1).nu == 1
+    for transform in (3, "cosine", ""):
+        with pytest.raises(ValueError, match="unknown transform"):
+            DiscoveryConfig(transform=transform)
     assert DiscoveryConfig(family="fl").resolved_transform == "clip-at-zero"
     assert DiscoveryConfig(family="logdet").resolved_transform == "raw-cosine"
     assert (

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,24 +236,74 @@ def test_write_text_keeps_links_and_mode_of_a_longer_file(tmp_path):
 
 
 def test_csv_read_errors(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("# only a comment\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_embeddings_csv(empty)
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("x0,x1\n1.0,2.0\n")
     with pytest.raises(ValueError, match="malformed header"):
         read_embeddings_csv(bad_header)
-    header_only = tmp_path / "header_only.csv"
-    header_only.write_text("# comment\nf0,f1,label\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_embeddings_csv(header_only)
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("f0,f1\n1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError, match="expected 2"):
-        read_embeddings_csv(ragged)
     with pytest.raises(OSError):
         read_embeddings_csv(tmp_path / "missing.csv")
+
+
+HEADER = "f0,f1,label,objectness\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # float() reads the first two; numpy's float parser does not.
+        (HEADER + "1.0,2.0,1,0.5\n3.0,1_0,1,0.5\n", "f1 cell '1_0' in data row 2 is not a number"),
+        (HEADER + "1.0,\u0661,1,0.5\n", "f1 cell '\u0661' in data row 1 is not a number"),
+        (HEADER + "1.0,2.0,, 0.5\n", "label cell '' in data row 1 is not a number"),
+        (HEADER + '1.0,2.0,1,0.5\n"1.0", \t,1,0.5\n', "f1 cell '' in data row 2 is not a number"),
+        (HEADER + "1.0,2.0,1,0.5\n   \n3.0,4.0,1,0.5\n", "row has 1 fields, expected 4"),
+        (HEADER + "1.0,2.0,1,0.5\n3.0,4.0,1\n", "row has 3 fields, expected 4"),
+        (HEADER + "1.0,2.0,1\n3.0,4.0,1\n", "row has 3 fields, expected 4"),
+        (HEADER + "1.0,2.0,1,0.5,7\n", "row has 5 fields, expected 4"),
+        ("# a comment\n" + HEADER + "\n  # indented\n", "no data rows"),
+        ("# only a comment\n\n", "no data rows"),
+        ("", "no data rows"),
+    ],
+    ids=["underscore", "arabic-digit", "empty-cell", "blank-cell", "whitespace-line",
+         "ragged-row", "every-row-short", "long-row", "header-only", "comment-only", "empty"],
+)
+def test_csv_reader_names_each_fault(tmp_path, text, message):
+    path = tmp_path / "scene.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_embeddings_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_csv_reader_reads_lf_crlf_and_cr_line_ends_alike(tmp_path):
+    text = '# c\nf0,f1\n\n1.5,"-0.0"\n  # note, with a comma\n" 2e3\t",3\n'
+    reads = []
+    for end in ("\n", "\r\n", "\r"):
+        path = tmp_path / "scene.csv"
+        path.write_bytes(text.replace("\n", end).encode())
+        reads.append(read_embeddings_csv(path).data)
+    assert reads[0].tolist() == [[1.5, -0.0], [2000.0, 3.0]]
+    assert all(_same_arrays(r, reads[0]) for r in reads)
+
+
+def test_csv_read_peak_is_a_small_multiple_of_the_arrays(tmp_path):
+    # A 2000 x 4 scene, the size of the mine-kernel benchmark scene.
+    rng = np.random.default_rng(21)
+    scene = EmbeddingSet(
+        rng.normal(size=(2000, 2)),
+        labels=rng.integers(-1, 5, size=2000),
+        objectness=rng.uniform(size=2000),
+    )
+    path = tmp_path / "scene.csv"
+    write_embeddings_csv(scene, path, header_comment="seeded scene")
+    read_embeddings_csv(path)  # numpy's first-call set-up is not the reader's
+    tracemalloc.start()
+    try:
+        back = read_embeddings_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = back.data.nbytes + back.labels.nbytes + back.objectness.nbytes
+    assert peak <= 2.5 * arrays
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +361,16 @@ def test_csv_writer_is_byte_equal_to_reference(tmp_path_factory, has_label, has_
     check()
 
 
+# Cells float() reads and numpy's float parser does not, and cells neither reads.
+BAD_TOKENS = ["1_0", "\u0661", "\u0661.5", " ", "abc", "1e", "0x1p3", "1.0.0", "--1"]
+
+
 @st.composite
-def decorated_csv(draw, has_label, has_obj):
+def decorated_csv(draw, has_label, has_obj, bad_token=False):
     """A scene's CSV text with quoted and padded cells, CRLF or LF line
-    ends, and comment and blank lines between rows."""
+    ends, and comment and blank lines between rows.  With bad_token, one
+    drawn cell holds a BAD_TOKENS entry instead, and the text comes with
+    the message that names it."""
     scene = draw(embedding_sets(has_label, has_obj, label_bound=2**53))
     header = [f"f{j}" for j in range(scene.d)]
     header += ["label"] * has_label + ["objectness"] * has_obj
@@ -323,6 +380,10 @@ def decorated_csv(draw, has_label, has_obj):
             row.append(str(int(scene.labels[i])))
         if has_obj:
             row.append(repr(float(scene.objectness[i])))
+    if bad_token:
+        i, j = draw(st.integers(0, scene.n - 1)), draw(st.integers(0, len(header) - 1))
+        body[i][j] = draw(st.sampled_from(BAD_TOKENS))
+        message = f"{header[j]} cell {body[i][j].strip()!r} in data row {i + 1} is not a number"
     cell = st.sampled_from(["{}", " {} ", '"{}"', '" {}\t"', "\t{}"])
     lines = []
     for row in [header] + body:
@@ -331,7 +392,8 @@ def decorated_csv(draw, has_label, has_obj):
     if draw(st.booleans()):
         lines.insert(0, "# leading comment")
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + end
+    text = end.join(lines) + end
+    return (text, message) if bad_token else text
 
 
 @pytest.mark.parametrize("has_label,has_obj", LAYOUTS)
@@ -345,6 +407,21 @@ def test_csv_reader_matches_reference_on_decorated_files(tmp_path_factory, has_l
         assert _same_arrays(new.data, ref.data)
         assert _same_arrays(new.labels, ref.labels)
         assert _same_arrays(new.objectness, ref.objectness)
+
+    check()
+
+
+@pytest.mark.parametrize("has_label,has_obj", LAYOUTS)
+def test_csv_reader_names_a_bad_cell_in_decorated_files(tmp_path_factory, has_label, has_obj):
+    @CSV_SETTINGS
+    @given(decorated_csv(has_label, has_obj, bad_token=True))
+    def check(case):
+        text, message = case
+        path = tmp_path_factory.mktemp("csv") / "scene.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as err:
+            read_embeddings_csv(path)
+        assert str(err.value) == f"{path}: {message}"
 
     check()
 
