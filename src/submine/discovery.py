@@ -37,6 +37,9 @@ from .kernels import (
 )
 from .objectives import Family, MarginalState, SubmodularObjective
 
+# Largest kept x kept kernel, in bytes, a run builds: 2 GiB, 16,384 kept items.
+MAX_KERNEL_BYTES = 1 << 31
+
 
 class StageError(RuntimeError):
     """Pipeline failure, tagged with the stage that raised it."""
@@ -233,13 +236,23 @@ class _Prepared:
 def _prepare(
     embeddings: EmbeddingSet, prototypes: EmbeddingSet, config: DiscoveryConfig
 ) -> _Prepared:
-    """Stages 1-2, the kept-only kernel and objective, and K committed."""
+    """Stages 1-2, the kept-only kernel and objective, and K committed.
+
+    A kernel above MAX_KERNEL_BYTES raises ValueError, not StageError: the
+    input is too large for the run, before anything is allocated for it.
+    """
     try:
         kept = filter_by_objectness(embeddings, config.tau_e)
         if len(kept) == 0:
             raise ValueError("empty set after filtering")
     except ValueError as e:
         raise StageError("filter", str(e)) from None
+    nbytes = 8 * len(kept) ** 2  # float64 entries
+    if nbytes > MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"{len(kept)} kept items need a {nbytes:,}-byte kernel, "
+            f"above the {MAX_KERNEL_BYTES:,}-byte budget"
+        )
     try:
         known = match_knowns(embeddings, kept, prototypes)
     except ValueError as e:

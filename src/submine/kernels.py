@@ -7,6 +7,12 @@ items only, so its indices are kept positions, not scene ids.  The training
 losses read only the columns of their class and unknown sets, which
 `cosine_columns` builds.  Index sets are small immutable tuples.
 
+A kernel costs about its own n x n bytes to build and to check.
+`cosine_kernel` builds it in one buffer, which it makes exactly symmetric,
+clips and transforms in place and then hands over read-only.  The checks
+every kernel passes read it in row blocks of about `_BLOCK` entries, with no
+n x n temporary; the public constructor adds only its one copy.
+
 The CSV codec at the end serves every CSV the CLI reads or writes: one
 `np.loadtxt` call splits and converts a scene's cells (the csv module splits
 a file again only to name a fault), and rows are written by joining cells.
@@ -30,6 +36,10 @@ UNKNOWN_LABEL = 0
 BACKGROUND_LABEL = -1
 
 TRANSFORMS = ("raw-cosine", "clip-at-zero", "affine-shift")
+
+# Entries of the row blocks the kernel checks read at a time, and of the
+# scratch each block needs.
+_BLOCK = 1 << 14
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -157,20 +167,65 @@ def row_normalize(embeddings: EmbeddingSet) -> EmbeddingSet:
     )
 
 
-def apply_transform(s, transform: str):
+def apply_transform(s, transform: str, in_place: bool = False):
     """Map raw cosine values through the configured range transform.
 
     raw-cosine: identity on [-1, 1].
     clip-at-zero: max(s, 0).
     affine-shift: (s + 1) / 2.
+    in_place transforms the float array s itself and returns it.
     """
+    out = s if in_place else None
     if transform == "raw-cosine":
         return s
     if transform == "clip-at-zero":
-        return np.maximum(s, 0.0)
+        return np.maximum(s, 0.0, out=out)
     if transform == "affine-shift":
-        return (s + 1.0) / 2.0
+        return np.divide(np.add(s, 1.0, out=out), 2.0, out=out)
     raise ValueError(f"unknown transform {transform!r}")
+
+
+def _halves(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The upper triangle of a square m in row blocks of about `_BLOCK`
+    entries, each with its mirror image: views (m[i:j, i:], m[i:, i:j].T)."""
+    n = len(m)
+    step = max(1, _BLOCK // max(n, 1))
+    for i in range(0, n, step):
+        yield m[i : i + step, i:], m[i:, i : i + step].T
+
+
+def mirrored(m: np.ndarray) -> bool:
+    """Whether the square float64 array m equals its transpose bit for bit,
+    signed zeros included, read in row blocks."""
+    return all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in _halves(m))
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """Set the square m to (m + m.T) / 2 in place, a row block at a time:
+    nothing to do when m is mirrored, as (x + x) / 2 == x."""
+    if not mirrored(m):
+        for a, b in _halves(m):
+            a[...] = b[...] = np.add(a, b) / 2.0
+
+
+def _check_kernel(m: np.ndarray, transform: str, epsilon: float) -> None:
+    """The checks every kernel passes, in this order; none builds an n x n
+    temporary.  One min and one max find non-finite entries and the range;
+    a row block equal to its mirror image needs no subtraction."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"kernel matrix must be square, got {m.shape}")
+    lo, hi = (m.min(), m.max()) if m.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("kernel matrix contains non-finite values")
+    for a, b in _halves(m):
+        if not np.array_equal(a, b) and np.abs(a - b).max() > 1e-12:
+            raise ValueError("kernel matrix is not symmetric")
+    if transform not in TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
+    if transform in ("clip-at-zero", "affine-shift") and (lo < -1e-12 or hi > 1.0 + 1e-12):
+        raise ValueError("transformed kernel entries must lie in [0, 1]")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -178,7 +233,10 @@ class SimilarityKernel:
     """Symmetric pairwise similarity matrix with its transform and diagonal shift.
 
     epsilon is the diagonal regularizer used by log-det objectives; it is
-    stored here but only added to the diagonal at evaluation time.
+    stored here but only added to the diagonal at evaluation time.  The
+    constructor checks a read-only C-ordered float64 copy of `matrix`:
+    square, finite, symmetric to 1e-12, and within [0, 1] for the clip and
+    shift transforms.
     """
 
     matrix: np.ndarray
@@ -186,21 +244,22 @@ class SimilarityKernel:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("kernel matrix contains non-finite values")
-        if m.size and np.abs(m - m.T).max() > 1e-12:
-            raise ValueError("kernel matrix is not symmetric")
-        if self.transform not in TRANSFORMS:
-            raise ValueError(f"unknown transform {self.transform!r}")
-        if self.transform in ("clip-at-zero", "affine-shift") and m.size:
-            if m.min() < -1e-12 or m.max() > 1.0 + 1e-12:
-                raise ValueError("transformed kernel entries must lie in [0, 1]")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.float64, order="C"))
+        self._seal()
+
+    def _seal(self) -> None:
+        _check_kernel(self.matrix, self.transform, self.epsilon)
+        self.matrix.flags.writeable = False
+
+    @classmethod
+    def _adopt(cls, m: np.ndarray, transform: str, epsilon: float) -> "SimilarityKernel":
+        """A kernel over the C-ordered float64 buffer m itself, not a copy,
+        checked as the constructor checks it: the caller hands m over."""
+        kernel = cls.__new__(cls)
+        for name, value in (("matrix", m), ("transform", transform), ("epsilon", epsilon)):
+            object.__setattr__(kernel, name, value)
+        kernel._seal()
+        return kernel
 
     @property
     def n(self) -> int:
@@ -223,15 +282,24 @@ def cosine_kernel(
 ) -> SimilarityKernel:
     """Pairwise cosine similarities of all rows, optionally range-transformed.
 
-    The Gram matrix is symmetrized and its diagonal pinned to the transform
-    of 1.0 so roundoff cannot leak into downstream log-det factorizations.
+    The Gram matrix is symmetrized, clipped to [-1, 1], transformed and its
+    diagonal pinned to the transform of 1.0, so roundoff cannot leak into
+    downstream log-det factorizations: entry for entry the values of
+    apply_transform(clip((G + G.T) / 2)), built in place in the one n x n
+    buffer the kernel then holds.  numpy computes unit @ unit.T with syrk,
+    whose result is already exactly symmetric; otherwise the two triangles
+    are averaged block by block.
     """
+    if transform not in TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
     unit = _unit_rows(embeddings.data)[0]
-    gram = unit @ unit.T
-    gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
-    mat = np.asarray(apply_transform(gram, transform), dtype=np.float64)
-    np.fill_diagonal(mat, float(apply_transform(1.0, transform)))
-    return SimilarityKernel(mat, transform=transform, epsilon=epsilon)
+    m = unit @ unit.T
+    del unit
+    _symmetrize(m)
+    np.clip(m, -1.0, 1.0, out=m)
+    apply_transform(m, transform, in_place=True)
+    np.fill_diagonal(m, float(apply_transform(1.0, transform)))
+    return SimilarityKernel._adopt(m, transform, epsilon)
 
 
 def cosine_columns(

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import EMPTY_SET, IndexSet, SimilarityKernel
+from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, mirrored
 
 
 class Family(enum.Enum):
@@ -399,10 +399,15 @@ def conditional_gain_closed(
 
 # ---------------------------------------------------------------------------
 # Incremental marginal gains: one mutable state per family.  Per-family caches:
-#   facility-location: item x ground block, best similarity per ground item
+#   facility-location: item x ground block, best similarity per ground item;
+#     on a ground of every item in order and a kernel equal to its transpose
+#     bit for bit (as `cosine_kernel` builds it), the block is the kernel
+#     itself, else an n x |ground| copy
 #   graph-cut: fixed column sums plus running cross sums to the selection
 #   log-determinant: Cholesky rows and residual variance of every item
 #     (Chen, Zhang & Zhou, NeurIPS 2018)
+# Beside the kernel, each state holds O(n) entries, and facility location
+# its block when it is a copy.
 
 
 class MarginalState:
@@ -417,6 +422,9 @@ class MarginalState:
         self.selected: list[int] = []
         self.value = 0.0
         self._s = objective.kernel.matrix
+        g = objective.ground.as_array()
+        # Whether the ground set is every item in order: it then sums whole columns.
+        self._whole = len(g) == len(self._s) and np.array_equal(g, np.arange(len(g)))
 
     def copy(self) -> "MarginalState":
         """An independent state with the same selection: it shares the kernel
@@ -429,9 +437,11 @@ class MarginalState:
 class _FacilityLocationState(MarginalState):
     def __init__(self, objective):
         super().__init__(objective)
-        self._g = objective.ground.as_array()
         # Row v is kernel column v over the ground set, contiguous.
-        self._block = np.ascontiguousarray(self._s[self._g, :].T)
+        if self._whole and mirrored(self._s):
+            self._block = self._s
+        else:
+            self._block = np.ascontiguousarray(self._s[objective.ground.as_array(), :].T)
         self._best: np.ndarray | None = None
 
     def gains(self, items) -> np.ndarray:
@@ -441,7 +451,7 @@ class _FacilityLocationState(MarginalState):
         return block.sum(axis=1)
 
     def commit(self, v: int) -> None:
-        col = self._s[self._g, v]
+        col = self._block[v]
         self._best = col if self._best is None else np.maximum(self._best, col)
         self.value = float(self._best.sum())
 
@@ -449,7 +459,8 @@ class _FacilityLocationState(MarginalState):
 class _GraphCutState(MarginalState):
     def __init__(self, objective):
         super().__init__(objective)
-        self._colsum = self._s[objective.ground.as_array(), :].sum(axis=0)
+        s = self._s if self._whole else self._s[objective.ground.as_array(), :]
+        self._colsum = s.sum(axis=0)
         self._cross = np.zeros(objective.n)
 
     def gains(self, items) -> np.ndarray:

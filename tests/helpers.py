@@ -92,6 +92,37 @@ def full_round_greedy(objective, candidates, k, conditioning=()):
     return tuple(picks), tuple(gains)
 
 
+def cosine_kernel_matrix_reference(data, transform, gram=None):
+    """The cosine kernel's matrix by the three-step formula, each step a new
+    array: the Gram product G of the unit rows (or `gram(unit)`), then
+    clip((G + G.T) / 2, -1, 1) transformed, then the diagonal set to the
+    transform of 1."""
+    unit = data / np.linalg.norm(data, axis=1)[:, None]
+    g = unit @ unit.T if gram is None else gram(unit)
+    g = np.clip((g + g.T) / 2.0, -1.0, 1.0)
+    if transform == "clip-at-zero":
+        g = np.maximum(g, 0.0)
+    elif transform == "affine-shift":
+        g = (g + 1.0) / 2.0
+    np.fill_diagonal(g, 1.0)  # each transform maps 1 to 1
+    return g
+
+
+def fl_gains_dense(s, ground, selected, items):
+    """Facility-location marginal gains of `items` given `selected`, each a
+    plain sum over the ground set of the hinge against the best so far."""
+    gains = []
+    for v in items:
+        total = 0.0
+        for i in ground:
+            if selected:
+                total += max(s[i][v] - max(s[i][j] for j in selected), 0.0)
+            else:
+                total += s[i][v]
+        gains.append(total)
+    return np.array(gains)
+
+
 def random_embeddings(rng, n, d):
     return EmbeddingSet(rng.normal(size=(n, d)))
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import submine.discovery
 from submine import (
     DiscoveryConfig,
     EmbeddingSet,
@@ -517,6 +518,29 @@ def test_stage_failure_exits_stage(tmp_path):
     )
     code = main(["select", str(bare), "--out", str(tmp_path / "o.json"), "--quiet"])
     assert code == EXIT_STAGE
+
+
+def test_a_kernel_over_the_byte_budget_exits_config_before_it_is_built(
+    tmp_path, small_scene, capsys, monkeypatch
+):
+    kept = int((read_embeddings_csv(small_scene).objectness >= 0.2).sum())
+    nbytes = 8 * kept**2
+    monkeypatch.setattr(submine.discovery, "MAX_KERNEL_BYTES", nbytes - 1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the kernel is built")
+
+    monkeypatch.setattr(submine.discovery, "cosine_kernel", never)
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "tau_b"})
+    for argv in (["select", str(small_scene), "--out", str(tmp_path / "o.json")],
+                 ["sweep", str(small_scene), "--sweep", sweep, "--out", str(tmp_path / "s.csv")]):
+        assert main(argv + ["--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: {kept} kept items need a {nbytes:,}-byte kernel, "
+                       f"above the {nbytes - 1:,}-byte budget\n")
+    monkeypatch.setattr(submine.discovery, "MAX_KERNEL_BYTES", nbytes)
+    with pytest.raises(AssertionError, match="the kernel is built"):
+        main(["select", str(small_scene), "--out", str(tmp_path / "o.json"), "--quiet"])
 
 
 def test_select_with_everything_filtered_exits_stage(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Greedy maximization, the lazy variant, and the exhaustive reference."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from submine import (
     lazy_greedy_max,
     marginal_state,
 )
-from helpers import random_objective
+from submine import greedy
+from submine.objectives import commit
+from helpers import full_round_greedy, random_objective
 
 LAZY_SETUPS = [
     (Family.FACILITY_LOCATION, "clip-at-zero", None),
@@ -150,6 +153,51 @@ def test_lazy_greedy_saves_evaluations():
     assert lazy.evaluations < full_rounds
     gc = random_objective(rng, Family.GRAPH_CUT, n=n, transform="clip-at-zero")
     assert greedy_max(gc, IndexSet.of(range(n)), k).evaluations == full_rounds
+
+
+@pytest.mark.parametrize("conditioning", [(), (5, 6)])
+def test_pruned_first_round_in_chunks_matches_full_rounds(monkeypatch, conditioning):
+    # A facility-location run scores its first round three rows per call.
+    rng = np.random.default_rng(34)
+    n, k = 40, 8
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="clip-at-zero")
+    pool = [i for i in range(n) if i not in conditioning]
+
+    def run():
+        state = marginal_state(obj)
+        for q in conditioning:
+            commit(state, q)
+        calls, gains = [], state.gains
+        state.gains = lambda items: (calls.append(len(items)), gains(items))[1]
+        return greedy_max(obj, IndexSet.of(pool), k, conditioning=state), calls
+
+    whole, whole_calls = run()
+    monkeypatch.setattr(greedy, "ROUND_ENTRIES", 3 * n)
+    chunked, calls = run()
+    first = -(-len(pool) // 3)  # calls of the first round
+    assert sum(calls[:first]) == len(pool) and max(calls[:first]) == 3
+    assert whole_calls[0] == len(pool) and whole_calls[1:] == calls[first:]
+    assert (tuple(chunked.selected), chunked.gains) == full_round_greedy(obj, pool, k, conditioning)
+    assert (chunked.selected, chunked.gains) == (whole.selected, whole.gains)
+    assert chunked.evaluations == whole.evaluations
+
+
+def test_greedy_gates_read_the_kernel_without_a_block_copy():
+    rng = np.random.default_rng(35)
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=1000, d=16, transform="clip-at-zero")
+    nbytes = obj.kernel.matrix.nbytes
+    pool = IndexSet.of(range(1000))
+    gc = SubmodularObjective(Family.GRAPH_CUT, obj.kernel, obj.ground)
+    runs = [(greedy_max, obj), (lazy_greedy_max, obj), (lazy_greedy_max, gc)]
+    for run, objective in runs:
+        run(objective, pool, 2)
+        tracemalloc.start()
+        try:
+            run(objective, pool, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * nbytes
 
 
 def test_tie_break_prefers_lowest_index():

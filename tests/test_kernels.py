@@ -24,9 +24,10 @@ from submine import (
     row_normalize,
     write_embeddings_csv,
 )
-from submine.kernels import cosine_columns, write_text
+from submine.kernels import _symmetrize, cosine_columns, mirrored, write_text
 from conftest import TOY_MATRIX
 from helpers import (
+    cosine_kernel_matrix_reference,
     random_embeddings,
     read_embeddings_csv_reference,
     write_embeddings_csv_reference,
@@ -174,6 +175,105 @@ def test_cosine_kernel_matches_pairwise_cosine():
                 raw = cosine(e.data[i], e.data[j])
                 want = float(apply_transform(np.array(raw), transform))
                 assert kern.matrix[i, j] == pytest.approx(want, abs=1e-12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_cosine_kernel_is_the_three_step_formula(transform):
+    # 300 rows span several of the checks' row blocks; d = 130 takes numpy's
+    # product through more than one BLAS block.
+    rng = np.random.default_rng(11)
+    for n, d in [(1, 3), (7, 5), (300, 130)]:
+        e = random_embeddings(rng, n, d)
+        kern = cosine_kernel(e, transform=transform)
+        assert np.array_equal(_bits(kern.matrix), _bits(cosine_kernel_matrix_reference(e.data, transform)))
+        assert not kern.matrix.flags.writeable and kern.matrix.flags.c_contiguous
+
+
+def test_symmetrize_averages_a_gram_product_that_is_not_symmetric():
+    # A general matrix product of the unit rows with a copy of their
+    # transpose, not numpy's symmetric rank-k update, rounds entries (i, j)
+    # and (j, i) apart; the in-place average is (G + G.T) / 2 bit for bit.
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(300, 130))
+    unit = data / np.linalg.norm(data, axis=1)[:, None]
+    g = unit @ unit.T.copy()
+    assert not mirrored(g)
+    m = g.copy()
+    _symmetrize(m)
+    assert np.array_equal(_bits(m), _bits((g + g.T) / 2.0)) and mirrored(m)
+    # The same Gram product through the rest of the formula.
+    for transform in TRANSFORMS:
+        m = g.copy()
+        _symmetrize(m)
+        np.clip(m, -1.0, 1.0, out=m)
+        apply_transform(m, transform, in_place=True)
+        np.fill_diagonal(m, 1.0)
+        want = cosine_kernel_matrix_reference(data, transform, gram=lambda u: u @ u.T.copy())
+        assert np.array_equal(_bits(m), _bits(want))
+
+
+def test_mirrored_compares_bits():
+    m = np.eye(3)
+    assert mirrored(m) and mirrored(np.zeros((0, 0)))
+    m[0, 2] = -0.0  # equal to 0.0, but not bit for bit
+    assert not mirrored(m)
+    m[2, 0] = -0.0
+    assert mirrored(m)
+
+
+def test_kernel_checks_read_every_row_block():
+    # The checks read the matrix in row blocks; a fault in the last one,
+    # at and past the tolerance, is seen with the constructor's messages.
+    rng = np.random.default_rng(13)
+    base = cosine_kernel(random_embeddings(rng, 300, 4)).matrix.copy()
+    for delta, ok in [(1e-13, True), (3e-12, False)]:
+        m = base.copy()
+        m[299, 298] += delta
+        if ok:
+            SimilarityKernel(m)
+        else:
+            with pytest.raises(ValueError, match="kernel matrix is not symmetric"):
+                SimilarityKernel(m)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = base.copy()
+        m[299, 299] = bad
+        with pytest.raises(ValueError, match="kernel matrix contains non-finite values"):
+            SimilarityKernel(m)
+    with pytest.raises(ValueError, match=r"transformed kernel entries must lie in \[0, 1\]"):
+        SimilarityKernel(base, transform="affine-shift")
+    with pytest.raises(ValueError, match="unknown transform 'square'"):
+        cosine_kernel(random_embeddings(rng, 3, 2), transform="square")
+
+
+def test_public_kernel_copies_and_leaves_the_caller_array_alone():
+    m = np.asfortranarray(TOY_MATRIX)
+    kern = SimilarityKernel(m)
+    assert not np.shares_memory(kern.matrix, m) and m.flags.writeable
+    assert kern.matrix.flags.c_contiguous and not kern.matrix.flags.writeable
+    assert np.array_equal(kern.matrix, TOY_MATRIX)
+
+
+def _peak(f):
+    f()  # numpy's first-call set-up is not the call's
+    tracemalloc.start()
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_build_peaks_near_the_kernel_bytes():
+    e = random_embeddings(np.random.default_rng(14), 1000, 16)
+    for transform in TRANSFORMS:
+        kern, peak = _peak(lambda: cosine_kernel(e, transform=transform))
+        assert peak <= 1.5 * kern.matrix.nbytes
+    _, peak = _peak(lambda: SimilarityKernel(kern.matrix, transform="affine-shift"))
+    assert peak <= 1.1 * kern.matrix.nbytes
 
 
 def test_similarity_kernel_validation():

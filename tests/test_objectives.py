@@ -5,6 +5,7 @@ and the closed-form conditional gains are checked against their definition.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from submine import (
 from submine.objectives import DEFAULT_LOGDET_EPSILON
 from helpers import (
     VStackLogDetState,
+    fl_gains_dense,
     fl_loops,
     random_objective,
     random_subset,
@@ -260,3 +262,62 @@ def test_logdet_factor_growth_matches_vstack_bit_for_bit():
         assert np.array_equal(state.gains(rest), ref.gains(rest))
         assert state.value == ref.value
     assert len(state._factor) > first_rows
+
+
+def _fl_kernels(rng, n):
+    """A cosine kernel over n items and a copy of it that is symmetric only
+    to 1e-13: the kernel checks accept it, the facility-location state must
+    not read its rows as its columns."""
+    kern = random_objective(rng, Family.FACILITY_LOCATION, n=n, d=5).kernel
+    m = kern.matrix.copy()
+    m[0, 1] += 1e-13
+    return kern, SimilarityKernel(m)
+
+
+def test_facility_location_state_reads_the_kernel_on_the_whole_ground():
+    rng = np.random.default_rng(707)
+    n = 30
+    kern, lopsided = _fl_kernels(rng, n)
+    cases = [
+        (kern, IndexSet.of(range(n)), True),
+        (kern, IndexSet.of(range(0, n, 2)), False),  # a proper subset
+        (kern, IndexSet.of(reversed(range(n))), False),  # every item, out of order
+        (lopsided, IndexSet.of(range(n)), False),
+    ]
+    for kernel, ground, shared in cases:
+        obj = SubmodularObjective(Family.FACILITY_LOCATION, kernel, ground)
+        state = marginal_state(obj)
+        assert np.shares_memory(state._block, kernel.matrix) == shared
+        s = kernel.matrix.tolist()
+        selected = []
+        for v in (4, 17, 9):
+            rest = np.array([i for i in range(n) if i not in selected])
+            want = fl_gains_dense(s, list(ground), selected, rest)
+            assert np.allclose(state.gains(rest), want, rtol=0.0, atol=1e-9)
+            commit(state, v)
+            selected.append(v)
+            assert state.value == pytest.approx(fl_loops(s, selected, list(ground)), abs=1e-9)
+
+
+def test_graph_cut_column_sums_on_the_whole_ground_are_the_gathered_sums():
+    rng = np.random.default_rng(708)
+    obj = random_objective(rng, Family.GRAPH_CUT, n=40, transform="clip-at-zero")
+    s = obj.kernel.matrix
+    want = s[obj.ground.as_array(), :].sum(axis=0)
+    assert np.array_equal(marginal_state(obj)._colsum.view(np.uint64), want.view(np.uint64))
+
+
+def test_building_the_gain_states_adds_little_to_the_kernel():
+    rng = np.random.default_rng(709)
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=1000, d=16, transform="clip-at-zero")
+    nbytes = obj.kernel.matrix.nbytes
+    for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
+        fam = SubmodularObjective(family, obj.kernel, obj.ground)
+        marginal_state(fam)
+        tracemalloc.start()
+        try:
+            marginal_state(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * nbytes
