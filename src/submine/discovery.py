@@ -60,7 +60,9 @@ class DiscoveryConfig:
     post-match pool: already-conditioned background items compete with zero
     gain and can only win when every fresh candidate has negative gain.
     Greedy ranks items by the definitional gain f(A u Q) - f(Q), so nu must
-    be 1; the field stays so the resolved config echoes it.
+    be 1; the field stays so the resolved config echoes it.  Every float
+    field must be finite, and k a finite non-negative integer: a k above the
+    pool mines the whole pool.
     """
 
     tau_e: float = 0.2
@@ -80,10 +82,12 @@ class DiscoveryConfig:
             raise ValueError("tau_e must lie in [0, 1]")
         if not (0.0 <= self.tau_b <= 1.0):
             raise ValueError("tau_b must lie in [0, 1]")
-        if int(self.k) != self.k or self.k < 0:
-            raise ValueError("k must be a non-negative integer")
-        if self.lam < 0.0 or self.epsilon < 0.0:
-            raise ValueError("lam and epsilon must be non-negative")
+        if not math.isfinite(self.k) or int(self.k) != self.k or self.k < 0:
+            raise ValueError(f"k must be a non-negative integer, got {self.k!r}")
+        for name in ("lam", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.transform is not None and self.transform not in TRANSFORMS:
             raise ValueError(f"unknown transform {self.transform!r}")
         if self.nu != 1.0:
@@ -279,11 +283,16 @@ def _prepare(
 
 def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
     """Stages 3 and 4 on a copy of the prepared state: stage 4 continues
-    from the state stage 3 left."""
+    from the state stage 3 left.  Before stage 3 the copy reserves room for
+    every commit both stages can make, floor(tau_b * |pool|) and then at
+    most min(k, |stage-4 pool|), so no commit regrows it."""
     objective = prepared.objective
     state = prepared.state.copy()
+    pool_v = objective.ground.minus(prepared.known_k)
+    budget = math.floor(config.tau_b * len(pool_v))
+    pool_u_size = len(pool_v) - budget if config.exclude_background_from_pool else len(pool_v)
+    state.reserve(budget + min(int(config.k), pool_u_size))
     try:
-        pool_v = objective.ground.minus(prepared.known_k)
         bg = select_background(objective, pool_v, state, config.tau_b)
     except ValueError as e:
         raise StageError("background", str(e)) from None

@@ -72,14 +72,21 @@ def _prep(
     cond.check_bounds(objective.n)
     if not allow_conditioned and cand.intersects(cond):
         raise ValueError("candidates overlap conditioning set")
+    picks = min(k, len(cand))  # at most this many commits
     if state is None:
-        state = _conditioned_state(objective, cond)
+        state = _conditioned_state(objective, cond, picks)
+    else:
+        state.reserve(picks)
     return cand.sorted().as_array(), cond, state
 
 
-def _conditioned_state(objective: SubmodularObjective, cond: IndexSet) -> MarginalState:
-    """A fresh state with the items of cond committed in order."""
+def _conditioned_state(
+    objective: SubmodularObjective, cond: IndexSet, commits: int = 0
+) -> MarginalState:
+    """A fresh state with the items of cond committed in order, and room for
+    `commits` more commits."""
     state = marginal_state(objective)
+    state.reserve(len(cond) + commits)
     for q in cond:
         commit(state, q)
     return state
@@ -89,10 +96,11 @@ def _greedy(
     state: MarginalState, order: np.ndarray, cond: IndexSet, k: int, prune: bool
 ) -> SelectionResult:
     """The greedy loop from `state`, whose selection is `cond`; fresh picks are
-    committed into it, and picks from cond gain 0 unscored.  prune (sound under
-    diminishing returns) takes a row's last gain as a bound on its next; a round
-    then scores rows by descending bound, lowest index first, until every
-    unscored bound is below the best gain, so no unscored row can win or tie.
+    committed into it, in the room `_prep` reserved for them, and picks from
+    cond gain 0 unscored.  prune (sound under diminishing returns) takes a
+    row's last gain as a bound on its next; a round then scores rows by
+    descending bound, lowest index first, until every unscored bound is below
+    the best gain, so no unscored row can win or tie.
     The first round has no bounds and scores every row; a pruned run scores it
     in chunks of about ROUND_ENTRIES kernel entries, each row's gain as in one
     call."""

@@ -405,9 +405,11 @@ def conditional_gain_closed(
 #     itself, else an n x |ground| copy
 #   graph-cut: fixed column sums plus running cross sums to the selection
 #   log-determinant: Cholesky rows and residual variance of every item
-#     (Chen, Zhang & Zhou, NeurIPS 2018)
-# Beside the kernel, each state holds O(n) entries, and facility location
-# its block when it is a copy.
+#     (Chen, Zhang & Zhou, NeurIPS 2018); the rows fill one buffer sized
+#     by `reserve` for the commits a run makes, which doubles only when a
+#     commit finds it full
+# Beside the kernel, each state holds O(n) entries, log-det one n-long row
+# per reserved commit, and facility location its block when it is a copy.
 
 
 class MarginalState:
@@ -428,10 +430,16 @@ class MarginalState:
 
     def copy(self) -> "MarginalState":
         """An independent state with the same selection: it shares the kernel
-        and the caches no commit changes, and copies the ones commits update."""
+        and the caches no commit changes, and copies the ones commits update,
+        log-det's factor to its committed rows only; `reserve` on the copy
+        makes room for the commits it will take."""
         new = copy.copy(self)
         new.selected = list(self.selected)
         return new
+
+    def reserve(self, commits: int) -> None:
+        """Make room for `commits` more commits, so that none of them grows a
+        cache; only log-det's factor grows with the selection."""
 
 
 class _FacilityLocationState(MarginalState):
@@ -478,21 +486,39 @@ class _GraphCutState(MarginalState):
 
 
 class _LogDetState(MarginalState):
-    # Rows of the first factor buffer; a full buffer doubles.
+    """Log-det gains from the Cholesky rows of the selection and the residual
+    variance of every item.  Row r of `_factor` is the row of the r-th
+    commit, and rows past the selection are room for later commits:
+    `reserve` sizes the buffer once for the commits a run makes, and a
+    commit that finds it full doubles it.  Each row is computed from a view
+    of the rows before it, so the rows are the same bit for bit whatever
+    the buffer's length."""
+
+    # Rows of a fresh state's buffer.
     FIRST_ROWS = 16
 
     def __init__(self, objective):
         super().__init__(objective)
-        # Row r is the Cholesky row of the r-th commit; rows past the
-        # selection are unused.
         self._factor = np.empty((self.FIRST_ROWS, objective.n))
         self._resid = np.diagonal(self._s) + objective.epsilon
 
+    def _resized(self, rows: int) -> np.ndarray:
+        """A buffer of `rows` rows that starts with the committed ones."""
+        k = len(self.selected)
+        factor = np.empty((rows, self.objective.n))
+        factor[:k] = self._factor[:k]
+        return factor
+
     def copy(self):
         new = super().copy()
-        new._factor = self._factor.copy()
+        new._factor = self._resized(len(self.selected))
         new._resid = self._resid.copy()
         return new
+
+    def reserve(self, commits: int) -> None:
+        rows = len(self.selected) + commits
+        if rows > len(self._factor):
+            self._factor = self._resized(rows)
 
     def gains(self, items) -> np.ndarray:
         resid = self._resid[items]
@@ -507,8 +533,7 @@ class _LogDetState(MarginalState):
         e = (self._s[:, v] - f[:, v] @ f) / math.sqrt(self._resid[v])
         self._resid -= e * e
         if k == len(self._factor):
-            self._factor = np.empty((2 * k, self.objective.n))
-            self._factor[:k] = f
+            self._factor = self._resized(max(2 * k, self.FIRST_ROWS))
         self._factor[k] = e
         self.value += gain
 

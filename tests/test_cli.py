@@ -161,6 +161,46 @@ def test_select_with_an_unknown_transform_in_the_config_exits_config(tmp_path, s
     assert capsys.readouterr().err == "error: unknown transform 3\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"k": 1e999}', '{"k": NaN}', '{"k": 2.5}', '{"lam": NaN}', '{"lam": -Infinity}',
+     '{"epsilon": Infinity}'],
+)
+def test_select_refuses_a_non_finite_or_fractional_config_value(tmp_path, small_scene, capsys, text):
+    key, value = next(iter(json.loads(text).items()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o.json"
+    argv = ["select", str(small_scene), "--family", "logdet", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value!r}\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_a_k_sweep_over_an_infinite_k_exits_config(tmp_path, small_scene, capsys):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text('{"parameter": "k", "values": [1e999]}')
+    out = tmp_path / "s.csv"
+    argv = ["sweep", str(small_scene), "--sweep", str(sweep), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: k must be a non-negative integer, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["fl", "gc", "logdet"])
+def test_select_with_a_k_above_the_pool_mines_the_whole_pool(tmp_path, small_scene, family):
+    cfg = _write_json(tmp_path / "cfg.json", {"k": 1e12})
+    huge, whole = tmp_path / "huge.json", tmp_path / "whole.json"
+    argv = ["select", str(small_scene), "--family", family, "--quiet"]
+    assert main(argv + ["--config", cfg, "--out", str(huge)]) == EXIT_OK
+    mined = json.loads(huge.read_text())
+    pool = len(mined["kept"]) - len(mined["known"]) - len(mined["background"])
+    assert len(mined["unknown"]) == pool
+    assert main(argv + ["--k", str(pool), "--out", str(whole)]) == EXIT_OK
+    assert huge.read_bytes() == whole.read_bytes()
+
+
 def test_select_ignores_zero_norm_row_the_filter_drops(tmp_path, small_scene):
     scene = read_embeddings_csv(small_scene)
     row = int(np.flatnonzero(scene.objectness < 0.2)[0])

@@ -1,7 +1,9 @@
 """The mining pipeline: filtering, matching, selection stages, metrics."""
 
+import collections
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +32,8 @@ from submine import (
 import submine.discovery
 import submine.greedy
 from submine.discovery import _run_each
-from submine.objectives import _STATES
-from helpers import full_scene_discovery, recommit_stages
+from submine.objectives import _STATES, _LogDetState
+from helpers import VStackLogDetState, full_scene_discovery, recommit_stages
 
 # A scaled-down copy of the default scene keeps pipeline tests quick.
 SMALL_SCENE = SceneSpec(n_total=120, n_known=6, n_unknown=25)
@@ -497,3 +499,164 @@ def test_pipeline_commits_each_item_once(include_background, monkeypatch):
     assert len(calls) == sum(
         len(r.known) + len(r.background) + _fresh_unknowns(r) for r in results
     )
+
+
+# ---------------------------------------------------------------------------
+# log-det: one factor buffer sized for the commits a run makes
+
+
+def _kept_256(seed):
+    """A mine-greedy-sized scene, 600 items, with tau_e set so that exactly
+    256 pass the filter, and its knowns as prototypes."""
+    scene = gen_scene(SceneSpec(seed=seed, n_total=600, n_known=12, n_unknown=72))
+    tau_e = float(np.sort(scene.objectness)[-256])
+    return scene, known_prototypes(scene), DiscoveryConfig(family=Family.LOG_DET, tau_e=tau_e)
+
+
+def _reserved_rows(result):
+    """|K| + floor(tau_b |pool|) + min(k, |stage-4 pool|)."""
+    return (
+        len(result.known) + result.background_trace.budget
+        + min(result.config.k, len(result.pool))
+    )
+
+
+def _spy_on_log_det_states(monkeypatch):
+    """The copies _select takes, and the number of commits that found a
+    factor buffer full and so regrew it."""
+    copies, regrown = [], []
+    real_copy, real_commit = _LogDetState.copy, _LogDetState.commit
+
+    def spy_copy(self):
+        copies.append(real_copy(self))
+        return copies[-1]
+
+    def spy_commit(self, v):
+        if len(self.selected) == len(self._factor):
+            regrown.append(v)
+        real_commit(self, v)
+
+    monkeypatch.setattr(_LogDetState, "copy", spy_copy)
+    monkeypatch.setattr(_LogDetState, "commit", spy_commit)
+    return copies, regrown
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+@pytest.mark.parametrize("k", [10, 30, 10**12])
+def test_select_sizes_the_log_det_factor_once(include_background, k, monkeypatch):
+    copies, regrown = _spy_on_log_det_states(monkeypatch)
+    scene = gen_scene(SMALL_SCENE)
+    config = DiscoveryConfig(
+        family=Family.LOG_DET, k=k, exclude_background_from_pool=not include_background
+    )
+    result = run_discovery(scene, known_prototypes(scene), config)
+    (state,) = copies
+    assert len(state._factor) == _reserved_rows(result)
+    assert not regrown
+    # With the background out of the pool every pick commits: no row is spare.
+    assert len(state.selected) <= len(state._factor)
+    assert include_background or len(state.selected) == len(state._factor)
+
+
+def test_log_det_run_peaks_at_the_kernel_plus_its_reserved_rows():
+    # Measured slack at seeds 0-2: 85-89 KB beyond the kernel, the copy's
+    # reserved rows and the prepared state's FIRST_ROWS rows (scene-sized
+    # index arrays, the match, greedy's per-row arrays).  A factor that
+    # doubles from 64 to 128 rows holds 64 rows beside 128, and peaks about
+    # 0.14 MB over this bound.
+    slack = 120_000
+    for seed in range(3):
+        scene, protos, config = _kept_256(seed)
+        run_discovery(scene, protos, config)
+        tracemalloc.start()
+        try:
+            result = run_discovery(scene, protos, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(result.kept)
+        assert n == 256
+        rows = _reserved_rows(result) + _LogDetState.FIRST_ROWS
+        assert peak <= result.kernel.matrix.nbytes + rows * n * 8 + slack
+
+
+def test_log_det_sweep_peaks_as_one_run_at_its_largest_tau_b():
+    # The copies hold no spare rows of the prepared state, and each dies
+    # with its value; the slack is the prepared sets one value's run holds
+    # and the next preparation shares (about 1 KB measured).
+    slack = 16_000
+    scene, protos, config = _kept_256(0)
+    configs = [replace(config, tau_b=t) for t in (0.1, 0.3, 0.5)]
+    peaks = []
+    for run in (configs, configs[-1:]):
+        collections.deque(_run_each(scene, protos, run), maxlen=0)
+        tracemalloc.start()
+        try:
+            collections.deque(_run_each(scene, protos, run), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + slack
+
+
+def _vstack_telescope(result):
+    """Per-pick gains of both stages through VStackLogDetState: K, then B,
+    then the unknowns, committed in order; a pick already committed gains 0."""
+    objective = SubmodularObjective(
+        Family.LOG_DET, result.kernel, IndexSet.of(range(len(result.kept))),
+        epsilon=result.config.epsilon,
+    )
+    ref = VStackLogDetState(objective)
+    done = set()
+    for v in _positions(result.kept, result.known):
+        ref.commit(v)
+        done.add(v)
+    traces = []
+    for trace in (result.background_trace, result.unknown_trace):
+        gains = []
+        for v in _positions(result.kept, trace.selected):
+            if v in done:
+                gains.append(0.0)
+                continue
+            gains.append(float(ref.gains(v)))
+            ref.commit(v)
+            done.add(v)
+        traces.append(tuple(gains))
+    return traces
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+def test_log_det_runs_and_sweeps_match_the_references_bit_for_bit(include_background):
+    base = DiscoveryConfig(family=Family.LOG_DET, exclude_background_from_pool=not include_background)
+    sweeps = [
+        [replace(base, tau_b=t) for t in (0.1, 0.3, 0.5)],
+        [replace(base, k=k) for k in (0, 5, 30, 10**12)],
+    ]
+    for seed in (0, 1):
+        scene = gen_scene(SceneSpec(seed=seed))
+        protos = known_prototypes(scene)
+        runs = [(base, run_discovery(scene, protos, base))]
+        for configs in sweeps:
+            runs += zip(configs, _run_each(scene, protos, configs), strict=True)
+        for config, result in runs:
+            _, bg, un, pool = full_scene_discovery(scene, protos, config)
+            assert (result.background, result.unknown, result.pool) == (
+                bg.selected, un.selected, pool
+            )
+            # The full-scene kernel's entries, and its rows' length, round
+            # differently in the last bits, so its gains agree to 1e-12.
+            np.testing.assert_allclose(
+                result.background_trace.gains + result.unknown_trace.gains,
+                bg.gains + un.gains, rtol=0, atol=1e-12,
+            )
+            objective = SubmodularObjective(
+                Family.LOG_DET, result.kernel, IndexSet.of(range(len(result.kept))),
+                epsilon=config.epsilon,
+            )
+            known = _positions(result.kept, result.known)
+            bg, un, _ = recommit_stages(
+                objective, objective.ground.minus(known), known, config
+            )
+            got = (result.background_trace.gains, result.unknown_trace.gains)
+            assert got == (bg.gains, un.gains)
+            assert list(got) == _vstack_telescope(result)

@@ -264,6 +264,77 @@ def test_logdet_factor_growth_matches_vstack_bit_for_bit():
     assert len(state._factor) > first_rows
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
+    rng = np.random.default_rng(607)
+    n = 60
+    obj = random_objective(rng, Family.LOG_DET, n=n, epsilon=1e-2)
+    order = [int(v) for v in rng.permutation(n)[:41]]
+    state = marginal_state(obj)
+    state.reserve(40)  # past FIRST_ROWS, so the fresh buffer is replaced once
+    buf = state._factor
+    assert len(buf) == 40
+    ref = VStackLogDetState(obj)
+    for r, v in enumerate(order):
+        commit(state, v)
+        ref.commit(v)
+        state.reserve(0)  # room that is there already leaves the buffer as it is
+        if r < 40:
+            assert state._factor is buf
+        assert np.array_equal(_bits(state._factor[: r + 1]), _bits(ref.factor))
+        rest = np.array(order[r + 1:], dtype=np.intp)
+        assert np.array_equal(_bits(state.gains(rest)), _bits(ref.gains(rest)))
+        assert state.value == ref.value
+    # The 41st commit found the reserved rows full and doubled them.
+    assert len(state._factor) == 80
+
+
+@pytest.mark.parametrize("family", [Family.FACILITY_LOCATION, Family.GRAPH_CUT])
+def test_reserve_changes_nothing_for_facility_location_and_graph_cut(family):
+    rng = np.random.default_rng(608)
+    obj = random_objective(rng, family, n=20, transform="clip-at-zero")
+    state = commit(marginal_state(obj), 4)
+    before = dict(vars(state))
+    state.reserve(10**12)  # allocates nothing, however large
+    assert vars(state).keys() == before.keys()
+    assert all(getattr(state, k) is v for k, v in before.items())
+
+
+def test_logdet_copy_holds_the_committed_rows_only():
+    rng = np.random.default_rng(609)
+    n = 50
+    obj = random_objective(rng, Family.LOG_DET, n=n, epsilon=1e-2)
+    order = [int(v) for v in rng.permutation(n)[:36]]
+    state = marginal_state(obj)
+    for v in order[:20]:  # past FIRST_ROWS: the buffer doubled to 32 rows
+        commit(state, v)
+    twin = state.copy()
+    assert len(state._factor) == 32 and len(twin._factor) == len(twin.selected) == 20
+    for mine in (twin._factor, twin._resid):
+        for theirs in (state._factor, state._resid):
+            assert not np.shares_memory(mine, theirs)
+    assert np.array_equal(_bits(twin._factor), _bits(state._factor[:20]))
+    twin.reserve(len(order) - 20)
+    assert len(twin._factor) == len(order)
+    # Both continue alike, bit for bit, and alike with a vstack telescope.
+    ref = VStackLogDetState(obj)
+    for v in order[:20]:
+        ref.commit(v)
+    for r, v in enumerate(order[20:], start=20):
+        rest = np.array(order[r:], dtype=np.intp)
+        assert np.array_equal(_bits(twin.gains(rest)), _bits(state.gains(rest)))
+        assert np.array_equal(_bits(twin.gains(rest)), _bits(ref.gains(rest)))
+        commit(state, v)
+        commit(twin, v)
+        ref.commit(v)
+        assert twin.value == state.value == ref.value
+    assert np.array_equal(_bits(twin._factor), _bits(ref.factor))
+    assert np.array_equal(_bits(state._factor[: len(order)]), _bits(ref.factor))
+
+
 def _fl_kernels(rng, n):
     """A cosine kernel over n items and a copy of it that is symmetric only
     to 1e-13: the kernel checks accept it, the facility-location state must
