@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import sys
@@ -72,7 +73,8 @@ def _config_file(args) -> dict:
 def _config(args, cls, file_cfg: dict | None = None, **fixed):
     """cls from defaults < the --config file (or file_cfg) < every flag whose
     dest is a field of cls < fixed, with key validation.  A flag or fixed
-    value of None leaves the field unset."""
+    value of None leaves the field unset.  A value of the wrong type is
+    named by the first key that cls refuses with it alone."""
     if file_cfg is None:
         file_cfg = _config_file(args)
     names = {f.name for f in dataclasses.fields(cls)}
@@ -84,7 +86,14 @@ def _config(args, cls, file_cfg: dict | None = None, **fixed):
     merged.update({k: v for k, v in {**flags, **fixed}.items() if v is not None})
     try:
         return cls(**merged)
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:
+        for key, value in merged.items():
+            try:
+                cls(**{key: value})
+            except (TypeError, OverflowError) as own:
+                raise ValueError(f"{key}: {own}") from None
+            except ValueError:
+                pass
         raise ValueError(str(e)) from None
 
 
@@ -481,8 +490,11 @@ _HANDLERS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # Parsing leaves the parser as it was, so one serves every call.
-    return build_parser()
+    # Parsing leaves the parser as it was, so one serves every call; the
+    # reference cycles building it leaves are freed before any command runs.
+    parser = build_parser()
+    gc.collect()
+    return parser
 
 
 def main(argv=None) -> int:

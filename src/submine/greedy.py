@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import EMPTY_SET, IndexSet
+from .kernels import EMPTY_SET, IndexSet, nonnegative
 from .objectives import (
     Family,
     MarginalState,
@@ -30,9 +30,6 @@ from .objectives import (
 MAX_BRUTE_FORCE_SUBSETS = 10_000_000
 # Rows a pruned round scores per call after the first round.
 PRUNE_CHUNK = 16
-# Kernel entries a pruned run's first round, and a non-negativity gate, read
-# per numpy call: facility location's gains copy |rows| x |ground| entries.
-ROUND_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,9 @@ def _greedy(
     cond gain 0 unscored.  prune (sound under diminishing returns) takes a
     row's last gain as a bound on its next; a round then scores rows by
     descending bound, lowest index first, until every unscored bound is below
-    the best gain, so no unscored row can win or tie.
-    The first round has no bounds and scores every row; a pruned run scores it
-    in chunks of about ROUND_ENTRIES kernel entries, each row's gain as in one
-    call."""
+    the best gain, so no unscored row can win or tie.  The first round has
+    no bounds and scores every row in one call, as every unpruned round does;
+    the gain state bounds the kernel entries one call reads."""
     fresh = ~np.isin(order, cond.as_array())  # live and not in cond
     # Per row: its gain this round, else its last gain; picked rows -inf.
     round_gains = np.where(fresh, -np.inf, 0.0)
@@ -113,17 +109,14 @@ def _greedy(
     for _ in range(min(k, len(order))):
         rows = np.flatnonzero(fresh)
         step, start, best = len(rows), 0, -np.inf
-        bounded = prune and bool(picks)  # the first round has no bounds
-        if bounded:
+        if prune and picks:  # the first round has no bounds: one call scores it
             rows, step = rows[np.argsort(-round_gains[rows], kind="stable")], PRUNE_CHUNK
-        elif prune:
-            step = max(1, ROUND_ENTRIES // max(len(state.objective.ground), 1))
         while start < len(rows) and round_gains[rows[start]] >= best:
             chunk = rows[start : start + step]
             round_gains[chunk] = g = state.gains(order[chunk])
             evals += len(chunk)
             start += step
-            if bounded:
+            if prune:
                 best = max(best, g.max())
         p = int(np.argmax(round_gains))  # the first maximum: lowest index wins
         picks.append(int(order[p]))
@@ -133,15 +126,6 @@ def _greedy(
             fresh[p] = False
             commit(state, picks[-1])
     return SelectionResult(IndexSet.of(picks), tuple(gains), float(sum(gains)), k, evals)
-
-
-def _nonnegative(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether the block of s at rows x cols has no negative entry, read in
-    row chunks of about ROUND_ENTRIES entries."""
-    step = max(1, ROUND_ENTRIES // max(len(cols), 1))
-    return all(
-        np.all(s[np.ix_(rows[i : i + step], cols)] >= 0.0) for i in range(0, len(rows), step)
-    )
 
 
 def greedy_max(
@@ -170,7 +154,7 @@ def greedy_max(
     )
     prune = objective.family is Family.FACILITY_LOCATION and (
         len(state.selected) > 0
-        or _nonnegative(objective.kernel.matrix, objective.ground.as_array(), order))
+        or nonnegative(objective.kernel.matrix, objective.ground.as_array(), order))
     return _greedy(state, order, cond, int(k), prune)
 
 
@@ -192,7 +176,7 @@ def lazy_greedy_max(
     if family is not Family.LOG_DET:
         cols = np.concatenate([order, cond.as_array()])
         rows = objective.ground.as_array() if family is Family.FACILITY_LOCATION else cols
-        if not _nonnegative(objective.kernel.matrix, rows, cols):
+        if not nonnegative(objective.kernel.matrix, rows, cols):
             raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
     return _greedy(state, order, cond, int(k), prune=family is not Family.LOG_DET)
 

@@ -9,8 +9,9 @@ losses read only the columns of their class and unknown sets, which
 
 A kernel costs about its own n x n bytes to build and to check.
 `cosine_kernel` builds it in one buffer, which it makes exactly symmetric,
-clips and transforms in place and then hands over read-only.  The checks
-every kernel passes read it in row blocks of about `_BLOCK` entries, with no
+clips and transforms in place and then hands over read-only.  The kernel
+checks, greedy's `nonnegative` gates and facility location's gains read it
+in `row_blocks` of about `_BLOCK` entries a numpy call, so none builds an
 n x n temporary; the public constructor adds only its one copy.
 
 The CSV codec at the end serves every CSV the CLI reads or writes: one
@@ -37,8 +38,8 @@ BACKGROUND_LABEL = -1
 
 TRANSFORMS = ("raw-cosine", "clip-at-zero", "affine-shift")
 
-# Entries of the row blocks the kernel checks read at a time, and of the
-# scratch each block needs.
+# Entries of the kernel blocks one numpy call reads, and of the scratch each
+# block needs.
 _BLOCK = 1 << 14
 
 
@@ -158,15 +159,6 @@ def _unit_rows(data: np.ndarray, row: str = "row") -> tuple[np.ndarray, np.ndarr
     return data / norms[:, None], norms
 
 
-def row_normalize(embeddings: EmbeddingSet) -> EmbeddingSet:
-    """Scale every row to unit Euclidean norm.  Zero rows are an error."""
-    return EmbeddingSet(
-        _unit_rows(embeddings.data)[0],
-        labels=embeddings.labels,
-        objectness=embeddings.objectness,
-    )
-
-
 def apply_transform(s, transform: str, in_place: bool = False):
     """Map raw cosine values through the configured range transform.
 
@@ -185,13 +177,24 @@ def apply_transform(s, transform: str, in_place: bool = False):
     raise ValueError(f"unknown transform {transform!r}")
 
 
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices that cut `rows` rows of a block `width` entries wide into row
+    blocks of about `_BLOCK` entries, each at least one row."""
+    step = max(1, _BLOCK // max(width, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def _halves(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The upper triangle of a square m in row blocks of about `_BLOCK`
     entries, each with its mirror image: views (m[i:j, i:], m[i:, i:j].T)."""
-    n = len(m)
-    step = max(1, _BLOCK // max(n, 1))
-    for i in range(0, n, step):
-        yield m[i : i + step, i:], m[i:, i : i + step].T
+    for r in row_blocks(len(m), len(m)):
+        yield m[r, r.start :], m[r.start :, r].T
+
+
+def nonnegative(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the block of s at rows x cols has no negative entry, read in
+    row blocks."""
+    return all(np.all(s[np.ix_(rows[r], cols)] >= 0.0) for r in row_blocks(len(rows), len(cols)))
 
 
 def mirrored(m: np.ndarray) -> bool:
@@ -266,15 +269,6 @@ class SimilarityKernel:
         return self.matrix.shape[0]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors (error on zero vectors)."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine of zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def cosine_kernel(
     embeddings: EmbeddingSet,
     transform: str = "raw-cosine",
@@ -283,12 +277,12 @@ def cosine_kernel(
     """Pairwise cosine similarities of all rows, optionally range-transformed.
 
     The Gram matrix is symmetrized, clipped to [-1, 1], transformed and its
-    diagonal pinned to the transform of 1.0, so roundoff cannot leak into
-    downstream log-det factorizations: entry for entry the values of
-    apply_transform(clip((G + G.T) / 2)), built in place in the one n x n
-    buffer the kernel then holds.  numpy computes unit @ unit.T with syrk,
-    whose result is already exactly symmetric; otherwise the two triangles
-    are averaged block by block.
+    diagonal pinned to 1.0, which every transform maps to itself, so
+    roundoff cannot leak into downstream log-det factorizations: entry for
+    entry the values of apply_transform(clip((G + G.T) / 2)), built in place
+    in the one n x n buffer the kernel then holds.  numpy computes
+    unit @ unit.T with syrk, whose result is already exactly symmetric;
+    otherwise the two triangles are averaged block by block.
     """
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
@@ -298,7 +292,7 @@ def cosine_kernel(
     _symmetrize(m)
     np.clip(m, -1.0, 1.0, out=m)
     apply_transform(m, transform, in_place=True)
-    np.fill_diagonal(m, float(apply_transform(1.0, transform)))
+    np.fill_diagonal(m, 1.0)
     return SimilarityKernel._adopt(m, transform, epsilon)
 
 

@@ -299,17 +299,6 @@ def loss_total(
     return LossReport(l_self, l_cross, l_tot, grad)
 
 
-def grad_loss(
-    embeddings: EmbeddingSet,
-    classes: Sequence[IndexSet],
-    u: IndexSet,
-    t: IndexSet,
-    config: LossConfig = LossConfig(),
-) -> np.ndarray:
-    """Gradient of the total loss with respect to every embedding row."""
-    return loss_total(embeddings, classes, u, t, config).grad
-
-
 class _SameSignature:
     """Compares each term's signature rows with the base point's as they come."""
 

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, mirrored
+from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, mirrored, row_blocks
 
 
 class Family(enum.Enum):
@@ -353,11 +353,6 @@ def evaluate(objective: SubmodularObjective, a: IndexSet | Iterable[int]) -> flo
     return conditional_gain_closed(objective, a, EMPTY_SET)
 
 
-def total_information(objective: SubmodularObjective, sets: Sequence[IndexSet]) -> float:
-    """Sum of f over a list of sets."""
-    return float(sum(evaluate(objective, a) for a in sets))
-
-
 def conditional_gain(
     objective: SubmodularObjective,
     a: IndexSet | Iterable[int],
@@ -453,6 +448,9 @@ class _FacilityLocationState(MarginalState):
         self._best: np.ndarray | None = None
 
     def gains(self, items) -> np.ndarray:
+        pieces = row_blocks(len(items), self._block.shape[1])
+        if len(pieces) > 1:  # each row's gain is the same, bit for bit, in any piece
+            return np.concatenate([self.gains(items[r]) for r in pieces])
         block = np.take(self._block, items, axis=0)
         if self._best is not None:
             np.maximum(np.subtract(block, self._best, out=block), 0.0, out=block)

@@ -18,8 +18,8 @@ from submine import (
     SubmodularObjective,
     cosine_kernel,
     filter_by_objectness,
-    grad_loss,
     greedy_max,
+    loss_total,
     match_knowns,
 )
 from submine.losses import FD_EXHAUSTIVE_LIMIT
@@ -92,11 +92,15 @@ def full_round_greedy(objective, candidates, k, conditioning=()):
     return tuple(picks), tuple(gains)
 
 
+def cosine(a, b):
+    """Cosine similarity of two non-zero vectors: a dot product over two norms."""
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def cosine_kernel_matrix_reference(data, transform, gram=None):
     """The cosine kernel's matrix by the three-step formula, each step a new
     array: the Gram product G of the unit rows (or `gram(unit)`), then
-    clip((G + G.T) / 2, -1, 1) transformed, then the diagonal set to the
-    transform of 1."""
+    clip((G + G.T) / 2, -1, 1) transformed, then the diagonal set to 1."""
     unit = data / np.linalg.norm(data, axis=1)[:, None]
     g = unit @ unit.T if gram is None else gram(unit)
     g = np.clip((g + g.T) / 2.0, -1.0, 1.0)
@@ -401,7 +405,7 @@ def finite_difference_reference(
     whole n x n kernel and loss through `dense_loss_reference`, so it shares
     no loss or kernel code with the batched audit; the difference of two
     probes' values is taken before rounding to float64.  The analytic gradient
-    under audit is the library's `grad_loss`.  Besides the audit's report it
+    under audit is the one `loss_total` returns.  Besides the audit's report it
     returns the probed coordinates under "coords", and the difference
     quotients of the checked ones, unrounded, under "quotients".
     `longdouble` goes to `dense_loss_reference`.
@@ -417,7 +421,7 @@ def finite_difference_reference(
     data = embeddings.data
     n, d = data.shape
     base_total, base_sig = point(data)
-    grad = np.array(grad_loss(embeddings, classes, u, t, config))
+    grad = np.array(loss_total(embeddings, classes, u, t, config).grad)
     if perturb != 0.0:
         grad[0, 0] += perturb
     if n * d <= FD_EXHAUSTIVE_LIMIT:

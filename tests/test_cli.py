@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 from types import SimpleNamespace
@@ -176,6 +177,31 @@ def test_select_refuses_a_non_finite_or_fractional_config_value(tmp_path, small_
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value!r}\n")
     assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("generate", {"n_known": 5, "n_total": "a"}, "n_total"),
+        ("select", {"tau_e": 0.1, "lam": "a"}, "lam"),
+        ("select", {"k": [3]}, "k"),
+        ("loss", {"eta": 1.0, "lam": "a"}, "lam"),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_named_by_its_key(
+    tmp_path, small_scene, capsys, command, config, key
+):
+    cfg = _write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate"],
+        "select": ["select", str(small_scene)],
+        "loss": ["loss", "--cases"],
+    }[command] + ["--config", cfg, "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_k_sweep_over_an_infinite_k_exits_config(tmp_path, small_scene, capsys):
@@ -614,6 +640,13 @@ def test_parser_reuse_after_a_rejection_matches_a_fresh_parser(tmp_path, small_s
     capsys.readouterr()
     assert select("reused") == fresh
     assert _parser() is _parser()
+
+
+def test_building_the_parser_leaves_no_garbage_in_reference_cycles():
+    _parser.cache_clear()
+    gc.collect()
+    _parser()
+    assert gc.collect() == 0
 
 
 def test_sweep_grids_are_the_documented_defaults():

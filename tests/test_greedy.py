@@ -18,7 +18,7 @@ from submine import (
     lazy_greedy_max,
     marginal_state,
 )
-from submine import greedy
+from submine import kernels
 from submine.objectives import commit
 from helpers import full_round_greedy, random_objective
 
@@ -157,11 +157,13 @@ def test_lazy_greedy_saves_evaluations():
 
 @pytest.mark.parametrize("conditioning", [(), (5, 6)])
 def test_pruned_first_round_in_chunks_matches_full_rounds(monkeypatch, conditioning):
-    # A facility-location run scores its first round three rows per call.
+    # A facility-location run scores its first round in one call, which a
+    # budget of three kernel rows splits into pieces of three rows.
     rng = np.random.default_rng(34)
     n, k = 40, 8
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="clip-at-zero")
     pool = [i for i in range(n) if i not in conditioning]
+    reference = full_round_greedy(obj, pool, k, conditioning)  # one call a round
 
     def run():
         state = marginal_state(obj)
@@ -172,14 +174,33 @@ def test_pruned_first_round_in_chunks_matches_full_rounds(monkeypatch, condition
         return greedy_max(obj, IndexSet.of(pool), k, conditioning=state), calls
 
     whole, whole_calls = run()
-    monkeypatch.setattr(greedy, "ROUND_ENTRIES", 3 * n)
+    monkeypatch.setattr(kernels, "_BLOCK", 3 * n)
     chunked, calls = run()
-    first = -(-len(pool) // 3)  # calls of the first round
-    assert sum(calls[:first]) == len(pool) and max(calls[:first]) == 3
-    assert whole_calls[0] == len(pool) and whole_calls[1:] == calls[first:]
-    assert (tuple(chunked.selected), chunked.gains) == full_round_greedy(obj, pool, k, conditioning)
+    first = -(-len(pool) // 3)  # pieces of the first round
+    assert whole_calls[0] == calls[0] == len(pool)
+    assert sum(calls[1 : 1 + first]) == len(pool) and max(calls[1 : 1 + first]) == 3
+    assert [c for c in calls if c > 3] == [c for c in whole_calls if c > 3]
+    assert (tuple(chunked.selected), chunked.gains) == reference
     assert (chunked.selected, chunked.gains) == (whole.selected, whole.gains)
     assert chunked.evaluations == whole.evaluations
+
+
+def test_an_unpruned_facility_location_round_reads_the_kernel_in_blocks():
+    # Raw cosines hold negative entries, so with nothing conditioned greedy
+    # runs full rounds, each scoring every one of the 1,000 rows.
+    rng = np.random.default_rng(36)
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=1000, d=16, transform="raw-cosine")
+    assert obj.kernel.matrix.min() < 0.0
+    pool = IndexSet.of(range(1000))
+    greedy_max(obj, pool, 2)
+    tracemalloc.start()
+    try:
+        result = greedy_max(obj, pool, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations == 1000 + 999
+    assert peak <= 0.1 * obj.kernel.matrix.nbytes
 
 
 def test_greedy_gates_read_the_kernel_without_a_block_copy():

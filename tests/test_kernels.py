@@ -18,15 +18,14 @@ from submine import (
     SimilarityKernel,
     TRANSFORMS,
     apply_transform,
-    cosine,
     cosine_kernel,
     read_embeddings_csv,
-    row_normalize,
     write_embeddings_csv,
 )
 from submine.kernels import _symmetrize, cosine_columns, mirrored, write_text
 from conftest import TOY_MATRIX
 from helpers import (
+    cosine,
     cosine_kernel_matrix_reference,
     random_embeddings,
     read_embeddings_csv_reference,
@@ -109,19 +108,7 @@ def test_index_set_bounds_check():
 
 
 # ---------------------------------------------------------------------------
-# normalization, cosine, transforms
-
-
-def test_row_normalize_unit_norms():
-    rng = np.random.default_rng(7)
-    e = random_embeddings(rng, 6, 4)
-    unit = row_normalize(e)
-    assert np.allclose(np.linalg.norm(unit.data, axis=1), 1.0, atol=1e-12)
-    with pytest.raises(ValueError, match="zero-norm row 1"):
-        row_normalize(EmbeddingSet([[1.0, 0.0], [0.0, 0.0]]))
-    # Several zero rows: the first one is named.
-    with pytest.raises(ValueError, match=r"^zero-norm row 1$"):
-        row_normalize(EmbeddingSet([[1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [0.0, 0.0]]))
+# unit rows, transforms, cosine kernels
 
 
 def test_cosine_columns_are_kernel_columns():
@@ -132,25 +119,14 @@ def test_cosine_columns_are_kernel_columns():
     assert s.shape == (9, 4)
     assert np.abs(s - cosine_kernel(e).matrix[:, cols]).max() <= 1e-15
     assert np.array_equal(s[cols, np.arange(4)], np.ones(4))
-    assert np.array_equal(unit, row_normalize(e).data)
+    assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-12)
+    assert np.array_equal(unit, e.data / np.linalg.norm(e.data, axis=1)[:, None])
     assert np.array_equal(norms, np.linalg.norm(e.data, axis=1))
     # Zero rows outside the columns still raise, naming the first.
     data = np.array(e.data)
     data[[6, 2]] = 0.0
     with pytest.raises(ValueError, match=r"^zero-norm row 2$"):
         cosine_columns(data, cols)
-
-
-def test_cosine_matches_manual_formula():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = rng.normal(size=5)
-        b = rng.normal(size=5)
-        want = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-        assert cosine(a, b) == pytest.approx(want, abs=1e-12)
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError, match="zero-norm"):
-        cosine([0.0, 0.0], [1.0, 0.0])
 
 
 def test_apply_transform_endpoints():

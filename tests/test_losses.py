@@ -20,7 +20,6 @@ from submine import (
     cosine_kernel,
     evaluate,
     finite_difference_check,
-    grad_loss,
     loss_cross,
     loss_self,
     loss_total,
@@ -111,7 +110,7 @@ def test_parts_match_standalone_functions():
         assert report.l_cross == pytest.approx(
             loss_cross(e, classes, u, t, cfg), abs=1e-12
         )
-        assert np.array_equal(report.grad, grad_loss(e, classes, u, t, cfg))
+        assert np.array_equal(report.grad, loss_total(e, classes, u, t, cfg).grad)
 
 
 def test_per_row_scale_invariance():
@@ -236,7 +235,7 @@ def test_column_kernel_matches_dense_reference(case):
                         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
                     tol = 1e-12 * np.abs(grad).max()
                     assert np.abs(report.grad - grad).max() <= tol
-                    assert np.array_equal(grad_loss(e, classes, u, t, cfg), report.grad)
+                    assert np.array_equal(loss_total(e, classes, u, t, cfg).grad, report.grad)
             # The self term alone over T, with no conditioning set.
             cfg = LossConfig(family=fam)
             want = dense_loss_reference(e.data, classes, None, t, cfg)[0]

@@ -22,7 +22,6 @@ from submine import (
     evaluate,
     marginal_gain,
     marginal_state,
-    total_information,
 )
 from submine.objectives import DEFAULT_LOGDET_EPSILON
 from helpers import (
@@ -93,13 +92,6 @@ def test_evaluate_respects_ground_set():
     assert evaluate(obj, a) == pytest.approx(
         fl_loops(obj.kernel.matrix, [1, 5], [0, 2, 4]), abs=1e-12
     )
-
-
-def test_total_information_sums_sets(toy_objective):
-    fl = toy_objective("fl")
-    sets = [IndexSet.of([0]), IndexSet.of([1, 2])]
-    want = evaluate(fl, sets[0]) + evaluate(fl, sets[1])
-    assert total_information(fl, sets) == pytest.approx(want, abs=1e-12)
 
 
 def test_conditional_gain_requires_disjoint_sets(toy_objective):

@@ -9,10 +9,10 @@ from submine import (
     BACKGROUND_LABEL,
     UNKNOWN_LABEL,
     SceneSpec,
-    cosine,
     gen_scene,
     gen_separation_cases,
 )
+from helpers import cosine
 
 
 def test_default_scene_composition():
