@@ -89,18 +89,17 @@ def _conditioned_state(
     return state
 
 
-def _greedy(
-    state: MarginalState, order: np.ndarray, cond: IndexSet, k: int, prune: bool
-) -> SelectionResult:
-    """The greedy loop from `state`, whose selection is `cond`; fresh picks are
-    committed into it, in the room `_prep` reserved for them, and picks from
-    cond gain 0 unscored.  prune (sound under diminishing returns) takes a
-    row's last gain as a bound on its next; a round then scores rows by
-    descending bound, lowest index first, until every unscored bound is below
-    the best gain, so no unscored row can win or tie.  The first round has
-    no bounds and scores every row in one call, as every unpruned round does;
-    the gain state bounds the kernel entries one call reads."""
-    fresh = ~np.isin(order, cond.as_array())  # live and not in cond
+def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> SelectionResult:
+    """The greedy loop from `state`, whose selection is the conditioning set:
+    fresh picks are committed into it, in the room `_prep` reserved for
+    them, and picks already selected gain 0 unscored.  prune (sound under
+    diminishing returns) takes a row's last gain as a bound on its next; a
+    round then scores rows by descending bound, lowest index first, until
+    every unscored bound is below the best gain, so no unscored row can win
+    or tie.  The first round has no bounds and scores every row in one call,
+    as every unpruned round does; the gain state bounds the kernel entries
+    one call reads."""
+    fresh = ~np.isin(order, state.selected)  # live and not in the selection
     # Per row: its gain this round, else its last gain; picked rows -inf.
     round_gains = np.where(fresh, -np.inf, 0.0)
     picks: list[int] = []
@@ -149,13 +148,13 @@ def greedy_max(
     cut's and log-det's O(1).  Its gains only fall once a commit has set each
     ground item's best, or from the start on a non-negative ground x pool block.
     """
-    order, cond, state = _prep(
+    order, _, state = _prep(
         objective, candidates, int(k), conditioning, allow_conditioned_candidates
     )
     prune = objective.family is Family.FACILITY_LOCATION and (
         len(state.selected) > 0
         or nonnegative(objective.kernel.matrix, objective.ground.as_array(), order))
-    return _greedy(state, order, cond, int(k), prune)
+    return _greedy(state, order, int(k), prune)
 
 
 def lazy_greedy_max(
@@ -178,7 +177,7 @@ def lazy_greedy_max(
         rows = objective.ground.as_array() if family is Family.FACILITY_LOCATION else cols
         if not nonnegative(objective.kernel.matrix, rows, cols):
             raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
-    return _greedy(state, order, cond, int(k), prune=family is not Family.LOG_DET)
+    return _greedy(state, order, int(k), prune=family is not Family.LOG_DET)
 
 
 def brute_force_opt(

@@ -59,6 +59,7 @@ from .objectives import Family, _Kernel, _scg
 
 FD_STEP = 1e-4
 FD_EXHAUSTIVE_LIMIT = 5000  # probe every coordinate up to this many
+FD_SAMPLE = 200  # else probe a seeded sample of this many coordinates
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,12 @@ class LossConfig:
             object.__setattr__(self, "family", Family.parse(str(self.family)))
         if self.mode not in ("owod", "iod"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.lam < 0.0 or self.nu < 0.0:
-            raise ValueError("lam and nu must be non-negative")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta!r}")
+        for name in ("lam", "nu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -318,18 +323,18 @@ def finite_difference_check(
     config: LossConfig = LossConfig(),
     h: float = FD_STEP,
     seed: int = 0,
-    max_coords: int = 200,
     perturb: float = 0.0,
 ) -> dict:
     """Central-difference audit of the analytic gradient.
 
-    Probes every coordinate when n*d <= 5000, otherwise a seeded random
-    subset of max_coords coordinates.  A probe whose argmax/hinge structure
-    differs from the base point is tie-adjacent: it is counted and excluded
-    from the error maxima rather than reported as a failure.  When every probe
-    is tie-adjacent (checked == 0) nothing was measured, and both error
-    maxima are NaN, so `max_rel_err < tol` is False for every tolerance.
-    `perturb` is a test hook added to one gradient entry before comparison.
+    Probes every coordinate when n*d <= FD_EXHAUSTIVE_LIMIT, otherwise a
+    seeded random subset of FD_SAMPLE coordinates.  A probe whose
+    argmax/hinge structure differs from the base point is tie-adjacent: it
+    is counted and excluded from the error maxima rather than reported as a
+    failure.  When every probe is tie-adjacent (checked == 0) nothing was
+    measured, and both error maxima are NaN, so `max_rel_err < tol` is False
+    for every tolerance.  `perturb` is a test hook added to one gradient
+    entry before comparison.
 
     The +h and -h probes of the coordinates of one row are evaluated as one
     batch: only that row and column of the base kernel change, so one matrix
@@ -352,7 +357,7 @@ def finite_difference_check(
         flat = np.arange(n * d)
     else:
         rng = np.random.default_rng(seed)
-        flat = np.sort(rng.choice(n * d, size=min(max_coords, n * d), replace=False))
+        flat = np.sort(rng.choice(n * d, size=min(FD_SAMPLE, n * d), replace=False))
     max_abs = 0.0
     max_rel = 0.0
     checked = 0

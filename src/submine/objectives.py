@@ -393,7 +393,8 @@ def conditional_gain_closed(
 
 
 # ---------------------------------------------------------------------------
-# Incremental marginal gains: one mutable state per family.  Per-family caches:
+# Incremental marginal gains: one mutable state per family, whose one commit
+# updates the caches with `_add`.  Per-family caches:
 #   facility-location: item x ground block, best similarity per ground item;
 #     on a ground of every item in order and a kernel equal to its transpose
 #     bit for bit (as `cosine_kernel` builds it), the block is the kernel
@@ -408,16 +409,17 @@ def conditional_gain_closed(
 
 
 class MarginalState:
-    """Selection so far, its value f(selected), and the caches behind `gains`.
+    """Selection so far and the caches behind `gains`.
 
     `gains(items)` returns the marginal gains of an index array of unselected
-    items in one call; `commit(v)` adds an unselected item in place.
+    items in one call.  `commit(v)` is the one commit: it refuses an item out
+    of range or already selected, updates the caches in place, and appends v
+    to `selected`.
     """
 
     def __init__(self, objective: SubmodularObjective):
         self.objective = objective
         self.selected: list[int] = []
-        self.value = 0.0
         self._s = objective.kernel.matrix
         g = objective.ground.as_array()
         # Whether the ground set is every item in order: it then sums whole columns.
@@ -435,6 +437,11 @@ class MarginalState:
     def reserve(self, commits: int) -> None:
         """Make room for `commits` more commits, so that none of them grows a
         cache; only log-det's factor grows with the selection."""
+
+    def commit(self, v: int) -> None:
+        v = _check_new(self, v)
+        self._add(v)
+        self.selected.append(v)
 
 
 class _FacilityLocationState(MarginalState):
@@ -456,10 +463,9 @@ class _FacilityLocationState(MarginalState):
             np.maximum(np.subtract(block, self._best, out=block), 0.0, out=block)
         return block.sum(axis=1)
 
-    def commit(self, v: int) -> None:
+    def _add(self, v: int) -> None:
         col = self._block[v]
         self._best = col if self._best is None else np.maximum(self._best, col)
-        self.value = float(self._best.sum())
 
 
 class _GraphCutState(MarginalState):
@@ -478,8 +484,7 @@ class _GraphCutState(MarginalState):
         new._cross = self._cross.copy()
         return new
 
-    def commit(self, v: int) -> None:
-        self.value += float(self.gains(v))
+    def _add(self, v: int) -> None:
         self._cross += self._s[:, v]
 
 
@@ -524,8 +529,9 @@ class _LogDetState(MarginalState):
             raise ValueError(_pd_message(self.objective.epsilon))
         return np.log(resid)
 
-    def commit(self, v: int) -> None:
-        gain = float(self.gains(v))
+    def _add(self, v: int) -> None:
+        if self._resid[v] <= 0.0:
+            raise ValueError(_pd_message(self.objective.epsilon))
         k = len(self.selected)
         f = self._factor[:k]
         e = (self._s[:, v] - f[:, v] @ f) / math.sqrt(self._resid[v])
@@ -533,7 +539,6 @@ class _LogDetState(MarginalState):
         if k == len(self._factor):
             self._factor = self._resized(max(2 * k, self.FIRST_ROWS))
         self._factor[k] = e
-        self.value += gain
 
 
 _STATES = {
@@ -565,8 +570,6 @@ def marginal_gain(state: MarginalState, v: int) -> float:
 
 
 def commit(state: MarginalState, v: int) -> MarginalState:
-    """Add v to the selection in place and return the same state."""
-    v = _check_new(state, v)
+    """`state.commit(v)`, returning the same state."""
     state.commit(v)
-    state.selected.append(v)
     return state

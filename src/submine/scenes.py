@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -94,44 +93,25 @@ def _split_counts(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _draw_cluster(
-    seed: int, tag: int, count: int, mean: Sequence[float], stddev: float, band: tuple[float, float]
-):
-    rng = _stream(seed, tag)
-    d = len(mean)
-    points = np.asarray(mean) + stddev * rng.standard_normal((count, d))
-    objectness = rng.uniform(band[0], band[1], size=count)
-    return points, objectness
-
-
 def gen_scene(spec: SceneSpec) -> EmbeddingSet:
     """One scene from the given SceneSpec: data, labels, objectness scores."""
-    blocks = []
-    labels = []
-    scores = []
     counts = _split_counts(spec.n_known, spec.n_classes)
-    for c in range(spec.n_classes):
-        pts, obj = _draw_cluster(
-            spec.seed, c, counts[c], spec.cluster_means[c], spec.cluster_stddev,
-            spec.objectness_known,
-        )
-        blocks.append(pts)
-        labels.extend([c + 1] * counts[c])
-        scores.append(obj)
-    pts, obj = _draw_cluster(
-        spec.seed, _TAG_UNKNOWN, spec.n_unknown, spec.cluster_means[-1],
-        spec.cluster_stddev, spec.objectness_unknown,
-    )
-    blocks.append(pts)
-    labels.extend([UNKNOWN_LABEL] * spec.n_unknown)
-    scores.append(obj)
-    pts, obj = _draw_cluster(
-        spec.seed, _TAG_BACKGROUND, spec.n_background, spec.background_mean,
-        spec.background_stddev, spec.objectness_background,
-    )
-    blocks.append(pts)
-    labels.extend([BACKGROUND_LABEL] * spec.n_background)
-    scores.append(obj)
+    # Per cluster, in layout order: stream tag, count, mean, stddev, objectness band, label.
+    clusters = [
+        (c, counts[c], spec.cluster_means[c], spec.cluster_stddev, spec.objectness_known, c + 1)
+        for c in range(spec.n_classes)
+    ] + [
+        (_TAG_UNKNOWN, spec.n_unknown, spec.cluster_means[-1], spec.cluster_stddev,
+         spec.objectness_unknown, UNKNOWN_LABEL),
+        (_TAG_BACKGROUND, spec.n_background, spec.background_mean, spec.background_stddev,
+         spec.objectness_background, BACKGROUND_LABEL),
+    ]
+    blocks, labels, scores = [], [], []
+    for tag, count, mean, stddev, (lo, hi), label in clusters:
+        rng = _stream(spec.seed, tag)
+        blocks.append(np.asarray(mean) + stddev * rng.standard_normal((count, spec.d)))
+        labels += [label] * count
+        scores.append(rng.uniform(lo, hi, size=count))
     return EmbeddingSet(
         np.vstack(blocks),
         labels=np.asarray(labels, dtype=np.int64),
@@ -153,37 +133,25 @@ class SeparationCase:
         return IndexSet.of(range(self.embeddings.n))
 
 
-def gen_separation_cases(
-    seed: int = 0,
-    n_cases: int = 3,
-    *,
-    d: int = 128,
-    n_known: int = 10,
-    n_unknown: int = 100,
-    radius: float = 6.0,
-    stddev: float = 0.4,
-    base_angle: float = math.pi / 7.2,
-    angle_step: float = math.pi / 4.5,
-) -> list[SeparationCase]:
+def gen_separation_cases(seed: int = 0, n_cases: int = 3) -> list[SeparationCase]:
     """Cases with growing angular separation between known and unknown clusters.
 
     The known cluster and both noise draws are shared bit-for-bit across
     cases; only the unknown center moves along a circle of fixed radius, so
     any change between cases is attributable to the separation alone.  The
-    default d keeps the full Gram matrix nonsingular (d >= n_known +
-    n_unknown), which log-determinant cross terms need.
+    geometry is fixed: 10 known and 100 unknown items in d = 128, which
+    keeps the full Gram matrix nonsingular (d >= 110) as log-determinant
+    cross terms need; radius 6, noise stddev 0.4, and case j's angle
+    pi/7.2 + j pi/4.5, which stays below pi for up to 4 cases.
     """
+    d, n_known, n_unknown, radius, stddev = 128, 10, 100, 6.0, 0.4
+    base_angle, angle_step = math.pi / 7.2, math.pi / 4.5
     if n_cases < 1:
         raise ValueError("need at least one case")
-    if d < 2:
-        raise ValueError("separation cases need d >= 2")
-    last = base_angle + (n_cases - 1) * angle_step
-    if not (0.0 < base_angle and last < math.pi):
+    if base_angle + (n_cases - 1) * angle_step >= math.pi:
         raise ValueError("angles must stay inside (0, pi)")
     known_noise = stddev * _stream(seed, _TAG_SEP_KNOWN).standard_normal((n_known, d))
-    unknown_noise = stddev * _stream(seed, _TAG_SEP_UNKNOWN).standard_normal(
-        (n_unknown, d)
-    )
+    unknown_noise = stddev * _stream(seed, _TAG_SEP_UNKNOWN).standard_normal((n_unknown, d))
     k_center = np.zeros(d)
     k_center[0] = radius
     known_pts = k_center + known_noise
@@ -191,8 +159,7 @@ def gen_separation_cases(
     for j in range(n_cases):
         angle = base_angle + j * angle_step
         u_center = np.zeros(d)
-        u_center[0] = radius * math.cos(angle)
-        u_center[1] = radius * math.sin(angle)
+        u_center[:2] = radius * math.cos(angle), radius * math.sin(angle)
         data = np.vstack([known_pts, u_center + unknown_noise])
         labels = np.asarray([1] * n_known + [UNKNOWN_LABEL] * n_unknown)
         cases.append(

@@ -230,17 +230,14 @@ class VStackLogDetState:
         self.s = objective.kernel.matrix
         self.factor = np.zeros((0, objective.n))
         self.resid = np.diagonal(self.s) + objective.epsilon
-        self.value = 0.0
 
     def gains(self, items):
         return np.log(self.resid[items])
 
     def commit(self, v):
-        gain = float(self.gains(v))
         e = (self.s[:, v] - self.factor[:, v] @ self.factor) / math.sqrt(self.resid[v])
         self.resid -= e * e
         self.factor = np.vstack([self.factor, e])
-        self.value += gain
 
 
 def cholesky_longdouble(m):

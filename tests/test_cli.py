@@ -204,6 +204,40 @@ def test_a_config_value_of_the_wrong_type_is_named_by_its_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"eta": "a"}', "error: eta: must be real number, not str\n"),
+        ('{"eta": NaN}', "error: eta must be finite, got nan\n"),
+        ('{"lam": Infinity}', "error: lam must be finite and non-negative, got inf\n"),
+        ('{"nu": NaN}', "error: nu must be finite and non-negative, got nan\n"),
+    ],
+    ids=["eta-str", "eta-nan", "lam-inf", "nu-nan"],
+)
+@pytest.mark.parametrize("command", ["cases", "loss", "gradcheck", "sweep"])
+def test_a_non_finite_or_non_number_loss_weight_exits_config(
+    tmp_path, small_scene, capsys, command, text, err
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [10, 11]})
+    out = tmp_path / "out"
+    if command == "sweep":
+        key, value = text[1:-1].split(": ")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(f'{{"parameter": {key}, "values": [{value}]}}')
+        argv = ["sweep", str(small_scene), "--sweep", str(sweep)]
+    else:
+        argv = {
+            "cases": ["loss", "--cases"],
+            "loss": ["loss", str(small_scene), "--sets", sets],
+            "gradcheck": ["gradcheck", str(small_scene), "--sets", sets],
+        }[command] + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 def test_a_k_sweep_over_an_infinite_k_exits_config(tmp_path, small_scene, capsys):
     sweep = tmp_path / "sweep.json"
     sweep.write_text('{"parameter": "k", "values": [1e999]}')

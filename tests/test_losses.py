@@ -393,10 +393,11 @@ def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
         return probe_rows(data, unit, i, js, h)
 
     monkeypatch.setattr(submine.losses, "_probe_rows", spy)
+    monkeypatch.setattr(submine.losses, "FD_SAMPLE", 40)
     for fam in FAMILIES:
         probed.clear()
         cfg = LossConfig(family=fam, eta=0.8)
-        got = finite_difference_check(e, classes, u, t, cfg, seed=5, max_coords=40)
+        got = finite_difference_check(e, classes, u, t, cfg, seed=5)
         want = finite_difference_reference(e, classes, u, t, cfg, seed=5, max_coords=40)
         assert got["checked"] + got["tie_adjacent"] == 40
         assert len(set(probed)) == 40 and probed == want["coords"]
@@ -404,7 +405,8 @@ def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
         # reference's full Gram matrix round an ulp or two apart; the 1/(2h)
         # quotient over the 1e-4 floor turns that into a few 1e-9.
         _assert_same_audit(got, want, tol=1e-8)
-    empty = finite_difference_check(e, classes, u, t, LossConfig(), max_coords=0)
+    monkeypatch.setattr(submine.losses, "FD_SAMPLE", 0)
+    empty = finite_difference_check(e, classes, u, t, LossConfig())
     assert empty["checked"] == empty["tie_adjacent"] == 0
     assert math.isnan(empty["max_rel_err"])
 

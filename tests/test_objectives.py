@@ -172,6 +172,7 @@ def test_marginal_gain_matches_value_difference():
             )
             state = marginal_state(obj)
             selected: list[int] = []
+            total = 0.0
             for v in rng.permutation(n)[: n - 1]:
                 v = int(v)
                 gain = marginal_gain(state, v)
@@ -179,9 +180,9 @@ def test_marginal_gain_matches_value_difference():
                 assert gain == pytest.approx(want, abs=1e-9)
                 state = commit(state, v)
                 selected.append(v)
-                assert state.value == pytest.approx(
-                    evaluate(obj, selected), abs=1e-9
-                )
+                total += gain
+                assert state.selected == selected
+                assert total == pytest.approx(evaluate(obj, state.selected), abs=1e-9)
 
 
 def test_marginal_gain_is_pure(toy_objective):
@@ -209,7 +210,7 @@ def test_toy_marginal_chain(toy_objective):
     state = commit(state, 1)
     assert marginal_gain(state, 2) == pytest.approx(0.6, abs=1e-12)
     state = commit(state, 2)
-    assert state.value == pytest.approx(2.5, abs=1e-12)
+    assert evaluate(fl, state.selected) == pytest.approx(2.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("family,transform,eps", FAMILY_SETUPS)
@@ -220,13 +221,13 @@ def test_state_copy_leaves_the_original_untouched(family, transform, eps):
     for v in (3, 7, 1):
         commit(state, v)
     items = np.array([i for i in range(12) if i not in (3, 7, 1)])
-    gains, value = state.gains(items), state.value
+    gains = state.gains(items)
     twin = state.copy()
-    assert np.array_equal(twin.gains(items), gains) and twin.value == value
+    assert np.array_equal(twin.gains(items), gains)
     for v in (0, 5, 9):
         commit(twin, v)
     assert np.array_equal(state.gains(items), gains)
-    assert state.value == value and state.selected == [3, 7, 1]
+    assert state.selected == [3, 7, 1]
     assert twin.selected == [3, 7, 1, 0, 5, 9]
     # The original still commits as if no copy had been taken.
     fresh = marginal_state(obj)
@@ -235,7 +236,7 @@ def test_state_copy_leaves_the_original_untouched(family, transform, eps):
     commit(state, 0)
     rest = np.array([i for i in range(12) if i not in (3, 7, 1, 0)])
     assert np.array_equal(state.gains(rest), fresh.gains(rest))
-    assert state.value == fresh.value
+    assert state.selected == fresh.selected
 
 
 def test_logdet_factor_growth_matches_vstack_bit_for_bit():
@@ -252,12 +253,34 @@ def test_logdet_factor_growth_matches_vstack_bit_for_bit():
         ref.commit(v)
         rest = np.array(order[r + 1:], dtype=np.intp)
         assert np.array_equal(state.gains(rest), ref.gains(rest))
-        assert state.value == ref.value
     assert len(state._factor) > first_rows
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("family,transform,eps", FAMILY_SETUPS)
+def test_a_bare_commit_is_the_module_commit(family, transform, eps):
+    rng = np.random.default_rng(506)
+    obj = random_objective(rng, family, n=8, transform=transform, epsilon=eps, lam=0.6)
+    bare, module = marginal_state(obj), marginal_state(obj)
+    for v in (1, 6):
+        bare.commit(v)
+        commit(module, v)
+    assert bare.selected == module.selected == [1, 6]
+    rest = np.array([0, 2, 3, 4, 5, 7])
+    gains = bare.gains(rest)
+    assert np.array_equal(_bits(gains), _bits(module.gains(rest)))
+    want = [evaluate(obj, [1, 6, v]) - evaluate(obj, [1, 6]) for v in rest]
+    assert np.allclose(gains, want, rtol=0.0, atol=1e-9)
+    with pytest.raises(ValueError, match="already selected"):
+        bare.commit(6)
+    with pytest.raises(ValueError, match="out of range"):
+        bare.commit(8)
+    # A refused commit leaves the selection and the caches as they were.
+    assert bare.selected == [1, 6]
+    assert np.array_equal(_bits(bare.gains(rest)), _bits(gains))
 
 
 def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
@@ -279,7 +302,6 @@ def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
         assert np.array_equal(_bits(state._factor[: r + 1]), _bits(ref.factor))
         rest = np.array(order[r + 1:], dtype=np.intp)
         assert np.array_equal(_bits(state.gains(rest)), _bits(ref.gains(rest)))
-        assert state.value == ref.value
     # The 41st commit found the reserved rows full and doubled them.
     assert len(state._factor) == 80
 
@@ -322,7 +344,6 @@ def test_logdet_copy_holds_the_committed_rows_only():
         commit(state, v)
         commit(twin, v)
         ref.commit(v)
-        assert twin.value == state.value == ref.value
     assert np.array_equal(_bits(twin._factor), _bits(ref.factor))
     assert np.array_equal(_bits(state._factor[: len(order)]), _bits(ref.factor))
 
@@ -359,7 +380,9 @@ def test_facility_location_state_reads_the_kernel_on_the_whole_ground():
             assert np.allclose(state.gains(rest), want, rtol=0.0, atol=1e-9)
             commit(state, v)
             selected.append(v)
-            assert state.value == pytest.approx(fl_loops(s, selected, list(ground)), abs=1e-9)
+            assert evaluate(obj, state.selected) == pytest.approx(
+                fl_loops(s, selected, list(ground)), abs=1e-9
+            )
 
 
 def test_graph_cut_column_sums_on_the_whole_ground_are_the_gathered_sums():

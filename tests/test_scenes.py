@@ -168,5 +168,3 @@ def test_separation_validation():
         gen_separation_cases(n_cases=0)
     with pytest.raises(ValueError, match="inside"):
         gen_separation_cases(n_cases=10)
-    with pytest.raises(ValueError, match="d >= 2"):
-        gen_separation_cases(d=1)
