@@ -227,8 +227,8 @@ def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
 @dataclass(frozen=True)
 class _Prepared:
     """What stages 3 and 4 start from: the scene-level sets, the kept-only
-    objective, and a state with the knowns committed.  The state is never
-    advanced; each selection runs on a copy of it."""
+    objective, and a state with the knowns committed and no room for more.
+    It is never advanced; each selection runs on a copy with its own room."""
 
     kept: IndexSet
     known: IndexSet
@@ -283,15 +283,14 @@ def _prepare(
 
 def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
     """Stages 3 and 4 on a copy of the prepared state: stage 4 continues
-    from the state stage 3 left.  Before stage 3 the copy reserves room for
-    every commit both stages can make, floor(tau_b * |pool|) and then at
-    most min(k, |stage-4 pool|), so no commit regrows it."""
+    from the state stage 3 left.  The copy has room for every commit both
+    stages can make, floor(tau_b * |pool|) and then at most min(k, |stage-4
+    pool|), so its factor is allocated once and no commit regrows it."""
     objective = prepared.objective
-    state = prepared.state.copy()
     pool_v = objective.ground.minus(prepared.known_k)
     budget = math.floor(config.tau_b * len(pool_v))
     pool_u_size = len(pool_v) - budget if config.exclude_background_from_pool else len(pool_v)
-    state.reserve(budget + min(int(config.k), pool_u_size))
+    state = prepared.state.copy(budget + min(int(config.k), pool_u_size))
     try:
         bg = select_background(objective, pool_v, state, config.tau_b)
     except ValueError as e:

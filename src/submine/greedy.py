@@ -69,11 +69,8 @@ def _prep(
     cond.check_bounds(objective.n)
     if not allow_conditioned and cand.intersects(cond):
         raise ValueError("candidates overlap conditioning set")
-    picks = min(k, len(cand))  # at most this many commits
-    if state is None:
-        state = _conditioned_state(objective, cond, picks)
-    else:
-        state.reserve(picks)
+    if state is None:  # room for every pick; a handed-in state keeps its own
+        state = _conditioned_state(objective, cond, min(k, len(cand)))
     return cand.sorted().as_array(), cond, state
 
 
@@ -82,8 +79,7 @@ def _conditioned_state(
 ) -> MarginalState:
     """A fresh state with the items of cond committed in order, and room for
     `commits` more commits."""
-    state = marginal_state(objective)
-    state.reserve(len(cond) + commits)
+    state = marginal_state(objective, len(cond) + commits)
     for q in cond:
         commit(state, q)
     return state
@@ -91,8 +87,8 @@ def _conditioned_state(
 
 def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> SelectionResult:
     """The greedy loop from `state`, whose selection is the conditioning set:
-    fresh picks are committed into it, in the room `_prep` reserved for
-    them, and picks already selected gain 0 unscored.  prune (sound under
+    fresh picks are committed into it, in the room the state was made with,
+    and picks already selected gain 0 unscored.  prune (sound under
     diminishing returns) takes a row's last gain as a bound on its next; a
     round then scores rows by descending bound, lowest index first, until
     every unscored bound is below the best gain, so no unscored row can win
@@ -139,7 +135,8 @@ def greedy_max(
 
     conditioning is the set to condition on, or a MarginalState of this
     objective whose selection is that set: the run then continues from the
-    state and commits its picks into it, instead of re-committing the set.
+    state and commits its picks into it, instead of re-committing the set;
+    a commit past the room the state was made with regrows log-det's factor.
     With allow_conditioned_candidates items already in the conditioning set
     may appear in the pool; re-selecting one contributes exactly zero gain
     (set semantics) and leaves the state untouched.

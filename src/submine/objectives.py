@@ -401,11 +401,11 @@ def conditional_gain_closed(
 #     itself, else an n x |ground| copy
 #   graph-cut: fixed column sums plus running cross sums to the selection
 #   log-determinant: Cholesky rows and residual variance of every item
-#     (Chen, Zhang & Zhou, NeurIPS 2018); the rows fill one buffer sized
-#     by `reserve` for the commits a run makes, which doubles only when a
-#     commit finds it full
+#     (Chen, Zhang & Zhou, NeurIPS 2018); the rows fill one buffer, sized
+#     where the state is made (`marginal_state` or `copy`) for the commits
+#     it will take, which doubles only when a commit finds it full
 # Beside the kernel, each state holds O(n) entries, log-det one n-long row
-# per reserved commit, and facility location its block when it is a copy.
+# per row of room, and facility location its block when it is a copy.
 
 
 class MarginalState:
@@ -414,10 +414,11 @@ class MarginalState:
     `gains(items)` returns the marginal gains of an index array of unselected
     items in one call.  `commit(v)` is the one commit: it refuses an item out
     of range or already selected, updates the caches in place, and appends v
-    to `selected`.
+    to `selected`.  A state is made with room for `commits` commits, which
+    then grow no cache; only log-det's factor grows with the selection.
     """
 
-    def __init__(self, objective: SubmodularObjective):
+    def __init__(self, objective: SubmodularObjective, commits: int = 0):
         self.objective = objective
         self.selected: list[int] = []
         self._s = objective.kernel.matrix
@@ -425,18 +426,14 @@ class MarginalState:
         # Whether the ground set is every item in order: it then sums whole columns.
         self._whole = len(g) == len(self._s) and np.array_equal(g, np.arange(len(g)))
 
-    def copy(self) -> "MarginalState":
-        """An independent state with the same selection: it shares the kernel
-        and the caches no commit changes, and copies the ones commits update,
-        log-det's factor to its committed rows only; `reserve` on the copy
-        makes room for the commits it will take."""
+    def copy(self, commits: int = 0) -> "MarginalState":
+        """An independent state with the same selection and room for
+        `commits` more commits: it shares the kernel and the caches no
+        commit changes, and copies the ones commits update, log-det's
+        factor into a buffer of its committed rows and that room."""
         new = copy.copy(self)
         new.selected = list(self.selected)
         return new
-
-    def reserve(self, commits: int) -> None:
-        """Make room for `commits` more commits, so that none of them grows a
-        cache; only log-det's factor grows with the selection."""
 
     def commit(self, v: int) -> None:
         v = _check_new(self, v)
@@ -445,7 +442,7 @@ class MarginalState:
 
 
 class _FacilityLocationState(MarginalState):
-    def __init__(self, objective):
+    def __init__(self, objective, commits=0):
         super().__init__(objective)
         # Row v is kernel column v over the ground set, contiguous.
         if self._whole and mirrored(self._s):
@@ -469,7 +466,7 @@ class _FacilityLocationState(MarginalState):
 
 
 class _GraphCutState(MarginalState):
-    def __init__(self, objective):
+    def __init__(self, objective, commits=0):
         super().__init__(objective)
         s = self._s if self._whole else self._s[objective.ground.as_array(), :]
         self._colsum = s.sum(axis=0)
@@ -479,7 +476,7 @@ class _GraphCutState(MarginalState):
         lam = self.objective.lam
         return self._colsum[items] - lam * (2.0 * self._cross[items] + self._s[items, items])
 
-    def copy(self):
+    def copy(self, commits=0):
         new = super().copy()
         new._cross = self._cross.copy()
         return new
@@ -491,18 +488,18 @@ class _GraphCutState(MarginalState):
 class _LogDetState(MarginalState):
     """Log-det gains from the Cholesky rows of the selection and the residual
     variance of every item.  Row r of `_factor` is the row of the r-th
-    commit, and rows past the selection are room for later commits:
-    `reserve` sizes the buffer once for the commits a run makes, and a
-    commit that finds it full doubles it.  Each row is computed from a view
-    of the rows before it, so the rows are the same bit for bit whatever
-    the buffer's length."""
+    commit, and rows past the selection are room for later commits: the
+    buffer is sized once where the state is made, for the commits it will
+    take, and a commit that finds it full doubles it (to FIRST_ROWS at
+    least).  Each row is computed from a view of the rows before it, so the
+    rows are the same bit for bit whatever the buffer's length."""
 
-    # Rows of a fresh state's buffer.
+    # Fewest rows a commit that finds the buffer full grows it to.
     FIRST_ROWS = 16
 
-    def __init__(self, objective):
+    def __init__(self, objective, commits=0):
         super().__init__(objective)
-        self._factor = np.empty((self.FIRST_ROWS, objective.n))
+        self._factor = np.empty((commits, objective.n))
         self._resid = np.diagonal(self._s) + objective.epsilon
 
     def _resized(self, rows: int) -> np.ndarray:
@@ -512,16 +509,11 @@ class _LogDetState(MarginalState):
         factor[:k] = self._factor[:k]
         return factor
 
-    def copy(self):
+    def copy(self, commits=0):
         new = super().copy()
-        new._factor = self._resized(len(self.selected))
+        new._factor = self._resized(len(self.selected) + commits)
         new._resid = self._resid.copy()
         return new
-
-    def reserve(self, commits: int) -> None:
-        rows = len(self.selected) + commits
-        if rows > len(self._factor):
-            self._factor = self._resized(rows)
 
     def gains(self, items) -> np.ndarray:
         resid = self._resid[items]
@@ -548,11 +540,12 @@ _STATES = {
 }
 
 
-def marginal_state(objective: SubmodularObjective) -> MarginalState:
-    """Fresh state for the empty selection; its gains are definitional."""
+def marginal_state(objective: SubmodularObjective, commits: int = 0) -> MarginalState:
+    """Fresh state for the empty selection, with room for `commits` commits;
+    its gains are definitional."""
     if objective.nu != 1.0:
         raise ValueError(f"nu must be 1 for definitional gains, got {objective.nu}")
-    return _STATES[objective.family](objective)
+    return _STATES[objective.family](objective, commits)
 
 
 def _check_new(state: MarginalState, v: int) -> int:

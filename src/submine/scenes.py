@@ -9,6 +9,7 @@ fixed: known items first (class by class), then unknowns, then backgrounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,21 @@ _TAG_UNKNOWN = 1 << 20
 _TAG_BACKGROUND = (1 << 20) + 1
 _TAG_SEP_KNOWN = (1 << 20) + 2
 _TAG_SEP_UNKNOWN = (1 << 20) + 3
+# Seeds are u64, one Philox key word.
+_SEED_END = 1 << 64
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, tag]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
+
+
+def _check_integer(name: str, value, lo: int, end: float = math.inf) -> None:
+    """Refuse a value that is not an integer in [lo, end), naming the key: a
+    number raises ValueError, anything else TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"must be an integer, not {type(value).__name__}")
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and lo <= value < end):
+        raise ValueError(f"{name} must be an integer in [{lo}, {end}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +62,9 @@ class SceneSpec:
     objectness_background: tuple[float, float] = (0.0, 0.3)
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
+        _check_integer("seed", self.seed, 0, _SEED_END)
+        for name, lo in (("d", 1), ("n_total", 0), ("n_known", 1), ("n_unknown", 0)):
+            _check_integer(name, getattr(self, name), lo)
         if len(self.cluster_means) < 2:
             raise ValueError("need at least one known center and one unknown center")
         means = tuple(tuple(float(x) for x in m) for m in self.cluster_means)
@@ -67,8 +78,6 @@ class SceneSpec:
         object.__setattr__(self, "background_mean", bg)
         if self.cluster_stddev < 0.0 or self.background_stddev < 0.0:
             raise ValueError("stddev must be non-negative")
-        if self.n_known < 1 or self.n_unknown < 0:
-            raise ValueError("need at least one known item")
         if self.n_total < self.n_known + self.n_unknown:
             raise ValueError("n_total smaller than known plus unknown items")
         for lo, hi in (
@@ -144,6 +153,7 @@ def gen_separation_cases(seed: int = 0, n_cases: int = 3) -> list[SeparationCase
     cross terms need; radius 6, noise stddev 0.4, and case j's angle
     pi/7.2 + j pi/4.5, which stays below pi for up to 4 cases.
     """
+    _check_integer("seed", seed, 0, _SEED_END)
     d, n_known, n_unknown, radius, stddev = 128, 10, 100, 6.0, 0.4
     base_angle, angle_step = math.pi / 7.2, math.pi / 4.5
     if n_cases < 1:

@@ -180,6 +180,33 @@ def test_select_refuses_a_non_finite_or_fractional_config_value(tmp_path, small_
 
 
 @pytest.mark.parametrize(
+    "config, key",
+    [({"n_total": 500.5}, "n_total"), ({"n_known": 10.0}, "n_known"), ({"seed": 2**64}, "seed"),
+     ({"seed": 2.5}, "seed"), ({"seed": 10**30}, "seed")],
+)
+def test_generate_refuses_a_seed_or_count_that_is_not_an_integer_in_range(
+    tmp_path, capsys, config, key
+):
+    out = tmp_path / "scene.csv"
+    argv = ["generate", "--config", _write_json(tmp_path / "c.json", config), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be an integer ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "loss"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_flag_outside_u64_exits_config(tmp_path, capsys, command, seed):
+    out = tmp_path / "out.csv"
+    extra = ["--cases"] if command == "loss" else []
+    assert main([command, *extra, "--seed", str(seed), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be an integer in [0, {2**64}), got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, config, key",
     [
         ("generate", {"n_known": 5, "n_total": "a"}, "n_total"),

@@ -454,7 +454,7 @@ def test_sweep_runs_equal_runs_per_value(family, monkeypatch):
     # Negative control: sharing the prepared state without a copy lets the
     # second value's stage 3 see the first value's picks.
     for cls in _STATES.values():
-        monkeypatch.setattr(cls, "copy", lambda self: self)
+        monkeypatch.setattr(cls, "copy", lambda self, commits=0: self)
     for configs in grids[:2]:
         with pytest.raises(StageError, match="overlap"):
             list(_run_each(scene, protos, configs))
@@ -505,10 +505,10 @@ def test_pipeline_commits_each_item_once(include_background, monkeypatch):
 # log-det: one factor buffer sized for the commits a run makes
 
 
-def _kept_256(seed):
+def _kept_256(seed, n_known=12, n_unknown=72):
     """A mine-greedy-sized scene, 600 items, with tau_e set so that exactly
     256 pass the filter, and its knowns as prototypes."""
-    scene = gen_scene(SceneSpec(seed=seed, n_total=600, n_known=12, n_unknown=72))
+    scene = gen_scene(SceneSpec(seed=seed, n_total=600, n_known=n_known, n_unknown=n_unknown))
     tau_e = float(np.sort(scene.objectness)[-256])
     return scene, known_prototypes(scene), DiscoveryConfig(family=Family.LOG_DET, tau_e=tau_e)
 
@@ -527,8 +527,8 @@ def _spy_on_log_det_states(monkeypatch):
     copies, regrown = [], []
     real_copy, real_commit = _LogDetState.copy, _LogDetState.commit
 
-    def spy_copy(self):
-        copies.append(real_copy(self))
+    def spy_copy(self, commits=0):
+        copies.append(real_copy(self, commits))
         return copies[-1]
 
     def spy_commit(self, v):
@@ -558,26 +558,57 @@ def test_select_sizes_the_log_det_factor_once(include_background, k, monkeypatch
     assert include_background or len(state.selected) == len(state._factor)
 
 
-def test_log_det_run_peaks_at_the_kernel_plus_its_reserved_rows():
-    # Measured slack at seeds 0-2: 85-89 KB beyond the kernel, the copy's
-    # reserved rows and the prepared state's FIRST_ROWS rows (scene-sized
-    # index arrays, the match, greedy's per-row arrays).  A factor that
-    # doubles from 64 to 128 rows holds 64 rows beside 128, and peaks about
-    # 0.14 MB over this bound.
+def _assert_peak_at_the_kernel_plus_its_rows(scene, protos, config):
+    """A log-det run peaks at the kernel, the prepared state's |K| rows and
+    the copy's reserved rows, plus a slack: scene-sized index arrays, the
+    match, greedy's per-row arrays (85-95 KB measured at seeds 0-2 of both
+    `_kept_256` scenes).  A factor that doubles from 64 to 128 rows holds 64
+    rows beside 128, and peaks about 0.14 MB over this bound."""
     slack = 120_000
+    run_discovery(scene, protos, config)
+    tracemalloc.start()
+    try:
+        result = run_discovery(scene, protos, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(result.kept)
+    assert n == 256
+    rows = len(result.known) + _reserved_rows(result)
+    assert peak <= result.kernel.matrix.nbytes + rows * n * 8 + slack
+    return result
+
+
+def test_log_det_run_peaks_at_the_kernel_plus_its_reserved_rows():
     for seed in range(3):
-        scene, protos, config = _kept_256(seed)
-        run_discovery(scene, protos, config)
-        tracemalloc.start()
-        try:
-            result = run_discovery(scene, protos, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n = len(result.kept)
-        assert n == 256
-        rows = _reserved_rows(result) + _LogDetState.FIRST_ROWS
-        assert peak <= result.kernel.matrix.nbytes + rows * n * 8 + slack
+        _assert_peak_at_the_kernel_plus_its_rows(*_kept_256(seed))
+
+
+def test_knowns_heavy_log_det_run_holds_no_copy_of_the_prepared_factor():
+    # 120 knowns' rows of 256 entries, 246 KB, are more than the slack: a
+    # copy of the prepared factor beside the reserved one would not fit.
+    for seed in range(2):
+        result = _assert_peak_at_the_kernel_plus_its_rows(
+            *_kept_256(seed, n_known=120, n_unknown=200)
+        )
+        assert len(result.known) == 120
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+def test_select_allocates_the_log_det_factor_once(include_background, monkeypatch):
+    scene, protos, config = _kept_256(0, n_known=120, n_unknown=200)
+    config = replace(config, exclude_background_from_pool=not include_background)
+    prepared = submine.discovery._prepare(scene, protos, config)
+    sizes = []
+    real = _LogDetState._resized
+
+    def spy(self, rows):
+        sizes.append(rows)
+        return real(self, rows)
+
+    monkeypatch.setattr(_LogDetState, "_resized", spy)
+    result = submine.discovery._select(prepared, config)
+    assert sizes == [_reserved_rows(result)]
 
 
 def test_log_det_sweep_peaks_as_one_run_at_its_largest_tau_b():

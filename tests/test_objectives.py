@@ -23,7 +23,7 @@ from submine import (
     marginal_gain,
     marginal_state,
 )
-from submine.objectives import DEFAULT_LOGDET_EPSILON
+from submine.objectives import DEFAULT_LOGDET_EPSILON, _LogDetState
 from helpers import (
     VStackLogDetState,
     fl_gains_dense,
@@ -243,17 +243,18 @@ def test_logdet_factor_growth_matches_vstack_bit_for_bit():
     rng = np.random.default_rng(606)
     n = 80
     obj = random_objective(rng, Family.LOG_DET, n=n, epsilon=1e-2)
-    state = marginal_state(obj)
-    first_rows = len(state._factor)
+    state = marginal_state(obj)  # no room: the first commit grows the buffer
+    first_rows = _LogDetState.FIRST_ROWS
+    assert len(state._factor) == 0
     ref = VStackLogDetState(obj)
-    # Past two doublings of the first buffer.
+    # Past two doublings of the first grown buffer.
     order = [int(v) for v in rng.permutation(n)[: 2 * first_rows + 3]]
     for r, v in enumerate(order):
         commit(state, v)
         ref.commit(v)
         rest = np.array(order[r + 1:], dtype=np.intp)
         assert np.array_equal(state.gains(rest), ref.gains(rest))
-    assert len(state._factor) > first_rows
+    assert len(state._factor) == 4 * first_rows
 
 
 def _bits(a):
@@ -288,15 +289,13 @@ def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
     n = 60
     obj = random_objective(rng, Family.LOG_DET, n=n, epsilon=1e-2)
     order = [int(v) for v in rng.permutation(n)[:41]]
-    state = marginal_state(obj)
-    state.reserve(40)  # past FIRST_ROWS, so the fresh buffer is replaced once
+    state = marginal_state(obj, 40)  # past FIRST_ROWS: the buffer is sized once
     buf = state._factor
     assert len(buf) == 40
     ref = VStackLogDetState(obj)
     for r, v in enumerate(order):
         commit(state, v)
         ref.commit(v)
-        state.reserve(0)  # room that is there already leaves the buffer as it is
         if r < 40:
             assert state._factor is buf
         assert np.array_equal(_bits(state._factor[: r + 1]), _bits(ref.factor))
@@ -310,11 +309,21 @@ def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
 def test_reserve_changes_nothing_for_facility_location_and_graph_cut(family):
     rng = np.random.default_rng(608)
     obj = random_objective(rng, family, n=20, transform="clip-at-zero")
-    state = commit(marginal_state(obj), 4)
-    before = dict(vars(state))
-    state.reserve(10**12)  # allocates nothing, however large
-    assert vars(state).keys() == before.keys()
-    assert all(getattr(state, k) is v for k, v in before.items())
+    # Room for commits allocates nothing, however large.
+    fresh = marginal_state(obj)
+    roomy = marginal_state(obj, 10**12)
+    assert vars(roomy).keys() == vars(fresh).keys()
+    assert all(
+        np.array_equal(_bits(v), _bits(getattr(fresh, k))) if isinstance(v, np.ndarray)
+        else v == getattr(fresh, k) for k, v in vars(roomy).items()
+    )
+    state = commit(roomy, 4)
+    twin = state.copy(10**12)
+    assert vars(twin).keys() == vars(state).keys()
+    assert all(
+        getattr(twin, k) is v for k, v in vars(state).items() if k not in ("selected", "_cross")
+    )
+    assert twin.selected == state.selected == [4]
 
 
 def test_logdet_copy_holds_the_committed_rows_only():
@@ -331,8 +340,10 @@ def test_logdet_copy_holds_the_committed_rows_only():
         for theirs in (state._factor, state._resid):
             assert not np.shares_memory(mine, theirs)
     assert np.array_equal(_bits(twin._factor), _bits(state._factor[:20]))
-    twin.reserve(len(order) - 20)
-    assert len(twin._factor) == len(order)
+    twin = state.copy(len(order) - 20)  # the committed rows and room for the rest
+    assert len(twin._factor) == len(order) and len(twin.selected) == 20
+    assert not np.shares_memory(twin._factor, state._factor)
+    assert np.array_equal(_bits(twin._factor[:20]), _bits(state._factor[:20]))
     # Both continue alike, bit for bit, and alike with a vstack telescope.
     ref = VStackLogDetState(obj)
     for v in order[:20]:

@@ -1,6 +1,8 @@
 """Synthetic scene generation: layout, determinism, stream independence."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +55,38 @@ def test_scene_is_deterministic():
     assert np.array_equal(a.objectness, b.objectness)
     c = gen_scene(SceneSpec(seed=6))
     assert not np.array_equal(a.data, c.data)
+
+
+def test_seeds_above_two_to_the_63_draw_their_own_scenes():
+    # A seed is one u64 key word: seeds that differ in the low bit only draw
+    # different scenes, and the largest seed draws without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, top = (gen_scene(SceneSpec(seed=s)) for s in (2**63, 2**63 + 1, 2**64 - 1))
+    assert not np.array_equal(a.data, b.data)
+    assert not np.array_equal(a.data, top.data)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 2.5), ("seed", 2**64), ("seed", -1), ("seed", math.nan), ("d", 0), ("d", 2.0),
+     ("n_total", 500.5), ("n_known", 10.0), ("n_known", 0), ("n_known", True), ("n_unknown", -1),
+     ("n_unknown", math.inf)],
+)
+def test_scene_spec_refuses_a_seed_or_count_that_is_not_an_integer_in_range(key, value):
+    want = f"^{key} must be an integer .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=want):
+        SceneSpec(**{key: value})
+    # Not a number at all: a TypeError, which the CLI names by its key.
+    with pytest.raises(TypeError, match="must be an integer, not str"):
+        SceneSpec(**{key: "a"})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5])
+def test_separation_cases_refuse_a_seed_outside_u64(seed):
+    want = rf"^seed must be an integer in \[0, {2**64}\), got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=want):
+        gen_separation_cases(seed=seed)
 
 
 def test_background_knobs_do_not_move_cluster_draws():
