@@ -37,7 +37,8 @@ from .kernels import (
 )
 from .objectives import Family, MarginalState, SubmodularObjective
 
-# Largest kept x kept kernel, in bytes, a run builds: 2 GiB, 16,384 kept items.
+# Largest array, in bytes, a run builds: a kept x kept kernel of 16,384 kept
+# items, or a generated scene's embeddings; 2 GiB.
 MAX_KERNEL_BYTES = 1 << 31
 
 
@@ -62,7 +63,8 @@ class DiscoveryConfig:
     Greedy ranks items by the definitional gain f(A u Q) - f(Q), so nu must
     be 1; the field stays so the resolved config echoes it.  Every float
     field must be finite, and k a finite non-negative integer: a k above the
-    pool mines the whole pool.
+    pool mines the whole pool.  A bool is refused for k and every float
+    field, though Python counts it as an int.
     """
 
     tau_e: float = 0.2
@@ -78,6 +80,10 @@ class DiscoveryConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family.parse(str(self.family)))
+        for name in ("tau_e", "tau_b", "k", "lam", "nu", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not (0.0 <= self.tau_e <= 1.0):
             raise ValueError("tau_e must lie in [0, 1]")
         if not (0.0 <= self.tau_b <= 1.0):

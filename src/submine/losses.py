@@ -29,6 +29,15 @@ structure; the finite-difference checker detects probes that cross such a
 boundary by comparing structure signatures and reports them instead of
 flagging errors.
 
+A loss evaluation holds three large arrays at once: the n x d unit rows,
+the n x |C| kernel and its adjoint G.  `_assemble` uses up the kernel: once
+the terms have filled G, G * s is formed in the kernel's buffer, its row and
+column sums are taken, and the kernel is dropped before the n x d gradient
+is allocated.  The gradient's row term goes in row blocks, and facility
+location reads large blocks of the kernel in row blocks, so the rest is
+block-sized scratch.  The finite-difference audit builds its own base
+kernel for its probes to read.
+
 Every term reads the kernel through the objectives' one reader, `_Kernel`,
 with a leading probe axis, and returns one value per probe.  A plain loss
 evaluation is a batch of one, and only there are adjoints accumulated.  The
@@ -54,7 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import EmbeddingSet, IndexSet, cosine_columns
+from .kernels import EmbeddingSet, IndexSet, cosine_columns, row_blocks
 from .objectives import Family, _Kernel, _scg
 
 FD_STEP = 1e-4
@@ -273,21 +282,28 @@ def loss_cross(
 
 
 def _assemble(data: np.ndarray, sets: _Sets, cfg: LossConfig, sig: Callable | None = None):
-    """Loss parts and gradient at `data`, and the kernel and unit rows they
-    used.  The gradient folds W = g + g^T without forming it (see the module
-    docstring)."""
+    """Loss parts and gradient at `data`.  The gradient folds W = g + g^T
+    without forming it, and uses up the kernel (see the module docstring)."""
     kern, unit, norms = _base(data, sets)
     cols = sets.cols
     g = np.zeros_like(kern.s)
     l_self, l_cross, l_total = _parts(kern, sets, cfg, g, sig)
+    gs = kern.s
+    del kern  # gs is now the kernel's one reference
+    gs *= g
+    row = gs.sum(axis=1)
+    row[cols] += gs.sum(axis=0)
+    del gs
+    # The |C| x d products come first, so they rather than the gradient,
+    # which outlives the call, reuse the kernel's freed buffer: a loop of
+    # calls then touches fewer fresh pages.
+    cross = g.T @ unit
     grad = g @ unit[cols]
-    grad[cols] += g.T @ unit
-    g *= kern.s
-    row = g.sum(axis=1)
-    row[cols] += g.sum(axis=0)
-    grad -= row[:, None] * unit
+    grad[cols] += cross
+    for r in row_blocks(len(grad), grad.shape[1]):
+        grad[r] -= row[r, None] * unit[r]
     grad /= norms[:, None]
-    return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad, kern, unit
+    return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad
 
 
 def loss_total(
@@ -300,7 +316,7 @@ def loss_total(
     """Combined loss self - eta * cross with its analytic gradient."""
     _validate_sets(embeddings.n, classes, t, u)
     sets = _index_sets(classes, u, t, config.family)
-    l_self, l_cross, l_tot, grad, _, _ = _assemble(embeddings.data, sets, config)
+    l_self, l_cross, l_tot, grad = _assemble(embeddings.data, sets, config)
     return LossReport(l_self, l_cross, l_tot, grad)
 
 
@@ -350,7 +366,8 @@ def finite_difference_check(
     n, d = data.shape
     sets = _index_sets(classes, u, t, config.family)
     base_sig: list[np.ndarray] = []
-    _, _, base_total, grad, kern, unit = _assemble(data, sets, config, base_sig.append)
+    _, _, base_total, grad = _assemble(data, sets, config, base_sig.append)
+    kern, unit, _ = _base(data, sets)
     if perturb != 0.0:
         grad[0, 0] += perturb
     if n * d <= FD_EXHAUSTIVE_LIMIT:

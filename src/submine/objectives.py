@@ -172,8 +172,17 @@ class _Kernel:
     def best(self, a: np.ndarray, b: np.ndarray):
         """Per probe and row of a: the first argmax over b and its value,
         shape (probes, |a|), or (1, |a|) where no probe moves the block."""
-        blk = self.s[a[:, None], self.pos[b]]
         moved = self._moved(a, b)
+        # Fancy indexing holds about twice its result as scratch, so a base
+        # read spanning more than a third of the block budget goes in row blocks.
+        blocks = row_blocks(len(a), 3 * len(b)) if moved is None else ()
+        if len(blocks) > 1:
+            j = np.empty((1, len(a)), dtype=np.intp)
+            v = np.empty((1, len(a)))
+            for r in blocks:
+                j[:, r], v[:, r] = self.best(a[r], b)
+            return j, v
+        blk = self.s[a[:, None], self.pos[b]]
         if moved is None:
             j = blk.argmax(axis=1)
             return j[None], blk[np.arange(len(a)), j][None]

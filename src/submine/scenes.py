@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discovery import MAX_KERNEL_BYTES
 from .kernels import BACKGROUND_LABEL, UNKNOWN_LABEL, EmbeddingSet, IndexSet
 
 # Stream tags; known class c uses tag c, so keep these out of reach.
@@ -46,6 +47,8 @@ class SceneSpec:
     cluster center (so it needs at least two entries).  The background cloud
     is a broad normal blob; its objectness band deliberately overlaps the
     filter threshold region so the objectness filter stays non-trivial.
+    A scene whose n_total x d float64 embeddings exceed
+    `discovery.MAX_KERNEL_BYTES` is refused before anything is drawn.
     """
 
     seed: int = 0
@@ -65,6 +68,12 @@ class SceneSpec:
         _check_integer("seed", self.seed, 0, _SEED_END)
         for name, lo in (("d", 1), ("n_total", 0), ("n_known", 1), ("n_unknown", 0)):
             _check_integer(name, getattr(self, name), lo)
+        nbytes = 8 * self.n_total * self.d  # float64 embeddings
+        if nbytes > MAX_KERNEL_BYTES:
+            raise ValueError(
+                f"n_total x d = {self.n_total} x {self.d} embeddings need {nbytes:,} bytes, "
+                f"above the {MAX_KERNEL_BYTES:,}-byte budget"
+            )
         if len(self.cluster_means) < 2:
             raise ValueError("need at least one known center and one unknown center")
         means = tuple(tuple(float(x) for x in m) for m in self.cluster_means)

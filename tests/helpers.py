@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: plain Python loops, itertools
 enumeration, and numpy.linalg calls.  None of it shares code with the
-vectorized or incremental paths under audit.
+vectorized or incremental paths under audit, except where a reference
+pins an order of operations bit for bit: `whole_array_loss_reference`
+shares the loss terms and checks only how the gradient is assembled.
 """
 
 import csv
@@ -22,6 +24,9 @@ from submine import (
     loss_total,
     match_knowns,
 )
+import submine.losses
+import submine.objectives
+from submine.kernels import cosine_columns
 from submine.losses import FD_EXHAUSTIVE_LIMIT
 from submine.objectives import commit, marginal_state
 
@@ -390,6 +395,41 @@ def dense_loss_reference(data, classes, u, t, config, longdouble=False):
     row = (w * s).sum(axis=1)
     grad = (w @ unit - row[:, None] * unit) / norms[:, None]
     return l_self, l_cross, l_self - eta * l_cross, grad, sig
+
+
+class _WholeReadKernel(submine.objectives._Kernel):
+    """The base kernel reader with facility location's argmax and max taken
+    in one fancy-indexed read of the whole block, however many rows it has."""
+
+    def best(self, a, b):
+        if self.rows is not None:
+            return super().best(a, b)
+        blk = self.s[a[:, None], self.pos[b]]
+        j = blk.argmax(axis=1)
+        return j[None], blk[np.arange(len(a)), j][None]
+
+
+def whole_array_loss_reference(embeddings, classes, u, t, config):
+    """`loss_total`'s (l_self, l_cross, l_total, grad) assembled from whole
+    arrays: the kernel is read in one call per block and stays alive while
+    the gradient is formed, g * s is formed in the adjoint's buffer, and the
+    row term is one n x d temporary.  The loss terms are the library's own,
+    so this checks the assembly's order of operations, bit for bit."""
+    sets = submine.losses._index_sets(classes, u, t, config.family)
+    cols = sets.cols
+    s, unit, norms = cosine_columns(embeddings.data, cols)
+    pos = np.full(len(s), len(cols), dtype=np.intp)
+    pos[cols] = np.arange(len(cols))
+    g = np.zeros_like(s)
+    l_self, l_cross, l_total = submine.losses._parts(_WholeReadKernel(s, pos), sets, config, g)
+    grad = g @ unit[cols]
+    grad[cols] += g.T @ unit
+    g *= s
+    row = g.sum(axis=1)
+    row[cols] += g.sum(axis=0)
+    grad -= row[:, None] * unit
+    grad /= norms[:, None]
+    return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad
 
 
 def finite_difference_reference(

@@ -195,6 +195,34 @@ def test_generate_refuses_a_seed_or_count_that_is_not_an_integer_in_range(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["k", "tau_e", "lam"])
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("command", ["select", "sweep"])
+def test_a_bool_count_or_weight_exits_config(tmp_path, small_scene, capsys, command, key, value):
+    out = tmp_path / "out"
+    if command == "select":
+        cfg = _write_json(tmp_path / "cfg.json", {key: value})
+        argv = ["select", str(small_scene), "--config", cfg]
+    else:
+        sweep = _write_json(tmp_path / "sweep.json", {"parameter": "tau_b", "values": [0.3],
+                                                      "config": {key: value}})
+        argv = ["sweep", str(small_scene), "--sweep", sweep]
+    assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {key} must be a number, not a bool, got {value}\n"
+    assert not out.exists()
+
+
+def test_generate_refuses_a_scene_above_the_byte_budget(tmp_path, capsys):
+    out = tmp_path / "scene.csv"
+    cfg = _write_json(tmp_path / "c.json", {"n_total": 10**15})
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: n_total x d = 1000000000000000 x 2 embeddings need 16,000,000,000,000,000 "
+        "bytes, above the 2,147,483,648-byte budget\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "loss"])
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_a_seed_flag_outside_u64_exits_config(tmp_path, capsys, command, seed):

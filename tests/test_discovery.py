@@ -255,6 +255,11 @@ def test_discovery_config_validation():
         DiscoveryConfig(tau_b=-0.1)
     with pytest.raises(ValueError, match="k must be"):
         DiscoveryConfig(k=-1)
+    # A bool is an int to Python, but no count or weight.
+    for name in ("k", "tau_e", "tau_b", "lam", "nu", "epsilon"):
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool, got {value}$"):
+                DiscoveryConfig(**{name: value})
     # Greedy ranks by the definitional gain, so nu would change nothing.
     for nu in (0.0, 0.5, 2.0, float("nan")):
         with pytest.raises(ValueError, match="definitional gain"):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import submine.kernels
 import submine.losses
 import submine.objectives
 from helpers import dense_loss_reference, finite_difference_reference, logdet_longdouble
@@ -490,6 +491,28 @@ def test_probe_reductions_match_dense_replaced_blocks():
                     assert got.shape == (len(rows),)
                     want = np.array(dense) - dense[0]
                     assert np.abs((got - got[0]) - want).max() <= 1e-12, (i, len(q), nu, shift)
+
+
+def test_loss_peaks_at_unit_rows_kernel_and_adjoint():
+    # loss_total holds the n x d unit rows, the n x |C| kernel and its
+    # adjoint at once.  The kernel is used up before the gradient takes its
+    # place, and the row term and facility location's reads go in row
+    # blocks, so the rest is scratch of about two blocks.
+    e, classes, u, t = _instance(
+        np.random.default_rng(59), n=512, d=128, n_classes=8, class_size=16, u_size=64
+    )
+    entries = e.n * e.d + 2 * e.n * (8 * 16 + 64)
+    bound = 8 * entries + 2 * 8 * submine.kernels._BLOCK
+    for fam in FAMILIES:
+        cfg = LossConfig(family=fam)
+        loss_total(e, classes, u, t, cfg)  # one-time allocations
+        tracemalloc.start()
+        try:
+            loss_total(e, classes, u, t, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (fam, peak, bound)
 
 
 def _audit_instance():

@@ -6,12 +6,14 @@ common; instances also reach d = 1, empty pools, k = 0 and k > |pool|.  Every
 per-pick gain is compared with the loop reference in helpers.py, every pick
 and gain of a pruned run with the full-round loop there, and every
 closed-form gain at nu = 1 with the definitional one.  The losses read
-cosines only, so rescaling embedding rows leaves them unchanged.
+cosines only, so rescaling embedding rows leaves them unchanged, and their
+value and gradient are bit for bit those of a whole-array assembly.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,7 @@ from submine import (
     loss_total,
 )
 from submine import greedy
-from helpers import full_round_greedy, value_loops
+from helpers import full_round_greedy, value_loops, whole_array_loss_reference
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -228,3 +230,46 @@ def test_loss_is_invariant_to_row_scale(case):
     # Each gradient row scales by 1 / scale.
     worst = np.abs(scaled.grad * scales[:, None] - base.grad).max()
     assert worst <= 1e-9 * max(1.0, np.abs(base.grad).max())
+
+
+def _assembly_batch(seed, n, d, n_classes, size, n_u, n_t):
+    """Gaussian rows, classes of `size` and U of n_u at random positions, and
+    T the first n_t of a permutation, which holds the classes and U."""
+    rng = np.random.default_rng(seed)
+    perm = [int(i) for i in rng.permutation(n)]
+    classes = [IndexSet.of(perm[c * size : (c + 1) * size]) for c in range(n_classes)]
+    start = n_classes * size
+    u = IndexSet.of(perm[start : start + n_u])
+    return EmbeddingSet(rng.normal(size=(n, d))), classes, u, IndexSet.of(perm[:n_t])
+
+
+@st.composite
+def assembly_shapes(draw):
+    """Arguments of `_assembly_batch` with |K_c| + |U| <= d, so log-det's
+    cross term is well defined, and |C| on either side of d."""
+    d = draw(st.integers(2, 72))
+    n_classes = draw(st.integers(1, 4))
+    size = draw(st.integers(1, min(24, d - 1)))
+    n_u = draw(st.integers(1, min(24, d - size)))
+    n = draw(st.integers(n_classes * size + n_u, 320))
+    n_t = draw(st.integers(n_classes * size + n_u, n))
+    return draw(st.integers(0, 2**32 - 1)), n, d, n_classes, size, n_u, n_t
+
+
+@pytest.mark.parametrize("family", ["fl", "gc", "logdet"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(assembly_shapes())
+# |C| = 14 below d; |C| = 16 above d.
+@example((5, 40, 32, 2, 4, 6, 40))
+@example((6, 60, 8, 3, 4, 4, 52))
+# |C| = 84 above d, and several row blocks: the n x d row term (20,480
+# entries) and facility location's reads of T x U and T x K_c, each over a
+# third of the 16,384-entry block budget.
+@example((7, 320, 64, 3, 20, 24, 320))
+def test_loss_matches_the_whole_array_assembly_bit_for_bit(family, shape):
+    embeddings, classes, u, t = _assembly_batch(*shape)
+    config = LossConfig(family=family, eta=0.8)
+    got = loss_total(embeddings, classes, u, t, config)
+    l_self, l_cross, l_total, grad = whole_array_loss_reference(embeddings, classes, u, t, config)
+    assert (got.l_self, got.l_cross, got.l_total) == (l_self, l_cross, l_total)
+    assert got.grad.tobytes() == grad.tobytes()

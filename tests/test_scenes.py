@@ -14,6 +14,7 @@ from submine import (
     gen_scene,
     gen_separation_cases,
 )
+from submine.discovery import MAX_KERNEL_BYTES
 from helpers import cosine
 
 
@@ -80,6 +81,23 @@ def test_scene_spec_refuses_a_seed_or_count_that_is_not_an_integer_in_range(key,
     # Not a number at all: a TypeError, which the CLI names by its key.
     with pytest.raises(TypeError, match="must be an integer, not str"):
         SceneSpec(**{key: "a"})
+
+
+def test_scene_spec_refuses_embeddings_above_the_byte_budget():
+    # Only specs are built here: a refused scene allocates nothing, and the
+    # largest one accepted is never drawn.
+    def spec(n_total, d):
+        return SceneSpec(n_total=n_total, d=d, cluster_means=((0.0,) * d,) * 2,
+                         background_mean=(0.0,) * d)
+
+    top = MAX_KERNEL_BYTES // 8
+    assert spec(top, 1).n_total == top
+    for n_total, d in ((top + 1, 1), (top // 2 + 1, 2), (10**15, 2)):
+        nbytes = 8 * n_total * d
+        want = (f"^n_total x d = {n_total} x {d} embeddings need {nbytes:,} bytes, "
+                f"above the {MAX_KERNEL_BYTES:,}-byte budget$")
+        with pytest.raises(ValueError, match=want):
+            spec(n_total, d)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2.5])
