@@ -33,6 +33,7 @@ from .kernels import (
     TRANSFORMS,
     UNKNOWN_LABEL,
     _unit_rows,
+    check_number,
     cosine_kernel,
 )
 from .objectives import Family, MarginalState, SubmodularObjective
@@ -61,10 +62,10 @@ class DiscoveryConfig:
     post-match pool: already-conditioned background items compete with zero
     gain and can only win when every fresh candidate has negative gain.
     Greedy ranks items by the definitional gain f(A u Q) - f(Q), so nu must
-    be 1; the field stays so the resolved config echoes it.  Every float
-    field must be finite, and k a finite non-negative integer: a k above the
-    pool mines the whole pool.  A bool is refused for k and every float
-    field, though Python counts it as an int.
+    be 1; the field stays so the resolved config echoes it.  Every number
+    passes `kernels.check_number`, and k must be whole, though it may be a
+    float such as 1e12: a k above the pool mines the whole pool.
+    exclude_background_from_pool must be a bool.
     """
 
     tau_e: float = 0.2
@@ -80,23 +81,16 @@ class DiscoveryConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family.parse(str(self.family)))
-        for name in ("tau_e", "tau_b", "k", "lam", "nu", "epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-        if not (0.0 <= self.tau_e <= 1.0):
-            raise ValueError("tau_e must lie in [0, 1]")
-        if not (0.0 <= self.tau_b <= 1.0):
-            raise ValueError("tau_b must lie in [0, 1]")
-        if not math.isfinite(self.k) or int(self.k) != self.k or self.k < 0:
-            raise ValueError(f"k must be a non-negative integer, got {self.k!r}")
-        for name in ("lam", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        for name, hi in (("tau_e", 1), ("tau_b", 1), ("k", math.inf), ("lam", math.inf),
+                         ("epsilon", math.inf)):
+            check_number(name, getattr(self, name), 0, hi)
+        if int(self.k) != self.k:
+            raise ValueError(f"k must be a whole number, got {self.k!r}")
+        if not isinstance(exclude := self.exclude_background_from_pool, bool):
+            raise TypeError(f"exclude_background_from_pool must be true or false, got {exclude!r}")
         if self.transform is not None and self.transform not in TRANSFORMS:
             raise ValueError(f"unknown transform {self.transform!r}")
-        if self.nu != 1.0:
+        if check_number("nu", self.nu) != 1.0:
             raise ValueError(
                 "nu must be 1: mining ranks items by the definitional gain; "
                 "nu applies to the loss and the closed-form gains only"
@@ -175,11 +169,7 @@ def match_knowns(
             f"more prototypes ({prototypes.n}) than kept items ({len(kept)})"
         )
     kept_arr = kept.as_array()
-    items = embeddings.data[kept_arr]
-    zero = np.flatnonzero(np.linalg.norm(items, axis=1) == 0.0)
-    if len(zero):
-        raise ValueError(f"zero-norm row {int(kept_arr[zero[0]])}")
-    unit_items = _unit_rows(items)[0]
+    unit_items = _unit_rows(embeddings.data[kept_arr], ids=kept_arr)[0]
     unit_protos = _unit_rows(prototypes.data, "prototype row")[0]
     cost = 1.0 - unit_items @ unit_protos.T
     pairs = hungarian_assign(cost)

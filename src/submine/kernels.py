@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass, field
@@ -41,6 +43,28 @@ TRANSFORMS = ("raw-cosine", "clip-at-zero", "affine-shift")
 # Entries of the kernel blocks one numpy call reads, and of the scratch each
 # block needs.
 _BLOCK = 1 << 14
+
+
+def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf, integer: bool = False):
+    """`value` when it is a number in [lo, hi], else an error that starts with
+    `name`: TypeError for a non-number; ValueError for a bool, a value out of
+    range and, unless `integer`, a NaN, an infinity or an int beyond float64.
+    With `integer` only an int passes, so 2.0 does not.  Every config class
+    checks its numbers with it."""
+    kind = "an integer" if integer else "a number"
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be {kind}, not {type(value).__name__}")
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be {kind}, not a bool, got {value!r}")
+    try:
+        ok = isinstance(value, numbers.Integral) if integer else math.isfinite(value)
+    except OverflowError:  # an int beyond float64
+        ok = False
+    if ok and lo <= value <= hi:
+        return value
+    kind = kind if integer else "a finite number"
+    bounds = f" in [{lo}, {hi}]" if hi < math.inf else f" >= {lo}" if lo > -math.inf else ""
+    raise ValueError(f"{name} must be {kind}{bounds}, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -147,15 +171,16 @@ class IndexSet:
 EMPTY_SET = IndexSet(())
 
 
-def _unit_rows(data: np.ndarray, row: str = "row") -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(data: np.ndarray, row: str = "row", ids=None) -> tuple[np.ndarray, np.ndarray]:
     """The rows of `data` scaled to unit norm, and their norms.
 
-    Raises ValueError naming the first zero-norm row: "zero-norm {row} {index}".
+    Raises ValueError naming the first zero-norm row: "zero-norm {row} {i}",
+    with i its entry in `ids` when given, else its position.
     """
     norms = np.linalg.norm(data, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
-        raise ValueError(f"zero-norm {row} {zero[0]}")
+        raise ValueError(f"zero-norm {row} {zero[0] if ids is None else ids[zero[0]]}")
     return data / norms[:, None], norms
 
 
@@ -227,8 +252,7 @@ def _check_kernel(m: np.ndarray, transform: str, epsilon: float) -> None:
         raise ValueError(f"unknown transform {transform!r}")
     if transform in ("clip-at-zero", "affine-shift") and (lo < -1e-12 or hi > 1.0 + 1e-12):
         raise ValueError("transformed kernel entries must lie in [0, 1]")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    check_number("epsilon", epsilon, 0)
 
 
 @dataclass(frozen=True)

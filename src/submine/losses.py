@@ -63,7 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import EmbeddingSet, IndexSet, cosine_columns, row_blocks
+from .kernels import EmbeddingSet, IndexSet, check_number, cosine_columns, row_blocks
 from .objectives import Family, _Kernel, _scg
 
 FD_STEP = 1e-4
@@ -84,12 +84,9 @@ class LossConfig:
             object.__setattr__(self, "family", Family.parse(str(self.family)))
         if self.mode not in ("owod", "iod"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta!r}")
-        for name in ("lam", "nu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        check_number("eta", self.eta)
+        check_number("lam", self.lam, 0)
+        check_number("nu", self.nu, 0)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, mirrored, row_blocks
+from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, check_number, mirrored, row_blocks
 
 
 class Family(enum.Enum):
@@ -92,17 +92,13 @@ class SubmodularObjective:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family.parse(str(self.family)))
         self.ground.check_bounds(self.kernel.n)
-        if self.lam < 0.0:
-            raise ValueError("lam must be non-negative")
-        if self.nu < 0.0:
-            raise ValueError("nu must be non-negative")
         if self.epsilon is None:
             eps = self.kernel.epsilon
             if eps == 0.0 and self.family is Family.LOG_DET:
                 eps = DEFAULT_LOGDET_EPSILON
             object.__setattr__(self, "epsilon", eps)
-        elif self.epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
+        for name in ("lam", "nu", "epsilon"):
+            check_number(name, getattr(self, name), 0)
 
     @property
     def n(self) -> int:

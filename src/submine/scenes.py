@@ -9,13 +9,12 @@ fixed: known items first (class by class), then unknowns, then backgrounds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discovery import MAX_KERNEL_BYTES
-from .kernels import BACKGROUND_LABEL, UNKNOWN_LABEL, EmbeddingSet, IndexSet
+from .kernels import BACKGROUND_LABEL, UNKNOWN_LABEL, EmbeddingSet, IndexSet, check_number
 
 # Stream tags; known class c uses tag c, so keep these out of reach.
 _TAG_UNKNOWN = 1 << 20
@@ -23,20 +22,25 @@ _TAG_BACKGROUND = (1 << 20) + 1
 _TAG_SEP_KNOWN = (1 << 20) + 2
 _TAG_SEP_UNKNOWN = (1 << 20) + 3
 # Seeds are u64, one Philox key word.
-_SEED_END = 1 << 64
+_SEED_MAX = (1 << 64) - 1
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
 
 
-def _check_integer(name: str, value, lo: int, end: float = math.inf) -> None:
-    """Refuse a value that is not an integer in [lo, end), naming the key: a
-    number raises ValueError, anything else TypeError."""
-    if not isinstance(value, numbers.Real):
-        raise TypeError(f"must be an integer, not {type(value).__name__}")
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and lo <= value < end):
-        raise ValueError(f"{name} must be an integer in [{lo}, {end}), got {value!r}")
+def _floats(name: str, values, d: int | None = None, lo=-math.inf, hi=math.inf, depth=1) -> tuple:
+    """The list `values` as a tuple of floats in [lo, hi], d of them if d is given, or
+    at depth 2 a tuple of such tuples; an error names its place: cluster_means[1][0]."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise TypeError(f"{name} must be a list, not {type(values).__name__}") from None
+    if depth > 1:
+        return tuple(_floats(f"{name}[{i}]", v, d, lo, hi) for i, v in enumerate(items))
+    if d is not None and len(items) != d:
+        raise ValueError(f"{name} of length {len(items)} does not match d={d}")
+    return tuple(float(check_number(f"{name}[{i}]", v, lo, hi)) for i, v in enumerate(items))
 
 
 @dataclass(frozen=True)
@@ -65,37 +69,27 @@ class SceneSpec:
     objectness_background: tuple[float, float] = (0.0, 0.3)
 
     def __post_init__(self) -> None:
-        _check_integer("seed", self.seed, 0, _SEED_END)
+        check_number("seed", self.seed, 0, _SEED_MAX, integer=True)
         for name, lo in (("d", 1), ("n_total", 0), ("n_known", 1), ("n_unknown", 0)):
-            _check_integer(name, getattr(self, name), lo)
+            check_number(name, getattr(self, name), lo, integer=True)
+        for name in ("cluster_stddev", "background_stddev"):
+            check_number(name, getattr(self, name), 0)
         nbytes = 8 * self.n_total * self.d  # float64 embeddings
         if nbytes > MAX_KERNEL_BYTES:
             raise ValueError(
                 f"n_total x d = {self.n_total} x {self.d} embeddings need {nbytes:,} bytes, "
                 f"above the {MAX_KERNEL_BYTES:,}-byte budget"
             )
-        if len(self.cluster_means) < 2:
-            raise ValueError("need at least one known center and one unknown center")
-        means = tuple(tuple(float(x) for x in m) for m in self.cluster_means)
-        for m in means:
-            if len(m) != self.d:
-                raise ValueError(f"cluster mean of length {len(m)} does not match d={self.d}")
-        object.__setattr__(self, "cluster_means", means)
-        bg = tuple(float(x) for x in self.background_mean)
-        if len(bg) != self.d:
-            raise ValueError(f"background mean of length {len(bg)} does not match d={self.d}")
-        object.__setattr__(self, "background_mean", bg)
-        if self.cluster_stddev < 0.0 or self.background_stddev < 0.0:
-            raise ValueError("stddev must be non-negative")
         if self.n_total < self.n_known + self.n_unknown:
-            raise ValueError("n_total smaller than known plus unknown items")
-        for lo, hi in (
-            self.objectness_known,
-            self.objectness_unknown,
-            self.objectness_background,
-        ):
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise ValueError("objectness bands must satisfy 0 <= lo <= hi <= 1")
+            raise ValueError("n_total smaller than n_known plus n_unknown")
+        for name, depth in (("cluster_means", 2), ("background_mean", 1)):
+            object.__setattr__(self, name, _floats(name, getattr(self, name), self.d, depth=depth))
+        if len(self.cluster_means) < 2:
+            raise ValueError("cluster_means needs at least one known center and one unknown center")
+        for name in ("objectness_known", "objectness_unknown", "objectness_background"):
+            band = _floats(name, getattr(self, name), lo=0, hi=1)
+            if len(band) != 2 or band[0] > band[1]:
+                raise ValueError(f"{name} must be a band [lo, hi] with 0 <= lo <= hi <= 1, got {band}")
 
     @property
     def n_classes(self) -> int:
@@ -162,7 +156,7 @@ def gen_separation_cases(seed: int = 0, n_cases: int = 3) -> list[SeparationCase
     cross terms need; radius 6, noise stddev 0.4, and case j's angle
     pi/7.2 + j pi/4.5, which stays below pi for up to 4 cases.
     """
-    _check_integer("seed", seed, 0, _SEED_END)
+    check_number("seed", seed, 0, _SEED_MAX, integer=True)
     d, n_known, n_unknown, radius, stddev = 128, 10, 100, 6.0, 0.4
     base_angle, angle_step = math.pi / 7.2, math.pi / 4.5
     if n_cases < 1:

@@ -212,6 +212,53 @@ def test_a_bool_count_or_weight_exits_config(tmp_path, small_scene, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("cases", {"eta": True}),
+        ("loss", {"lam": True}),
+        ("gradcheck", {"nu": False}),
+        ("generate", {"cluster_stddev": True}),
+        ("generate", {"cluster_means": 5}),
+        ("select", {"exclude_background_from_pool": "false"}),
+        ("select", {"exclude_background_from_pool": 0}),
+        ("select", {"exclude_background_from_pool": None}),
+        ("select", {"exclude_background_from_pool": float("nan")}),
+        ("select", {"exclude_background_from_pool": [1]}),
+    ],
+)
+def test_a_bool_or_truthy_config_value_exits_config_naming_its_key(
+    tmp_path, small_scene, capsys, command, config
+):
+    (key,) = config
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [10, 11]})
+    out = tmp_path / "out"
+    argv = {
+        "cases": ["loss", "--cases"],
+        "loss": ["loss", str(small_scene), "--sets", sets],
+        "gradcheck": ["gradcheck", str(small_scene), "--sets", sets],
+        "generate": ["generate"],
+        "select": ["select", str(small_scene)],
+    }[command] + ["--config", _write_json(tmp_path / "cfg.json", config), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["loss", "gradcheck"])
+def test_a_loss_that_overflows_float64_exits_config(tmp_path, small_scene, capsys, command):
+    # Finite weights whose loss is not: it would be written as NaN and
+    # Infinity, and the audit would compare NaNs and pass.
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [10, 11]})
+    cfg = _write_json(tmp_path / "cfg.json", {"eta": 1e300, "nu": 10**30})
+    out = tmp_path / "out.json"
+    argv = [command, str(small_scene), "--sets", sets, "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+    assert not out.exists()
+
+
 def test_generate_refuses_a_scene_above_the_byte_budget(tmp_path, capsys):
     out = tmp_path / "scene.csv"
     cfg = _write_json(tmp_path / "c.json", {"n_total": 10**15})
@@ -230,7 +277,7 @@ def test_a_seed_flag_outside_u64_exits_config(tmp_path, capsys, command, seed):
     extra = ["--cases"] if command == "loss" else []
     assert main([command, *extra, "--seed", str(seed), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"error: seed must be an integer in [0, {2**64}), got {seed}\n"
+    assert err == f"error: seed must be an integer in [0, {2**64 - 1}], got {seed}\n"
     assert not out.exists()
 
 
@@ -255,17 +302,18 @@ def test_a_config_value_of_the_wrong_type_is_named_by_its_key(
     }[command] + ["--config", cfg, "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert err.endswith(f", not {type(config[key]).__name__}\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "text, err",
     [
-        ('{"eta": "a"}', "error: eta: must be real number, not str\n"),
-        ('{"eta": NaN}', "error: eta must be finite, got nan\n"),
-        ('{"lam": Infinity}', "error: lam must be finite and non-negative, got inf\n"),
-        ('{"nu": NaN}', "error: nu must be finite and non-negative, got nan\n"),
+        ('{"eta": "a"}', "error: eta must be a number, not str\n"),
+        ('{"eta": NaN}', "error: eta must be a finite number, got nan\n"),
+        ('{"lam": Infinity}', "error: lam must be a finite number >= 0, got inf\n"),
+        ('{"nu": NaN}', "error: nu must be a finite number >= 0, got nan\n"),
     ],
     ids=["eta-str", "eta-nan", "lam-inf", "nu-nan"],
 )
@@ -299,7 +347,7 @@ def test_a_k_sweep_over_an_infinite_k_exits_config(tmp_path, small_scene, capsys
     out = tmp_path / "s.csv"
     argv = ["sweep", str(small_scene), "--sweep", str(sweep), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: k must be a non-negative integer, got inf\n"
+    assert capsys.readouterr().err == "error: k must be a finite number >= 0, got inf\n"
     assert not out.exists()
 
 
@@ -518,7 +566,7 @@ def scene_12d(tmp_path):
 
 
 @pytest.mark.parametrize("family", ["fl", "gc", "logdet"])
-def test_gradcheck_pass_and_negative_control(tmp_path, scene_12d, family):
+def test_gradcheck_pass_and_negative_control(tmp_path, scene_12d, capsys, family):
     sets = _write_json(
         tmp_path / "sets.json", {"K": [[0, 1, 2], [3, 4, 5]], "U": [6, 7, 8, 9]}
     )
@@ -529,7 +577,26 @@ def test_gradcheck_pass_and_negative_control(tmp_path, scene_12d, family):
     assert reports[0].read_bytes() == reports[1].read_bytes()
     payload = json.loads(reports[0].read_text())
     assert payload["max_rel_err"] < 1e-5
+    capsys.readouterr()
     assert main(args + ["--perturb-grad", "1e-3"]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_rel_err ") and err.endswith(" is not below --tol 1e-05\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_finite_and_positive(
+    tmp_path, small_scene, capsys, tol
+):
+    # An infinite tolerance would pass a gradient corrupted by 1e3, and the
+    # others would fail a sound one.
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [6, 7, 8]})
+    out = tmp_path / "check.json"
+    argv = ["gradcheck", str(small_scene), "--sets", sets, "--family", "gc",
+            "--perturb-grad", "1e3", "--tol", tol, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --tol must be finite and positive, got {float(tol)!r}\n"
+    assert not out.exists()
 
 
 def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):

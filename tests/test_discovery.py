@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -260,10 +261,17 @@ def test_discovery_config_validation():
         for value in (True, False):
             with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool, got {value}$"):
                 DiscoveryConfig(**{name: value})
+    # Only a bool switches the background out of the pool, not its truthiness.
+    for value in ("false", 0, 1, None, math.nan, [1]):
+        want = f"^exclude_background_from_pool must be true or false, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=want):
+            DiscoveryConfig(exclude_background_from_pool=value)
     # Greedy ranks by the definitional gain, so nu would change nothing.
-    for nu in (0.0, 0.5, 2.0, float("nan")):
+    for nu in (0.0, 0.5, 2.0):
         with pytest.raises(ValueError, match="definitional gain"):
             DiscoveryConfig(nu=nu)
+    with pytest.raises(ValueError, match="^nu must be a finite number, got nan$"):
+        DiscoveryConfig(nu=float("nan"))
     assert DiscoveryConfig(nu=1).nu == 1
     for transform in (3, "cosine", ""):
         with pytest.raises(ValueError, match="unknown transform"):

@@ -22,7 +22,7 @@ from submine import (
     read_embeddings_csv,
     write_embeddings_csv,
 )
-from submine.kernels import _symmetrize, cosine_columns, mirrored, write_text
+from submine.kernels import _symmetrize, check_number, cosine_columns, mirrored, write_text
 from conftest import TOY_MATRIX
 from helpers import (
     cosine,
@@ -260,10 +260,50 @@ def test_similarity_kernel_validation():
         SimilarityKernel(lopsided)
     with pytest.raises(ValueError):
         SimilarityKernel(np.array([[1.0, -0.5], [-0.5, 1.0]]), transform="clip-at-zero")
-    with pytest.raises(ValueError):
-        SimilarityKernel(np.eye(2), epsilon=-1.0)
+    for eps in (-1.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="^epsilon must be a "):
+            SimilarityKernel(np.eye(2), epsilon=eps)
     kern = SimilarityKernel(TOY_MATRIX, epsilon=1e-4)
     assert kern.n == 3 and kern.epsilon == 1e-4
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, integer",
+    [(3, 0, math.inf, True), (2**64 - 1, 0, 2**64 - 1, True), (0.5, 0, 1, False), (1, 0, 1, False),
+     (-1e300, -math.inf, math.inf, False), (np.float64(0.25), 0, 1, False), (10**30, 0, math.inf, False)],
+)
+def test_check_number_returns_a_number_in_range_as_it_is(value, lo, hi, integer):
+    assert check_number("key", value, lo, hi, integer) is value
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("value", ["a", "1", [1], None, {}, 1j])
+def test_check_number_refuses_a_non_number_with_type_error(value, integer):
+    kind = "an integer" if integer else "a number"
+    with pytest.raises(TypeError, match=f"^key must be {kind}, not {type(value).__name__}$"):
+        check_number("key", value, integer=integer)
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, integer, want",
+    [
+        (True, 0, 1, False, "a number, not a bool"),
+        (False, 0, math.inf, True, "an integer, not a bool"),
+        (math.nan, -math.inf, math.inf, False, "a finite number"),
+        (math.inf, 0, math.inf, False, "a finite number >= 0"),
+        (-math.inf, -math.inf, math.inf, False, "a finite number"),
+        (1.5, 0, 1, False, "a finite number in [0, 1]"),
+        (-0.1, 0, math.inf, False, "a finite number >= 0"),
+        (10**400, 0, math.inf, False, "a finite number >= 0"),
+        (2.0, 0, math.inf, True, "an integer >= 0"),
+        (2**64, 0, 2**64 - 1, True, f"an integer in [0, {2**64 - 1}]"),
+        (math.nan, 1, math.inf, True, "an integer >= 1"),
+    ],
+)
+def test_check_number_refuses_a_bool_non_finite_or_out_of_range_value(value, lo, hi, integer, want):
+    with pytest.raises(ValueError) as info:
+        check_number("key", value, lo, hi, integer)
+    assert str(info.value) == f"key must be {want}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

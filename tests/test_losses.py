@@ -649,9 +649,9 @@ def test_logdet_singular_inputs_error():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^lam must be a finite number >= 0, got -0.1$"):
         LossConfig(lam=-0.1)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^nu must be a finite number >= 0, got -1.0$"):
         LossConfig(nu=-1.0)
     cfg = LossConfig(family="gccg")
     assert cfg.family is Family.GRAPH_CUT

@@ -146,6 +146,15 @@ def test_logdet_epsilon_resolution(toy_kernel):
     assert gc.epsilon == 0.0
 
 
+@pytest.mark.parametrize("key", ["lam", "nu", "epsilon"])
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf, -math.inf, True, False])
+def test_objective_refuses_a_negative_non_finite_or_bool_weight(toy_kernel, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a "):
+        SubmodularObjective(Family.LOG_DET, toy_kernel, IndexSet.of(range(3)), **{key: value})
+    with pytest.raises(TypeError, match=f"^{key} must be a number, not str$"):
+        SubmodularObjective(Family.LOG_DET, toy_kernel, IndexSet.of(range(3)), **{key: "a"})
+
+
 def test_logdet_singular_submatrix_errors():
     dup = np.array([[1.0, 1.0], [1.0, 1.0]])
     kern = SimilarityKernel(dup)

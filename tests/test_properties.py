@@ -7,9 +7,16 @@ per-pick gain is compared with the loop reference in helpers.py, every pick
 and gain of a pruned run with the full-round loop there, and every
 closed-form gain at nu = 1 with the definitional one.  The losses read
 cosines only, so rescaling embedding rows leaves them unchanged, and their
-value and gradient are bit for bit those of a whole-array assembly.
+value and gradient are bit for bit those of a whole-array assembly.  The
+command line, given any JSON config value, exits with a documented code,
+writes one error line when it fails, and echoes only sound config values.
 """
 
+import contextlib
+import dataclasses
+import io
+import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,10 +25,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submine import (
+    DiscoveryConfig,
     EmbeddingSet,
     Family,
     IndexSet,
     LossConfig,
+    SceneSpec,
     SimilarityKernel,
     SubmodularObjective,
     conditional_gain,
@@ -32,6 +41,7 @@ from submine import (
     loss_total,
 )
 from submine import greedy
+from submine.cli import main
 from helpers import full_round_greedy, value_loops, whole_array_loss_reference
 
 PROPERTY_SETTINGS = settings(
@@ -273,3 +283,90 @@ def test_loss_matches_the_whole_array_assembly_bit_for_bit(family, shape):
     l_self, l_cross, l_total, grad = whole_array_loss_reference(embeddings, classes, u, t, config)
     assert (got.l_self, got.l_cross, got.l_total) == (l_self, l_cross, l_total)
     assert got.grad.tobytes() == grad.tobytes()
+
+
+# Any JSON value a config file can hold: small and huge ints, floats from
+# tiny to infinite and NaN, strings, lists, null and bools.  Counts stay
+# small, so no drawn scene allocates more than a few MB.
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 300),
+    st.sampled_from([10**30, -(10**30), 1e300, -1e300]),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.none(),
+    st.booleans(),
+)
+# Per command: its config class, its arguments, its --out file and the file
+# whose first line echoes the resolved config, if any.
+CLI_COMMANDS = {
+    "generate": (SceneSpec, ["generate"], "out.csv", "out.csv"),
+    "select": (DiscoveryConfig, ["select", "{scene}"], "out.json", "out.roles.csv"),
+    "cases": (LossConfig, ["loss", "--cases", "1"], "out.csv", "out.csv"),
+    "loss": (LossConfig, ["loss", "{scene}", "--sets", "{sets}"], "out.json", None),
+    "gradcheck": (LossConfig, ["gradcheck", "{scene}", "--sets", "{sets}"], "out.json", None),
+}
+WORDS = {"family", "transform", "mode"}
+
+
+@st.composite
+def cli_configs(draw):
+    command = draw(st.sampled_from(sorted(CLI_COMMANDS)))
+    keys = [f.name for f in dataclasses.fields(CLI_COMMANDS[command][0])]
+    return command, draw(st.dictionaries(st.sampled_from(keys), CONFIG_VALUES, max_size=3))
+
+
+def _echoed_value_is_sound(key, value) -> bool:
+    """A bool only for exclude_background_from_pool, a string (or, for
+    transform, null) only for a word-valued key, else finite numbers."""
+    if key == "exclude_background_from_pool":
+        return isinstance(value, bool)
+    if key in WORDS:
+        return isinstance(value, str) or (key == "transform" and value is None)
+    if isinstance(value, list):
+        return all(_echoed_value_is_sound(key, v) for v in value)
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A 120-item scene, its --sets file and a directory for outputs."""
+    root = tmp_path_factory.mktemp("cli-property")
+    (root / "scene.json").write_text(json.dumps({"n_total": 120, "n_known": 6, "n_unknown": 25}))
+    (root / "sets.json").write_text(json.dumps({"K": [[0, 1, 2]], "U": [10, 11]}))
+    argv = ["generate", "--config", str(root / "scene.json"), "--out", str(root / "scene.csv")]
+    assert main(argv + ["--quiet"]) == 0
+    return root
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cli_configs())
+@example(("cases", {"eta": True}))
+@example(("select", {"exclude_background_from_pool": "false"}))
+@example(("generate", {"cluster_stddev": True}))
+@example(("gradcheck", {"lam": False}))
+def test_cli_exits_with_a_known_code_and_echoes_only_sound_config_values(cli_inputs, case):
+    command, config = case
+    root = cli_inputs
+    _, args, out, echo = CLI_COMMANDS[command]
+    for stale in root.glob("out*"):
+        stale.unlink()
+    (root / "cfg.json").write_text(json.dumps(config))
+    argv = [a.format(scene=root / "scene.csv", sets=root / "sets.json") for a in args]
+    argv += ["--config", str(root / "cfg.json"), "--out", str(root / out), "--quiet"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    elif echo:
+        first = (root / echo).read_text().splitlines()[0]
+        assert first.startswith("# ")
+        echoed = json.loads(first[2:], parse_constant=_reject_constant)
+        assert all(_echoed_value_is_sound(k, v) for k, v in echoed.items()), echoed

@@ -75,12 +75,34 @@ def test_seeds_above_two_to_the_63_draw_their_own_scenes():
      ("n_unknown", math.inf)],
 )
 def test_scene_spec_refuses_a_seed_or_count_that_is_not_an_integer_in_range(key, value):
-    want = f"^{key} must be an integer .*, got {re.escape(repr(value))}$"
+    want = f"^{key} must be an integer.*, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=want):
         SceneSpec(**{key: value})
     # Not a number at all: a TypeError, which the CLI names by its key.
     with pytest.raises(TypeError, match="must be an integer, not str"):
         SceneSpec(**{key: "a"})
+
+
+@pytest.mark.parametrize(
+    "key, value, error, want",
+    [
+        ("cluster_stddev", True, ValueError, "cluster_stddev must be a number, not a bool"),
+        ("background_stddev", math.nan, ValueError, "background_stddev must be a finite number >= 0"),
+        ("cluster_means", 5, TypeError, "cluster_means must be a list, not int"),
+        ("cluster_means", ((6.5, 0.0), (2.05, math.inf)), ValueError,
+         r"cluster_means\[1\]\[1\] must be a finite number"),
+        ("cluster_means", ((6.5, "0"), (2.05, 5.64)), TypeError,
+         r"cluster_means\[0\]\[1\] must be a number, not str"),
+        ("background_mean", (True, 0.0), ValueError, r"background_mean\[0\] must be a number, not a bool"),
+        ("objectness_known", (0.5, math.nan), ValueError,
+         r"objectness_known\[1\] must be a finite number in \[0, 1\]"),
+        ("objectness_unknown", (0.2, 0.4, 0.6), ValueError, "objectness_unknown must be a band"),
+        ("objectness_background", None, TypeError, "objectness_background must be a list, not NoneType"),
+    ],
+)
+def test_scene_spec_names_the_key_of_a_refused_mean_stddev_or_band(key, value, error, want):
+    with pytest.raises(error, match=f"^{want}"):
+        SceneSpec(**{key: value})
 
 
 def test_scene_spec_refuses_embeddings_above_the_byte_budget():
@@ -102,7 +124,7 @@ def test_scene_spec_refuses_embeddings_above_the_byte_budget():
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2.5])
 def test_separation_cases_refuse_a_seed_outside_u64(seed):
-    want = rf"^seed must be an integer in \[0, {2**64}\), got {re.escape(repr(seed))}$"
+    want = rf"^seed must be an integer in \[0, {2**64 - 1}\], got {re.escape(repr(seed))}$"
     with pytest.raises(ValueError, match=want):
         gen_separation_cases(seed=seed)
 
@@ -140,7 +162,7 @@ def test_scene_spec_validation():
         SceneSpec(background_mean=(0.0,))
     with pytest.raises(ValueError, match="n_total smaller"):
         SceneSpec(n_total=50, n_known=40, n_unknown=40)
-    with pytest.raises(ValueError, match="objectness bands"):
+    with pytest.raises(ValueError, match=r"^objectness_known must be a band \[lo, hi\]"):
         SceneSpec(objectness_known=(0.9, 0.2))
     with pytest.raises(ValueError, match="stddev"):
         SceneSpec(cluster_stddev=-1.0)
