@@ -346,7 +346,11 @@ def _cmd_sweep(args) -> int:
     scene = read_embeddings_csv(args.input)
     if scene.labels is None:
         raise ValueError("sweep needs a labeled scene")
-    if parameter in ("k", "tau_e", "tau_b"):
+    pipeline = parameter in ("k", "tau_e", "tau_b")
+    # Every value of the file's config, the swept key's too, is checked once
+    # before any run, so the comment echoes none that a run would refuse.
+    _config(args, DiscoveryConfig if pipeline else LossConfig, base)
+    if pipeline:
         header, columns = _sweep_discovery(args, scene, parameter, values, base)
     else:
         header, columns = _sweep_loss(args, scene, parameter, values, base)

@@ -53,6 +53,18 @@ given the rest of each class's block, and when i is in U, its residual in
 U's block once per batch, which every class's gain subtracts.  Graph cut's
 and log-det's probe values leave out a constant every probe shares, so the
 audit's difference quotient is built from the changed entries alone.
+
+What depends on the base point alone is made once per audit, not per
+batch.  The audit's base reader keeps per-audit tables, made on first use
+and shared with every batch's reader: each set's map from items to
+positions, which finds i in a set, and per facility-location block and
+row, the first argmax and the first argmax with that column masked, with
+their values.  The maximum without column i is then the first of them, or
+the second where i is the first.  Graph cut reads base row and column i
+alone.  A batch's reader marks the probes whose argmax rows differ from the
+base point's as it takes them, and the hinge rows are compared whole.  The
+loop keeps each coordinate's difference of totals and whether it is
+tie-adjacent; the quotients and error maxima are taken after it.
 """
 
 from __future__ import annotations
@@ -207,21 +219,20 @@ def _index_sets(
     return _Sets(kcs, u_arr, t_arr, grounds, cols)
 
 
-def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
+def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None):
     """Per-class self terms f(K_c) / |K_c|, one sum per probe; log-det's
-    diagonal shift is lam.  Adjoints go into adj, and facility location's
-    argmax rows into sig, when given."""
+    diagonal shift is lam.  Adjoints go into adj when given."""
     return _scg(
         cfg.family, kern, sets.classes, sets.grounds, sets.u[:0],
         [1.0 / len(kc) for kc in sets.classes], lam=cfg.lam, nu=cfg.nu, shift=cfg.lam,
-        errors=("", "class kernel not positive definite"), adj=adj, sig=sig,
+        errors=("", "class kernel not positive definite"), adj=adj,
     )
 
 
 def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
     """Per-class conditional gains f(K_c | U) / |T| over ground T with no
     diagonal shift, one sum per probe.  Adjoints go into adj, and facility
-    location's argmax and hinge rows into sig, when given."""
+    location's hinge rows into sig, when given."""
     k = len(sets.classes)
     return _scg(
         cfg.family, kern, sets.classes, [sets.t] * k, sets.u,
@@ -238,7 +249,7 @@ def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None, sig=None):
     adj_self = adj_cross = None
     if g is not None:
         adj_self, adj_cross = _Adjoint(g, kern, 1.0), _Adjoint(g, kern, -cfg.eta)
-    l_self = _self_part(kern, sets, cfg, adj_self, sig)
+    l_self = _self_part(kern, sets, cfg, adj_self)
     l_cross = _cross_part(kern, sets, cfg, adj_cross, sig)
     return l_self, l_cross, l_self - cfg.eta * l_cross
 
@@ -318,7 +329,8 @@ def loss_total(
 
 
 class _SameSignature:
-    """Compares each term's signature rows with the base point's as they come."""
+    """Compares each hinge row of facility location's cross term with the
+    base point's as they come."""
 
     def __init__(self, base: list[np.ndarray], size: int):
         self._base = iter(base)
@@ -346,14 +358,18 @@ def finite_difference_check(
     is counted and excluded from the error maxima rather than reported as a
     failure.  When every probe is tie-adjacent (checked == 0) nothing was
     measured, and both error maxima are NaN, so `max_rel_err < tol` is False
-    for every tolerance.  `perturb` is a test hook added to one gradient
-    entry before comparison.
+    for every tolerance.  They are NaN too when a checked coordinate's
+    difference quotient or gradient entry is not finite, as when the loss
+    overflows.  `perturb` is a test hook added to one gradient entry before
+    comparison.
 
     The +h and -h probes of the coordinates of one row are evaluated as one
     batch: only that row and column of the base kernel change, so one matrix
     product gives every probe's kernel row, and no family builds a block per
     probe (see `objectives._Kernel`): a log-det probe reads one residual
-    per class, and when i is in U one more per batch.
+    per class, and when i is in U one more per batch.  What the batches
+    read of the base point alone is made once, in the base reader's tables,
+    and the error maxima are taken once, over every coordinate's totals.
     `h` must be finite and positive, or ValueError is raised.
     """
     if not (math.isfinite(h) and h > 0.0):
@@ -372,36 +388,39 @@ def finite_difference_check(
     else:
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(n * d, size=min(FD_SAMPLE, n * d), replace=False))
-    max_abs = 0.0
-    max_rel = 0.0
-    checked = 0
-    ties = 0
+    # Per coordinate: the +h total less the -h one, and whether neither
+    # probe is tie-adjacent.
+    diff = np.empty(len(flat))
+    ok = np.empty(len(flat), dtype=bool)
     # `flat` is sorted, so each row's coordinates start where the row does.
     rows, starts = np.unique(flat // d, return_index=True)
-    for i, row in zip(rows.tolist(), np.split(flat, starts[1:])):
-        js = row % d
-        c = len(js)
-        probes = kern.probes(i, _probe_rows(data, unit, i, js, h))
-        same = _SameSignature(base_sig, 2 * c)
-        _, _, tot = _parts(probes, sets, config, sig=same)
-        ok = same.same[:c] & same.same[c:]
-        ties += c - int(ok.sum())
-        if not ok.any():
-            continue
-        fd = (tot[:c] - tot[c:])[ok] / (2.0 * h)
-        a = grad[i, js[ok]]
-        abs_err = np.abs(a - fd)
-        rel_err = abs_err / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
-        max_abs = max(max_abs, float(abs_err.max()))
-        max_rel = max(max_rel, float(rel_err.max()))
-        checked += len(fd)
-    if checked == 0:
-        max_abs = max_rel = float("nan")
+    ends = np.append(starts[1:], len(flat))
+    for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        c = hi - lo
+        probes = kern.probes(i, _probe_rows(data, unit, i, flat[lo:hi] % d, h))
+        hinges = _SameSignature(base_sig, 2 * c)
+        _, _, tot = _parts(probes, sets, config, sig=hinges)
+        np.subtract(tot[:c], tot[c:], out=diff[lo:hi])
+        same = probes.same & hinges.same
+        np.logical_and(same[:c], same[c:], out=ok[lo:hi])
+    fd = diff[ok]
+    del diff
+    fd /= 2.0 * h
+    a = np.take(grad, flat[ok])
+    checked = len(fd)
+    max_abs = max_rel = math.nan
+    if checked and np.isfinite(fd).all() and np.isfinite(a).all():
+        # |a - fd| / max(|a|, |fd|, 1e-4), in place.
+        err = np.abs(a - fd)
+        np.maximum(np.abs(a, out=a), np.abs(fd, out=fd), out=a)
+        max_abs = float(err.max())
+        err /= np.maximum(a, 1e-4, out=a)
+        max_rel = float(err.max())
     return {
         "l_total": base_total,
         "h": h,
         "checked": checked,
-        "tie_adjacent": ties,
+        "tie_adjacent": len(flat) - checked,
         "max_abs_err": max_abs,
         "max_rel_err": max_rel,
     }

@@ -122,12 +122,6 @@ def _cholesky(m: np.ndarray, err: str) -> np.ndarray:
         raise ValueError(err) from None
 
 
-def _position(arr: np.ndarray, i: int) -> int:
-    """Index of i in the sorted array arr, or -1."""
-    k = int(arr.searchsorted(i))
-    return k if k < len(arr) and arr[k] == i else -1
-
-
 class _Kernel:
     """Kernel columns as a batch of probes sees them, with a leading probe
     axis, and the reductions `_scg` takes of their blocks.
@@ -141,24 +135,71 @@ class _Kernel:
     sorted.  `block` reads the base kernel alone; `best`, `total` and
     `logdet` answer from the base block and row and column i, with no block
     per probe.
+
+    What a batch reads of the base point alone, each set's map from items
+    to positions and each facility-location block's two first maxima per
+    row, is made on first use and kept in tables that the base reader starts
+    at its first `probes` and shares with every batch: an audit makes each
+    once, a plain evaluation none.  An entry is keyed by the ids of the sets
+    it was made for and holds them, so no other array can take a key while
+    the tables live.
     """
 
-    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1, rows: np.ndarray | None = None):
+    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1,
+                 rows: np.ndarray | None = None, tables: dict | None = None):
         self.s, self.pos, self.i, self.rows = s, pos, i, rows
+        self._tables = tables
+        # Per probe of a batch: whether every argmax row `best` took equals the base point's.
+        self.same = None if rows is None else np.ones(len(rows), dtype=bool)
 
     def probes(self, i: int, rows: np.ndarray) -> "_Kernel":
-        return _Kernel(self.s, self.pos, i, rows)
+        if self._tables is None:
+            self._tables = {}
+        return _Kernel(self.s, self.pos, i, rows, self._tables)
 
     @property
     def size(self) -> int:
         return 1 if self.rows is None else len(self.rows)
+
+    def _table(self, make, *sets: np.ndarray):
+        """make(*sets), made once for the tables' life."""
+        key = (make.__name__, *map(id, sets))
+        if key not in self._tables:
+            self._tables[key] = (sets, make(*sets))
+        return self._tables[key][1]
+
+    def _positions(self, a: np.ndarray) -> np.ndarray:
+        """Each item's index in a, or -1."""
+        where = np.full(len(self.pos), -1, dtype=np.intp)
+        where[a] = np.arange(len(a))
+        return where
+
+    def _maxima(self, a: np.ndarray, b: np.ndarray):
+        """Per row of a, the base block's first argmax over b and then the
+        first argmax with that column masked, shape (2, |a|), and their
+        values."""
+        blk = self.s[a[:, None], self.pos[b]]
+        r = np.arange(len(a))
+        j = np.empty((2, len(a)), dtype=np.intp)
+        v = np.empty((2, len(a)))
+        j[0] = blk.argmax(axis=1)
+        v[0] = blk[r, j[0]]
+        blk[r, j[0]] = -np.inf
+        j[1] = blk.argmax(axis=1)
+        v[1] = blk[r, j[1]]
+        j.flags.writeable = v.flags.writeable = False
+        return j, v
+
+    def _where(self, a: np.ndarray) -> int:
+        """Position of i in a, or -1."""
+        return int(self._table(self._positions, a)[self.i]) if len(a) else -1
 
     def _moved(self, a: np.ndarray, b: np.ndarray):
         """Positions of i in a and in b, -1 where absent, or None when no
         probe changes the block at rows a, columns b."""
         if self.rows is None:
             return None
-        pa, pb = _position(a, self.i), _position(b, self.i)
+        pa, pb = self._where(a), self._where(b)
         return None if pa < 0 and pb < 0 else (pa, pb)
 
     def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,12 +207,16 @@ class _Kernel:
         return self.s[a[:, None], self.pos[b]][None]
 
     def best(self, a: np.ndarray, b: np.ndarray):
-        """Per probe and row of a: the first argmax over b and its value,
-        shape (probes, |a|), or (1, |a|) where no probe moves the block."""
-        moved = self._moved(a, b)
+        """Per row of a: the first argmax over b and its value, shape
+        (1, |a|).  For a batch, no argmax but the value per probe and row,
+        shape (probes, |a|), or (1, |a|) where no probe moves the block;
+        `same` then drops each probe whose argmax rows differ from the base
+        point's."""
+        if self.rows is not None:
+            return None, self._probe_best(a, b)
         # Fancy indexing holds about twice its result as scratch, so a base
         # read spanning more than a third of the block budget goes in row blocks.
-        blocks = row_blocks(len(a), 3 * len(b)) if moved is None else ()
+        blocks = row_blocks(len(a), 3 * len(b))
         if len(blocks) > 1:
             j = np.empty((1, len(a)), dtype=np.intp)
             v = np.empty((1, len(a)))
@@ -179,32 +224,41 @@ class _Kernel:
                 j[:, r], v[:, r] = self.best(a[r], b)
             return j, v
         blk = self.s[a[:, None], self.pos[b]]
+        j = blk.argmax(axis=1)
+        return j[None], blk[np.arange(len(a)), j][None]
+
+    def _probe_best(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        (j1, j2), (v1, v2) = self._table(self._maxima, a, b)
+        moved = self._moved(a, b)
         if moved is None:
-            j = blk.argmax(axis=1)
-            return j[None], blk[np.arange(len(a)), j][None]
+            return v1[None].copy()
         pa, pb = moved
         p = len(self.rows)
         if pb >= 0:
-            blk[:, pb] = -np.inf
-        j0 = blk.argmax(axis=1)
-        v0 = blk[np.arange(len(a)), j0]
-        if pb >= 0:
-            # Each probe's column i against the first maximum without it:
-            # column i wins above that maximum, and on a tie when it comes
-            # first, as argmax breaks ties.
+            # The first maximum without column i is the second one in rows
+            # where i is the first.  Each probe's column i wins above it,
+            # and on a tie when it comes first, as argmax breaks ties.
+            second = j1 == pb
+            j0 = np.where(second, j2, j1)
+            v0 = np.where(second, v2, v1)
             v = np.take(self.rows, a, axis=1)
             wins = v >= np.where(j0 > pb, v0, np.nextafter(v0, np.inf))
             np.copyto(v, v0, where=~wins)
-            j = np.repeat(j0[None], p, axis=0)
-            j[wins] = pb
+            # A row's argmax, pb where column i wins and j0 where it loses,
+            # is the base point's j1 where column i wins in the rows where j1
+            # is pb and loses in the others.  (With b = {i} alone it wins in
+            # every row.  Row i, whose entry (i, i) is 1 before and after,
+            # passes, and its own argmax is compared below.)
+            np.equal(wins, second, out=wins)
+            self.same &= wins.all(axis=1)
         else:
-            v = np.repeat(v0[None], p, axis=0)
-            j = np.repeat(j0[None], p, axis=0)
+            v = np.repeat(v1[None], p, axis=0)
         if pa >= 0:
             r = np.take(self.rows, b, axis=1)
-            j[:, pa] = r.argmax(axis=1)
-            v[:, pa] = r[np.arange(p), j[:, pa]]
-        return j, v
+            j = r.argmax(axis=1)
+            v[:, pa] = r[np.arange(p), j]
+            self.same &= j == j1[pa]
+        return v
 
     def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per probe: the block sum; for a batch, less the base block's, which
@@ -214,15 +268,14 @@ class _Kernel:
         if moved is None:
             return self.block(a, b).sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
         pa, pb = moved
-        blk = self.s[a[:, None], self.pos[b]]
         value = np.zeros(len(self.rows))
         if pa >= 0:
             row = np.take(self.rows, b, axis=1)
-            row -= blk[pa]
+            row -= self.s[self.i, self.pos[b]]
             value += row.sum(axis=1)
         if pb >= 0:
             col = np.take(self.rows, a, axis=1)
-            col -= blk[:, pb]
+            col -= self.s[a, self.pos[self.i]]
             value += col.sum(axis=1)
         return value
 
@@ -231,8 +284,8 @@ class _Kernel:
         times nu, diagonal shifted) less the same without i, which every
         probe shares: the log of i's residual, or 0 when i is in neither
         set.  A residual <= 0 raises ValueError(error)."""
-        in_a = self.i in a
-        if not in_a and self.i not in q:
+        in_a = self._where(a) >= 0
+        if not in_a and self._where(q) < 0:
             return np.zeros(len(self.rows))
         b = np.concatenate([a[a != self.i], q[q != self.i]])
         on_a = np.arange(len(b)) < len(a) - in_a
@@ -271,14 +324,12 @@ def _scg(
 
     `adj`, when given, takes the adjoint of the first probe's value as
     `adj.block(rows, cols, v)` and `adj.pairs(rows, cols, v)`.  `sig`, when
-    given, takes facility location's argmax and hinge rows, shape (probes,
-    |rows|), in a fixed order.
+    given, takes facility location's hinge rows, shape (probes, |rows|), in
+    a fixed order; its argmax rows a batch compares itself (`_Kernel.same`).
     """
     total = np.zeros(reader.size)
     if len(q) and family is Family.FACILITY_LOCATION:
         jq, best_q = reader.best(grounds[0], q)
-        if sig is not None:
-            sig(jq)
         # Only the adjoint, of the first probe, reads argmax rows again.
         jq = jq[0] if adj is not None else None
         best_q *= nu
@@ -296,8 +347,6 @@ def _scg(
             if len(g) == 0:
                 continue
             j, best = reader.best(g, a)
-            if sig is not None:
-                sig(j)
             j = j[0] if adj is not None else None
             if len(q):
                 # The margins, in place: best has a probe axis wherever

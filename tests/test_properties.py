@@ -42,6 +42,7 @@ from submine import (
 )
 from submine import greedy
 from submine.cli import main
+from submine.kernels import write_text
 from helpers import full_round_greedy, value_loops, whole_array_loss_reference
 
 PROPERTY_SETTINGS = settings(
@@ -305,7 +306,12 @@ CLI_COMMANDS = {
     "cases": (LossConfig, ["loss", "--cases", "1"], "out.csv", "out.csv"),
     "loss": (LossConfig, ["loss", "{scene}", "--sets", "{sets}"], "out.json", None),
     "gradcheck": (LossConfig, ["gradcheck", "{scene}", "--sets", "{sets}"], "out.json", None),
+    "sweep": (DiscoveryConfig, ["sweep", "{scene}", "--sweep", "{sweep}"], "out.csv", "out.csv"),
+    "sweep-loss": (LossConfig, ["sweep", "{scene}", "--sweep", "{sweep}"], "out.csv", "out.csv"),
 }
+# A sweep's parameter and its one value; the drawn config is the sweep
+# file's `config` object, which the CSV's comment echoes under "config".
+SWEEPS = {"sweep": ("tau_b", 0.3), "sweep-loss": ("eta", 1.0)}
 WORDS = {"family", "transform", "mode"}
 
 
@@ -349,14 +355,23 @@ def _reject_constant(token):
 @example(("select", {"exclude_background_from_pool": "false"}))
 @example(("generate", {"cluster_stddev": True}))
 @example(("gradcheck", {"lam": False}))
+@example(("sweep", {"tau_b": math.nan}))
+@example(("sweep-loss", {"eta": "a"}))
 def test_cli_exits_with_a_known_code_and_echoes_only_sound_config_values(cli_inputs, case):
     command, config = case
     root = cli_inputs
     _, args, out, echo = CLI_COMMANDS[command]
     for stale in root.glob("out*"):
         stale.unlink()
-    (root / "cfg.json").write_text(json.dumps(config))
-    argv = [a.format(scene=root / "scene.csv", sets=root / "sets.json") for a in args]
+    sweep = command in SWEEPS
+    if sweep:
+        parameter, value = SWEEPS[command]
+        spec = {"parameter": parameter, "values": [value], "config": config}
+        write_text(root / "sweep.json", json.dumps(spec))
+    # Over the old bytes: truncating first waits on ext4's flush (see write_text).
+    write_text(root / "cfg.json", json.dumps({} if sweep else config))
+    paths = {"scene": root / "scene.csv", "sets": root / "sets.json", "sweep": root / "sweep.json"}
+    argv = [a.format(**paths) for a in args]
     argv += ["--config", str(root / "cfg.json"), "--out", str(root / out), "--quiet"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -369,4 +384,6 @@ def test_cli_exits_with_a_known_code_and_echoes_only_sound_config_values(cli_inp
         first = (root / echo).read_text().splitlines()[0]
         assert first.startswith("# ")
         echoed = json.loads(first[2:], parse_constant=_reject_constant)
+        if sweep:
+            echoed = echoed["config"]
         assert all(_echoed_value_is_sound(k, v) for k, v in echoed.items()), echoed
