@@ -40,6 +40,10 @@ BACKGROUND_LABEL = -1
 
 TRANSFORMS = ("raw-cosine", "clip-at-zero", "affine-shift")
 
+# Seeds are u64, one Philox key word of a scene's streams; the audit's
+# sample takes seeds from the same range.
+SEED_MAX = (1 << 64) - 1
+
 # Entries of the kernel blocks one numpy call reads, and of the scratch each
 # block needs.
 _BLOCK = 1 << 14

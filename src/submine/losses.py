@@ -44,15 +44,21 @@ evaluation is a batch of one, and only there are adjoints accumulated.  The
 finite-difference audit uses that a probe on coordinate (i, j) moves row i
 of the unit embeddings alone, so only row and column i of the kernel: it
 builds the n-long kernel rows of the probes of one row with one matrix
-product and evaluates them as one batch over the base kernel, one batch per
-probed row for every family.  No block is built per probe: facility
-location's argmax and max per row, graph cut's block sums and log-det's
-log-determinants are answered from the base block and each probe's row and
-column i.  A log-det probe reads i's residual
-given the rest of each class's block, and when i is in U, its residual in
-U's block once per batch, which every class's gain subtracts.  Graph cut's
-and log-det's probe values leave out a constant every probe shares, so the
-audit's difference quotient is built from the changed entries alone.
+product and evaluates them as one batch over the base kernel.  Two kinds of
+row make no batch of their own.  A row no term reads (log-det reads blocks
+over C, the others rows of T) moves nothing: its coordinates share the
+difference of two probes that move nothing, made once.  Graph cut's rows in
+T - C move only its row term, at C's columns, so runs of them are stacked
+into batches |C| wide, one row i per probe.  Each probe's total is the one
+its row's own batch gives, so the report's bytes do not depend on the
+batching.  No block is built per probe: facility location's argmax and max
+per row, graph cut's block sums and log-det's log-determinants are answered
+from the base block and each probe's row and column i.  A log-det probe
+reads i's residual given the rest of each class's block, and when i is in
+U, its residual in U's block once per batch, which every class's gain
+subtracts.  Graph cut's and log-det's probe values leave out a constant
+every probe shares, so the audit's difference quotient is built from the
+changed entries alone.
 
 What depends on the base point alone is made once per audit, not per
 batch.  The audit's base reader keeps per-audit tables, made on first use
@@ -75,7 +81,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import EmbeddingSet, IndexSet, check_number, cosine_columns, row_blocks
+from .kernels import SEED_MAX, EmbeddingSet, IndexSet, check_number, cosine_columns, row_blocks
 from .objectives import Family, _Kernel, _scg
 
 FD_STEP = 1e-4
@@ -130,8 +136,20 @@ class _Adjoint:
         self.g[a, self.pos[b]] += self.weight * v
 
 
+def _zero_norm(row: np.ndarray, js: np.ndarray, h: float) -> bool:
+    """Whether a +h or -h probe of `row` on an entry js leaves it with zero
+    norm.  A norm is the root of a sum of squares, so it is zero just where
+    every square is: each other entry's and the moved one's."""
+    moved = row[js]
+    others = np.count_nonzero(row * row) - (moved * moved != 0)
+    up = moved + h
+    down = up - 2.0 * h
+    return bool(((others == 0) & ((up * up == 0) | (down * down == 0))).any())
+
+
 def _probe_rows(data: np.ndarray, unit: np.ndarray, i: int, js: np.ndarray, h: float):
-    """Kernel rows i of the probes (i, js) + h, then of (i, js) - h.
+    """Kernel rows i of the probes (i, js) + h, then of (i, js) - h, none of
+    which has zero norm (`_zero_norm`).
 
     The -h probe is taken from the +h one, (x + h) - 2h, as a probe moved up
     and then back down would be."""
@@ -140,8 +158,6 @@ def _probe_rows(data: np.ndarray, unit: np.ndarray, i: int, js: np.ndarray, h: f
     probes = np.repeat(data[i][None], 2 * c, axis=0)
     probes[np.arange(2 * c), np.tile(js, 2)] = np.concatenate([up, up - 2.0 * h])
     norms = np.linalg.norm(probes, axis=1)
-    if not norms.all():
-        raise ValueError(f"zero-norm row {i}")
     probes /= norms[:, None]
     rows = probes @ unit.T
     np.clip(rows, -1.0, 1.0, out=rows)
@@ -185,14 +201,15 @@ def _sorted(s: IndexSet) -> np.ndarray:
 
 class _Sets(NamedTuple):
     """Sorted index arrays of one loss: the classes, U, T, each class's
-    ground set in the self term, and the kernel columns C, the union of the
-    classes and U."""
+    ground set in the self term, the kernel columns C, the union of the
+    classes and U, and the items whose kernel rows a term reads."""
 
     classes: list[np.ndarray]
     u: np.ndarray
     t: np.ndarray
     grounds: list[np.ndarray]
     cols: np.ndarray
+    read: np.ndarray
 
 
 def _index_sets(
@@ -216,7 +233,10 @@ def _index_sets(
     else:
         grounds = [t_arr] * len(kcs)
     cols = np.sort(np.concatenate(kcs + [u_arr]))
-    return _Sets(kcs, u_arr, t_arr, grounds, cols)
+    # Log-det reads blocks over C alone; the others read rows of their
+    # grounds and of C, all inside T.
+    read = cols if family is Family.LOG_DET else t_arr
+    return _Sets(kcs, u_arr, t_arr, grounds, cols, read)
 
 
 def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None):
@@ -340,6 +360,88 @@ class _SameSignature:
         self.same &= (sig == next(self._base)).all(axis=1)
 
 
+def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarray,
+                 h: float, base_sig: list[np.ndarray]):
+    """Per coordinate of `flat`, sorted: the total of its +h probe less that
+    of its -h probe, and whether neither probe is tie-adjacent.
+
+    The probes of one row are one batch over the base kernel, save where
+    they move nothing a term reads, or only graph cut's row term:
+    - A row outside `sets.read` makes no kernel rows.  Its coordinates take
+      the difference of two probes that move nothing, made once per audit
+      by a batch of two: 0.0, or NaN where the total every such probe sees
+      is not finite, as when the loss overflows.
+    - A graph-cut row in T - C moves only `_Kernel.total`'s row term, at C's
+      columns.  Runs of such rows go in stacked batches of those columns,
+      holding no more entries than the row batch, n wide, of the row with
+      the most coordinates.  Each row's kernel rows still come from its own
+      product, since a product's entries round by its row count.
+    Either way each probe's total is the one its row's own batch gives.
+    Every row's probe norms are checked, without the product, and the
+    batches run in row order, a stack before a zero norm is raised, so an
+    audit raises the error the first failing row's batch raises."""
+    # Only a row with fewer than two non-zero squares can lose its norm to a
+    # probe, and each such row's squares add up to their largest.
+    squares = data * data
+    lean = squares.sum(axis=1) == squares.max(axis=1)
+    del squares
+    kern, unit, _ = _base(data, sets)
+    n, d = data.shape
+    diff = np.empty(len(flat))
+    ok = np.empty(len(flat), dtype=bool)
+    read = np.zeros(n, dtype=bool)
+    read[sets.read] = True
+    row_only = np.zeros(n, dtype=bool)
+    if cfg.family is Family.GRAPH_CUT:
+        row_only[sets.read] = True
+        row_only[sets.cols] = False
+
+    def run(batch: _Kernel, lo: int, hi: int) -> None:
+        """Evaluates a batch of the +h probes of flat[lo:hi], then their -h probes."""
+        c = hi - lo
+        hinges = _SameSignature(base_sig, batch.size)
+        _, _, tot = _parts(batch, sets, cfg, sig=hinges)
+        np.subtract(tot[:c], tot[c:], out=diff[lo:hi])
+        same = batch.same & hinges.same
+        np.logical_and(same[:c], same[c:], out=ok[lo:hi])
+
+    stack: list[tuple[int, int, int, np.ndarray]] = []  # (i, lo, hi, kernel rows at C)
+
+    def flush() -> None:
+        """Evaluates the stack as one batch: every +h probe, then every -h probe."""
+        if stack:
+            owners = np.concatenate([np.full(hi - lo, i) for i, lo, hi, _ in stack])
+            ups = [r[: hi - lo] for _, lo, hi, r in stack]
+            downs = [r[hi - lo :] for _, lo, hi, r in stack]
+            run(kern.probes(np.tile(owners, 2), np.concatenate(ups + downs)), stack[0][1], stack[-1][2])
+            stack.clear()
+
+    # `flat` is sorted, so each row's coordinates start where the row does.
+    rows, starts = np.unique(flat // d, return_index=True)
+    ends = np.append(starts[1:], len(flat))
+    budget = 2 * n * max((ends - starts).tolist(), default=0)
+    shared = -1  # a coordinate holding the difference of probes that move nothing
+    for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        js = flat[lo:hi] % d
+        zero = lean[i] and _zero_norm(data[i], js, h)
+        # A stack's rows are consecutive, so it spans coordinates stack[0].lo to hi.
+        if stack and (zero or not row_only[i] or 2 * (hi - stack[0][1]) * len(sets.cols) > budget):
+            flush()
+        if zero:
+            raise ValueError(f"zero-norm row {i}")
+        if not read[i]:
+            if shared < 0:
+                shared = lo
+                run(kern.probes(np.array([i, i]), kern.s[[i, i]]), lo, lo + 1)
+            diff[lo:hi], ok[lo:hi] = diff[shared], ok[shared]
+        elif row_only[i]:
+            stack.append((i, lo, hi, np.take(_probe_rows(data, unit, i, js, h), sets.cols, axis=1)))
+        else:
+            run(kern.probes(i, _probe_rows(data, unit, i, js, h)), lo, hi)
+    flush()
+    return diff, ok
+
+
 def finite_difference_check(
     embeddings: EmbeddingSet,
     classes: Sequence[IndexSet],
@@ -367,20 +469,25 @@ def finite_difference_check(
     batch: only that row and column of the base kernel change, so one matrix
     product gives every probe's kernel row, and no family builds a block per
     probe (see `objectives._Kernel`): a log-det probe reads one residual
-    per class, and when i is in U one more per batch.  What the batches
-    read of the base point alone is made once, in the base reader's tables,
-    and the error maxima are taken once, over every coordinate's totals.
-    `h` must be finite and positive, or ValueError is raised.
+    per class, and when i is in U one more per batch.  A row no term reads,
+    outside C for log-det and outside T for the others, makes no batch, and
+    graph cut stacks its rows in T - C, which move its row term alone, into
+    shared batches (`_differences`); every probe's total, and so the report,
+    is the one its row's own batch gives.  What the batches read of the base
+    point alone is made once, in the base reader's tables, and the error
+    maxima are taken once, over every coordinate's totals.  `h` must be
+    finite and positive and `seed` an integer in [0, 2**64 - 1], or
+    ValueError is raised.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h!r}")
+    check_number("seed", seed, 0, SEED_MAX, integer=True)
     _validate_sets(embeddings.n, classes, t, u)
     data = embeddings.data
     n, d = data.shape
     sets = _index_sets(classes, u, t, config.family)
     base_sig: list[np.ndarray] = []
     _, _, base_total, grad = _assemble(data, sets, config, base_sig.append)
-    kern, unit, _ = _base(data, sets)
     if perturb != 0.0:
         grad[0, 0] += perturb
     if n * d <= FD_EXHAUSTIVE_LIMIT:
@@ -388,21 +495,7 @@ def finite_difference_check(
     else:
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(n * d, size=min(FD_SAMPLE, n * d), replace=False))
-    # Per coordinate: the +h total less the -h one, and whether neither
-    # probe is tie-adjacent.
-    diff = np.empty(len(flat))
-    ok = np.empty(len(flat), dtype=bool)
-    # `flat` is sorted, so each row's coordinates start where the row does.
-    rows, starts = np.unique(flat // d, return_index=True)
-    ends = np.append(starts[1:], len(flat))
-    for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
-        c = hi - lo
-        probes = kern.probes(i, _probe_rows(data, unit, i, flat[lo:hi] % d, h))
-        hinges = _SameSignature(base_sig, 2 * c)
-        _, _, tot = _parts(probes, sets, config, sig=hinges)
-        np.subtract(tot[:c], tot[c:], out=diff[lo:hi])
-        same = probes.same & hinges.same
-        np.logical_and(same[:c], same[c:], out=ok[lo:hi])
+    diff, ok = _differences(data, sets, config, flat, h, base_sig)
     fd = diff[ok]
     del diff
     fd /= 2.0 * h

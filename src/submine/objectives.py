@@ -136,6 +136,12 @@ class _Kernel:
     `logdet` answer from the base block and row and column i, with no block
     per probe.
 
+    With `i` an array the batch is stacked: probe p moves row i[p] alone,
+    given at the kernel's columns, rows[p, pos[b]].  Each i[p] lies outside
+    the columns, so no column moves, and in the sets i[0] lies in, so a set
+    holds every row of the batch or none.  `total` reads such a batch;
+    `best` and `logdet` read one only where it moves nothing they read.
+
     What a batch reads of the base point alone, each set's map from items
     to positions and each facility-location block's two first maxima per
     row, is made on first use and kept in tables that the base reader starts
@@ -145,14 +151,16 @@ class _Kernel:
     the tables live.
     """
 
-    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int = -1,
+    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int | np.ndarray = -1,
                  rows: np.ndarray | None = None, tables: dict | None = None):
         self.s, self.pos, self.i, self.rows = s, pos, i, rows
         self._tables = tables
+        # The row whose sets stand for the batch's: i, or a stacked batch's first.
+        self._first = int(i[0]) if isinstance(i, np.ndarray) else i
         # Per probe of a batch: whether every argmax row `best` took equals the base point's.
         self.same = None if rows is None else np.ones(len(rows), dtype=bool)
 
-    def probes(self, i: int, rows: np.ndarray) -> "_Kernel":
+    def probes(self, i: int | np.ndarray, rows: np.ndarray) -> "_Kernel":
         if self._tables is None:
             self._tables = {}
         return _Kernel(self.s, self.pos, i, rows, self._tables)
@@ -191,8 +199,8 @@ class _Kernel:
         return j, v
 
     def _where(self, a: np.ndarray) -> int:
-        """Position of i in a, or -1."""
-        return int(self._table(self._positions, a)[self.i]) if len(a) else -1
+        """Position of i in a, or -1; for a stacked batch, of its first row."""
+        return int(self._table(self._positions, a)[self._first]) if len(a) else -1
 
     def _moved(self, a: np.ndarray, b: np.ndarray):
         """Positions of i in a and in b, -1 where absent, or None when no
@@ -270,8 +278,12 @@ class _Kernel:
         pa, pb = moved
         value = np.zeros(len(self.rows))
         if pa >= 0:
-            row = np.take(self.rows, b, axis=1)
-            row -= self.s[self.i, self.pos[b]]
+            if isinstance(self.i, np.ndarray):  # stacked: row i[p] at C's columns
+                row = np.take(self.rows, self.pos[b], axis=1)
+                row -= self.s[self.i[:, None], self.pos[b]]
+            else:
+                row = np.take(self.rows, b, axis=1)
+                row -= self.s[self.i, self.pos[b]]
             value += row.sum(axis=1)
         if pb >= 0:
             col = np.take(self.rows, a, axis=1)

@@ -14,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discovery import MAX_KERNEL_BYTES
-from .kernels import BACKGROUND_LABEL, UNKNOWN_LABEL, EmbeddingSet, IndexSet, check_number
+from .kernels import BACKGROUND_LABEL, SEED_MAX, UNKNOWN_LABEL, EmbeddingSet, IndexSet, check_number
 
 # Stream tags; known class c uses tag c, so keep these out of reach.
 _TAG_UNKNOWN = 1 << 20
 _TAG_BACKGROUND = (1 << 20) + 1
 _TAG_SEP_KNOWN = (1 << 20) + 2
 _TAG_SEP_UNKNOWN = (1 << 20) + 3
-# Seeds are u64, one Philox key word.
-_SEED_MAX = (1 << 64) - 1
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -69,7 +67,7 @@ class SceneSpec:
     objectness_background: tuple[float, float] = (0.0, 0.3)
 
     def __post_init__(self) -> None:
-        check_number("seed", self.seed, 0, _SEED_MAX, integer=True)
+        check_number("seed", self.seed, 0, SEED_MAX, integer=True)
         for name, lo in (("d", 1), ("n_total", 0), ("n_known", 1), ("n_unknown", 0)):
             check_number(name, getattr(self, name), lo, integer=True)
         for name in ("cluster_stddev", "background_stddev"):
@@ -156,7 +154,7 @@ def gen_separation_cases(seed: int = 0, n_cases: int = 3) -> list[SeparationCase
     cross terms need; radius 6, noise stddev 0.4, and case j's angle
     pi/7.2 + j pi/4.5, which stays below pi for up to 4 cases.
     """
-    check_number("seed", seed, 0, _SEED_MAX, integer=True)
+    check_number("seed", seed, 0, SEED_MAX, integer=True)
     d, n_known, n_unknown, radius, stddev = 128, 10, 100, 6.0, 0.4
     base_angle, angle_step = math.pi / 7.2, math.pi / 4.5
     if n_cases < 1:

@@ -4,7 +4,9 @@ Everything here is deliberately naive: plain Python loops, itertools
 enumeration, and numpy.linalg calls.  None of it shares code with the
 vectorized or incremental paths under audit, except where a reference
 pins an order of operations bit for bit: `whole_array_loss_reference`
-shares the loss terms and checks only how the gradient is assembled.
+shares the loss terms and checks only how the gradient is assembled, and
+`row_batch_audit_reference` shares the audit's batches and checks only
+which rows it batches and how.
 """
 
 import csv
@@ -500,6 +502,75 @@ def finite_difference_reference(
         "max_rel_err": max_rel,
         "coords": coords,
         "quotients": quotients,
+    }
+
+
+def _checked_probe_rows(data, unit, i, js, h):
+    """Kernel rows i of the probes (i, js) + h, then of (i, js) - h, as one
+    product; ValueError when a probe's norm is zero."""
+    c = len(js)
+    up = data[i, js] + h
+    probes = np.repeat(data[i][None], 2 * c, axis=0)
+    probes[np.arange(2 * c), np.tile(js, 2)] = np.concatenate([up, up - 2.0 * h])
+    norms = np.linalg.norm(probes, axis=1)
+    if not norms.all():
+        raise ValueError(f"zero-norm row {i}")
+    probes /= norms[:, None]
+    rows = probes @ unit.T
+    np.clip(rows, -1.0, 1.0, out=rows)
+    rows[:, i] = 1.0
+    return rows
+
+
+def row_batch_audit_reference(embeddings, classes, u, t, config, h=1e-4, seed=0, perturb=0.0):
+    """`finite_difference_check` with one `_parts` batch for every probed
+    row, whatever the row: each row's probes get their kernel rows from one
+    product, which checks their norms, and are evaluated over the base
+    kernel, rows that no term reads and graph cut's row-only rows included.
+    The batches are the library's own, so this checks which rows the audit
+    batches and how, and its zero-norm check, bit for bit."""
+    losses = submine.losses
+    data = embeddings.data
+    n, d = data.shape
+    losses._validate_sets(n, classes, t, u)
+    sets = losses._index_sets(classes, u, t, config.family)
+    base_sig = []
+    _, _, base_total, grad = losses._assemble(data, sets, config, base_sig.append)
+    kern, unit, _ = losses._base(data, sets)
+    if perturb != 0.0:
+        grad[0, 0] += perturb
+    if n * d <= FD_EXHAUSTIVE_LIMIT:
+        flat = np.arange(n * d)
+    else:
+        rng = np.random.default_rng(seed)
+        flat = np.sort(rng.choice(n * d, size=min(losses.FD_SAMPLE, n * d), replace=False))
+    diff = np.empty(len(flat))
+    ok = np.empty(len(flat), dtype=bool)
+    rows, starts = np.unique(flat // d, return_index=True)
+    ends = np.append(starts[1:], len(flat))
+    for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        c = hi - lo
+        probes = kern.probes(i, _checked_probe_rows(data, unit, i, flat[lo:hi] % d, h))
+        hinges = losses._SameSignature(base_sig, 2 * c)
+        _, _, tot = losses._parts(probes, sets, config, sig=hinges)
+        np.subtract(tot[:c], tot[c:], out=diff[lo:hi])
+        same = probes.same & hinges.same
+        np.logical_and(same[:c], same[c:], out=ok[lo:hi])
+    fd = diff[ok] / (2.0 * h)
+    a = np.take(grad, flat[ok])
+    checked = len(fd)
+    max_abs = max_rel = math.nan
+    if checked and np.isfinite(fd).all() and np.isfinite(a).all():
+        err = np.abs(a - fd)
+        max_abs = float(err.max())
+        max_rel = float((err / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)).max())
+    return {
+        "l_total": base_total,
+        "h": h,
+        "checked": checked,
+        "tie_adjacent": len(flat) - checked,
+        "max_abs_err": max_abs,
+        "max_rel_err": max_rel,
     }
 
 

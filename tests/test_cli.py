@@ -270,12 +270,19 @@ def test_generate_refuses_a_scene_above_the_byte_budget(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "loss"])
+@pytest.mark.parametrize("command", ["generate", "loss", "gradcheck", "gradcheck-sampled"])
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_a_seed_flag_outside_u64_exits_config(tmp_path, capsys, command, seed):
+    # gradcheck checks its seed whether it samples (120 x 48 > 5000
+    # coordinates) or probes every coordinate (120 x 2).
     out = tmp_path / "out.csv"
-    extra = ["--cases"] if command == "loss" else []
-    assert main([command, *extra, "--seed", str(seed), "--out", str(out)]) == EXIT_CONFIG
+    argv = {"generate": ["generate"], "loss": ["loss", "--cases"]}.get(command)
+    if argv is None:
+        scene = _padded_scene(tmp_path, 48 if command == "gradcheck-sampled" else 2)
+        sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [6, 7, 8]})
+        argv = ["gradcheck", str(scene), "--sets", sets]
+        capsys.readouterr()
+    assert main([*argv, "--seed", str(seed), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"error: seed must be an integer in [0, {2**64 - 1}], got {seed}\n"
     assert not out.exists()
@@ -548,21 +555,26 @@ def test_loss_argument_validation(tmp_path, small_scene):
     assert main(["loss", "--quiet"]) == EXIT_CONFIG
 
 
-@pytest.fixture
-def scene_12d(tmp_path):
-    """The small scene in 12-d, its means padded with zeros: the 2-d scene
-    cannot hold a positive definite log-det block over 7 items."""
-    spec, zeros = SceneSpec(), [0.0] * 10
+def _padded_scene(tmp_path, d):
+    """The small scene in d dimensions, its 2-d means padded with zeros."""
+    spec, zeros = SceneSpec(), [0.0] * (d - 2)
     cfg = dict(
         SMALL_SCENE_CFG,
-        d=12,
+        d=d,
         cluster_means=[list(m) + zeros for m in spec.cluster_means],
         background_mean=list(spec.background_mean) + zeros,
     )
-    out = tmp_path / "scene12.csv"
-    args = ["generate", "--config", _write_json(tmp_path / "cfg12.json", cfg)]
+    out = tmp_path / f"scene{d}.csv"
+    args = ["generate", "--config", _write_json(tmp_path / f"cfg{d}.json", cfg)]
     assert main(args + ["--out", str(out), "--quiet"]) == EXIT_OK
     return out
+
+
+@pytest.fixture
+def scene_12d(tmp_path):
+    """The small scene in 12-d: the 2-d scene cannot hold a positive
+    definite log-det block over 7 items."""
+    return _padded_scene(tmp_path, 12)
 
 
 @pytest.mark.parametrize("family", ["fl", "gc", "logdet"])

@@ -9,7 +9,12 @@ import pytest
 import submine.kernels
 import submine.losses
 import submine.objectives
-from helpers import dense_loss_reference, finite_difference_reference, logdet_longdouble
+from helpers import (
+    dense_loss_reference,
+    finite_difference_reference,
+    logdet_longdouble,
+    row_batch_audit_reference,
+)
 from submine import (
     EmbeddingSet,
     Family,
@@ -314,6 +319,28 @@ def test_an_audit_of_a_loss_that_is_not_finite_reports_nan(family):
     assert not result["max_rel_err"] < 1e-5
 
 
+@pytest.mark.parametrize(
+    "config",
+    [LossConfig(family="gc", lam=1e308, nu=10.0), LossConfig(family="fl", eta=1e300, nu=1e30)],
+    ids=["gc", "fl"],
+)
+def test_rows_no_term_reads_share_a_total_that_is_not_finite(monkeypatch, config):
+    # Every sampled row lies outside T.  Their probes move nothing, so each
+    # takes the total such a probe sees, here not finite: graph cut's
+    # 2 lam nu overflows, and facility location's loss is -inf.  The
+    # difference of two such totals is NaN, not 0.0, so the audit fails
+    # as the one-batch-per-row loop does.
+    e = EmbeddingSet(np.random.default_rng(0).normal(size=(100, 60)))
+    classes, u, t = [IndexSet.of([0, 1])], IndexSet.of([2, 3]), IndexSet.of(range(4))
+    monkeypatch.setattr(submine.losses, "FD_SAMPLE", 3)
+    assert (np.random.default_rng(0).choice(6000, 3, replace=False) // 60 >= 4).all()
+    with np.errstate(all="ignore"):
+        got = finite_difference_check(e, classes, u, t, config)
+        want = row_batch_audit_reference(e, classes, u, t, config)
+    assert got["checked"] == 3 and math.isnan(got["max_rel_err"])
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
 def _assert_same_audit(got, want, tol=1e-9):
     """Counts agree exactly, the base loss to 1e-12 relative (the reference
     evaluates the dense kernel), the error maxima to tol unless it is None."""
@@ -328,19 +355,17 @@ def _assert_same_audit(got, want, tol=1e-9):
 
 
 def _spy_quotients(monkeypatch):
-    """Collects the audit's difference quotients, one per probed coordinate
-    in probe order, from the probe batches' totals."""
+    """Collects the audit's difference quotients of its checked coordinates,
+    in coordinate order, those of the rows it makes no probes for included."""
     quotients = []
-    parts = submine.losses._parts
+    differences = submine.losses._differences
 
-    def spy(kern, sets, cfg, g=None, sig=None):
-        out = parts(kern, sets, cfg, g, sig)
-        if kern.rows is not None:
-            c = len(kern.rows) // 2
-            quotients.extend((out[2][:c] - out[2][c:]) / (2.0 * submine.losses.FD_STEP))
-        return out
+    def spy(data, sets, cfg, flat, h, base_sig):
+        diff, ok = differences(data, sets, cfg, flat, h, base_sig)
+        quotients.extend(diff[ok] / (2.0 * h))
+        return diff, ok
 
-    monkeypatch.setattr(submine.losses, "_parts", spy)
+    monkeypatch.setattr(submine.losses, "_differences", spy)
     return quotients
 
 
@@ -394,6 +419,12 @@ def test_batched_audit_matches_reference_on_ties():
     _assert_same_audit(got, finite_difference_reference(e, classes, u, t, cfg))
 
 
+def _read_rows(fam, classes, u, t):
+    """The rows a family's terms read: C for log-det, T for the others."""
+    sets = submine.losses._index_sets(classes, u, t, Family.parse(fam))
+    return set(sets.read.tolist())
+
+
 def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
     rng = np.random.default_rng(43)
     e, classes, u, t = _instance(rng, n=60, d=100)
@@ -413,7 +444,13 @@ def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
         got = finite_difference_check(e, classes, u, t, cfg, seed=5)
         want = finite_difference_reference(e, classes, u, t, cfg, seed=5, max_coords=40)
         assert got["checked"] + got["tie_adjacent"] == 40
-        assert len(set(probed)) == 40 and probed == want["coords"]
+        # Rows no term reads, log-det's outside C, make no probe rows; with
+        # them the probes cover the reference's coordinates, each once.
+        read = _read_rows(fam, classes, u, t)
+        skipped = [c for c in want["coords"] if c[0] not in read]
+        assert bool(skipped) == (fam == "logdet")
+        assert probed == [c for c in want["coords"] if c[0] in read]
+        assert sorted(probed + skipped) == want["coords"]
         # At n = 60 the probes' (probes x d)(d x n) kernel rows and the
         # reference's full Gram matrix round an ulp or two apart; the 1/(2h)
         # quotient over the 1e-4 floor turns that into a few 1e-9.
@@ -560,21 +597,48 @@ def test_audit_memory_stays_proportional_to_kernel_and_gradient():
         assert peak <= 7 * 8 * entries, (fam, peak / (8 * entries))
 
 
-def test_audit_takes_one_batch_per_probed_row(monkeypatch):
-    e, classes, u, t = _audit_instance()
-    calls = []
+def test_audit_makes_probe_rows_once_per_row_a_term_reads(monkeypatch):
+    e, classes, u, _ = _audit_instance()
+    # T leaves out 25 of the 50 rows outside C.
+    cols = sorted(int(i) for kc in classes + [u] for i in kc)
+    t = IndexSet.of(cols + sorted(set(range(e.n)) - set(cols))[:25])
+    calls, batches = [], []
     probe_rows = submine.losses._probe_rows
+    parts = submine.losses._parts
 
-    def spy(data, unit, i, js, h):
+    def spy_rows(data, unit, i, js, h):
         calls.append(i)
         return probe_rows(data, unit, i, js, h)
 
-    monkeypatch.setattr(submine.losses, "_probe_rows", spy)
+    def spy_parts(kern, sets, cfg, g=None, sig=None):
+        if kern.rows is not None:
+            batches.append((sorted(set(np.ravel(kern.i).tolist())), kern.rows.size))
+        return parts(kern, sets, cfg, g, sig)
+
+    monkeypatch.setattr(submine.losses, "_probe_rows", spy_rows)
+    monkeypatch.setattr(submine.losses, "_parts", spy_parts)
     for fam in FAMILIES:
         calls.clear()
+        batches.clear()
         result = finite_difference_check(e, classes, u, t, LossConfig(family=fam))
         assert result["checked"] + result["tie_adjacent"] == e.n * e.d
-        assert calls == list(range(e.n)), fam
+        read = _read_rows(fam, classes, u, t)
+        assert calls == sorted(read), fam
+        # One batch of two probes that move nothing stands for every row no
+        # term reads; a row a term reads is in exactly one batch.
+        shared = [rows for rows, size in batches if size == 2 * len(cols)]
+        assert len(shared) == 1 and shared[0][0] not in read
+        batched = [i for rows, size in batches if size != 2 * len(cols) for i in rows]
+        assert batched == sorted(read), fam
+        # No batch holds more entries than the row batch of 2d probes n wide;
+        # graph cut stacks its rows in T - C, two of 2d probes |C| wide.
+        assert max(size for _, size in batches) <= 2 * e.d * e.n
+        stacked = [rows for rows, _ in batches if len(rows) > 1]
+        if fam == "gc":
+            assert max(map(len, stacked)) == 2
+            assert not {i for rows in stacked for i in rows} & set(cols)
+        else:
+            assert not stacked
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])

@@ -7,9 +7,11 @@ per-pick gain is compared with the loop reference in helpers.py, every pick
 and gain of a pruned run with the full-round loop there, and every
 closed-form gain at nu = 1 with the definitional one.  The losses read
 cosines only, so rescaling embedding rows leaves them unchanged, and their
-value and gradient are bit for bit those of a whole-array assembly.  The
-command line, given any JSON config value, exits with a documented code,
-writes one error line when it fails, and echoes only sound config values.
+value and gradient are bit for bit those of a whole-array assembly, and
+the gradient audit's report, or its error, is bit for bit that of one batch
+per probed row.  The command line, given any JSON config value, exits with
+a documented code, writes one error line when it fails, and echoes only
+sound config values.
 """
 
 import contextlib
@@ -36,6 +38,7 @@ from submine import (
     conditional_gain,
     conditional_gain_closed,
     cosine_kernel,
+    finite_difference_check,
     greedy_max,
     lazy_greedy_max,
     loss_total,
@@ -43,7 +46,8 @@ from submine import (
 from submine import greedy
 from submine.cli import main
 from submine.kernels import write_text
-from helpers import full_round_greedy, value_loops, whole_array_loss_reference
+from submine.losses import FD_EXHAUSTIVE_LIMIT, FD_STEP
+from helpers import full_round_greedy, row_batch_audit_reference, value_loops, whole_array_loss_reference
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -284,6 +288,68 @@ def test_loss_matches_the_whole_array_assembly_bit_for_bit(family, shape):
     l_self, l_cross, l_total, grad = whole_array_loss_reference(embeddings, classes, u, t, config)
     assert (got.l_self, got.l_cross, got.l_total) == (l_self, l_cross, l_total)
     assert got.grad.tobytes() == grad.tobytes()
+
+
+@st.composite
+def audit_batches(draw, family):
+    """(embeddings, classes, u, t, config, seed) of the family with
+    small-integer rows, so argmax, hinge and kernel-entry ties are common
+    and log-det blocks are often singular.  A quarter of the draws have n·d
+    above the exhaustive limit, so the audit samples its coordinates; T is
+    a strict subset of the items in about half.  One row may be ±h along
+    one axis and zero, or too small to square, elsewhere, so a probe there
+    has zero norm."""
+    sampled = draw(st.integers(0, 3)) == 0
+    n_classes = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 3))
+    n_u = draw(st.integers(1, 3))
+    need = n_classes * size + n_u
+    if sampled:
+        d = draw(st.integers(60, 90))
+        n = draw(st.integers(FD_EXHAUSTIVE_LIMIT // d + 1, 90))
+    else:
+        d = draw(st.integers(1, 8))
+        n = draw(st.integers(need, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(-2, 3, size=(n, d)).astype(float)
+    data[~data.any(axis=1), 0] = 1.0
+    perm = [int(i) for i in rng.permutation(n)]
+    classes = [IndexSet.of(perm[c * size : (c + 1) * size]) for c in range(n_classes)]
+    u = IndexSet.of(perm[n_classes * size : need])
+    n_t = draw(st.integers(need, n - 1)) if need < n and draw(st.booleans()) else n
+    if draw(st.integers(0, 9)) == 5:
+        row = draw(st.integers(0, n - 1))
+        data[row] = 0.0
+        # Perhaps with an entry whose square underflows to 0.
+        data[row, draw(st.integers(0, d - 1))] = draw(st.sampled_from((0.0, 1e-170)))
+        data[row, draw(st.integers(0, d - 1))] = draw(st.sampled_from((FD_STEP, -FD_STEP)))
+    config = LossConfig(
+        family=family,
+        eta=draw(st.sampled_from((-0.5, 0.5, 1.0, 2.0))),
+        lam=draw(st.sampled_from((0.0, 0.5))),
+        nu=draw(st.sampled_from((0.0, 0.5, 1.0))),
+    )
+    seed = draw(st.integers(0, 2**64 - 1))
+    return EmbeddingSet(data), classes, u, IndexSet.of(perm[:n_t]), config, seed
+
+
+def _report_or_error(audit, *args):
+    """The audit's report with each value as its repr, or its error."""
+    try:
+        return {key: repr(value) for key, value in audit(*args).items()}
+    except (ValueError, RuntimeWarning) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("family", ["fl", "gc", "logdet"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_audit_report_is_bitwise_the_one_batch_per_row_loop(family, data):
+    embeddings, classes, u, t, config, seed = data.draw(audit_batches(family))
+    args = (embeddings, classes, u, t, config, FD_STEP, seed)
+    assert _report_or_error(finite_difference_check, *args) == _report_or_error(
+        row_batch_audit_reference, *args
+    )
 
 
 # Any JSON value a config file can hold: small and huge ints, floats from
