@@ -1,16 +1,14 @@
-"""Budgeted greedy maximization of conditional gains, plus an exhaustive oracle.
+"""Budgeted greedy maximization of conditional gains.
 
 Greedy runs exactly k rounds (no early stop on negative gains) and breaks ties
 by lowest item index.  greedy_max and lazy_greedy_max share one loop, which may
 prune rounds with stale upper bounds (Minoux 1978; Leskovec et al., KDD 2007)
-without changing a pick or a gain.  Brute force, the oracle, tries every subset.
+without changing a pick or a gain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -21,13 +19,10 @@ from .objectives import (
     MarginalState,
     SubmodularObjective,
     commit,
-    evaluate,
-    marginal_gain,
+    marginal_gain,  # noqa: F401 -- no caller here; perfbench's tracer wraps greedy.marginal_gain
     marginal_state,
 )
 
-# Subset-enumeration guard for brute_force_opt.
-MAX_BRUTE_FORCE_SUBSETS = 10_000_000
 # Rows a pruned round scores per call after the first round.
 PRUNE_CHUNK = 16
 
@@ -38,7 +33,7 @@ class SelectionResult:
 
     gains: the per-round marginal gains in pick order; objective_value: their
     sum, the conditional gain of the selection given the conditioning set;
-    evaluations: rows scored by MarginalState.gains (brute force: sets valued).
+    evaluations: rows scored by MarginalState.gains.
     """
 
     selected: IndexSet
@@ -176,38 +171,3 @@ def lazy_greedy_max(
             raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
     return _greedy(state, order, int(k), prune=family is not Family.LOG_DET)
 
-
-def brute_force_opt(
-    objective: SubmodularObjective,
-    candidates: IndexSet | Iterable[int],
-    k: int,
-    conditioning: IndexSet | None = None,
-) -> SelectionResult:
-    """Exhaustive search over all subsets of size <= k.
-
-    Ties keep the first subset in enumeration order (sizes ascending, each
-    size in lexicographic order over sorted candidate indices).
-    """
-    order, cond, state = _prep(objective, candidates, int(k), conditioning)
-    kmax = min(int(k), len(order))
-    total = sum(comb(len(order), j) for j in range(kmax + 1))
-    if total > MAX_BRUTE_FORCE_SUBSETS:
-        raise ValueError(f"search space too large: {total} subsets to enumerate")
-    base = evaluate(objective, cond) if len(cond) else 0.0
-    best_set: tuple[int, ...] = ()
-    best_val = 0.0
-    evals = 1
-    for size in range(1, kmax + 1):
-        for combo in itertools.combinations(order, size):
-            val = evaluate(objective, cond.union(IndexSet(combo))) - base
-            evals += 1
-            if val > best_val:
-                best_set, best_val = combo, val
-    # Telescope the winner for per-step gains.
-    gains: list[float] = []
-    for v in best_set:
-        gains.append(marginal_gain(state, v))
-        commit(state, v)
-    return SelectionResult(
-        IndexSet(best_set), tuple(gains), float(best_val), int(k), evals
-    )

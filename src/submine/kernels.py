@@ -7,11 +7,14 @@ items only, so its indices are kept positions, not scene ids.  The training
 losses read only the columns of their class and unknown sets, which
 `cosine_columns` builds.  Index sets are small immutable tuples.
 
+Every `SimilarityKernel` equals its transpose bit for bit: `_symmetrize`
+makes it so once, where the kernel is made, and no later code checks it
+again.  So a kernel's row v is its column v, and the gain states read rows.
 A kernel costs about its own n x n bytes to build and to check.
 `cosine_kernel` builds it in one buffer, which it makes exactly symmetric,
-clips and transforms in place and then hands over read-only.  The kernel
-checks, greedy's `nonnegative` gates and facility location's gains read it
-in `row_blocks` of about `_BLOCK` entries a numpy call, so none builds an
+clips and transforms in place and then hands over read-only.  `_symmetrize`,
+greedy's `nonnegative` gates and facility location's gains read it in
+`row_blocks` of about `_BLOCK` entries a numpy call, so none builds an
 n x n temporary; the public constructor adds only its one copy.
 
 The CSV codec at the end serves every CSV the CLI reads or writes: one
@@ -226,32 +229,31 @@ def nonnegative(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
     return all(np.all(s[np.ix_(rows[r], cols)] >= 0.0) for r in row_blocks(len(rows), len(cols)))
 
 
-def mirrored(m: np.ndarray) -> bool:
-    """Whether the square float64 array m equals its transpose bit for bit,
-    signed zeros included, read in row blocks."""
-    return all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in _halves(m))
-
-
 def _symmetrize(m: np.ndarray) -> None:
-    """Set the square m to (m + m.T) / 2 in place, a row block at a time:
-    nothing to do when m is mirrored, as (x + x) / 2 == x."""
-    if not mirrored(m):
-        for a, b in _halves(m):
-            a[...] = b[...] = np.add(a, b) / 2.0
+    """Make the square, finite m equal its transpose bit for bit, in place, a
+    row block at a time: entries that differ from their mirror image in any
+    bit, signed zeros included, are set to their average, (x + y) / 2.  Only
+    those are written, so no equal pair can overflow.  Entries more than
+    1e-12 apart raise ValueError."""
+    for a, b in _halves(m):
+        apart = a.view(np.uint64) != b.view(np.uint64)
+        if apart.any():
+            x, y = a[apart], b[apart]
+            if np.abs(x - y).max() > 1e-12:
+                raise ValueError("kernel matrix is not symmetric")
+            a[apart] = b[apart] = (x + y) / 2.0
+        del apart  # before the next block's mask is made
 
 
 def _check_kernel(m: np.ndarray, transform: str, epsilon: float) -> None:
-    """The checks every kernel passes, in this order; none builds an n x n
-    temporary.  One min and one max find non-finite entries and the range;
-    a row block equal to its mirror image needs no subtraction."""
+    """The checks every kernel passes, in this order, but symmetry, which
+    `_symmetrize` makes; none builds an n x n temporary.  One min and one max
+    find non-finite entries and the range."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"kernel matrix must be square, got {m.shape}")
     lo, hi = (m.min(), m.max()) if m.size else (0.0, 0.0)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("kernel matrix contains non-finite values")
-    for a, b in _halves(m):
-        if not np.array_equal(a, b) and np.abs(a - b).max() > 1e-12:
-            raise ValueError("kernel matrix is not symmetric")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
     if transform in ("clip-at-zero", "affine-shift") and (lo < -1e-12 or hi > 1.0 + 1e-12):
@@ -265,9 +267,11 @@ class SimilarityKernel:
 
     epsilon is the diagonal regularizer used by log-det objectives; it is
     stored here but only added to the diagonal at evaluation time.  The
-    constructor checks a read-only C-ordered float64 copy of `matrix`:
-    square, finite, symmetric to 1e-12, and within [0, 1] for the clip and
-    shift transforms.
+    constructor checks a C-ordered float64 copy of `matrix`: square, finite,
+    within [0, 1] for the clip and shift transforms, and then symmetric to
+    1e-12.  It stores the copy read-only with each entry that differs from
+    its mirror image replaced by their average, so `matrix` equals its
+    transpose bit for bit.
     """
 
     matrix: np.ndarray
@@ -275,21 +279,22 @@ class SimilarityKernel:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.float64, order="C"))
-        self._seal()
-
-    def _seal(self) -> None:
-        _check_kernel(self.matrix, self.transform, self.epsilon)
-        self.matrix.flags.writeable = False
+        m = np.array(self.matrix, dtype=np.float64, order="C")
+        _check_kernel(m, self.transform, self.epsilon)
+        _symmetrize(m)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _adopt(cls, m: np.ndarray, transform: str, epsilon: float) -> "SimilarityKernel":
-        """A kernel over the C-ordered float64 buffer m itself, not a copy,
-        checked as the constructor checks it: the caller hands m over."""
+        """A kernel over the C-ordered float64 buffer m itself, not a copy:
+        the caller hands m over, already equal to its transpose bit for bit.
+        m passes every check but symmetry, which is not checked again."""
+        _check_kernel(m, transform, epsilon)
+        m.flags.writeable = False
         kernel = cls.__new__(cls)
         for name, value in (("matrix", m), ("transform", transform), ("epsilon", epsilon)):
             object.__setattr__(kernel, name, value)
-        kernel._seal()
         return kernel
 
     @property
@@ -310,7 +315,9 @@ def cosine_kernel(
     entry the values of apply_transform(clip((G + G.T) / 2)), built in place
     in the one n x n buffer the kernel then holds.  numpy computes
     unit @ unit.T with syrk, whose result is already exactly symmetric;
-    otherwise the two triangles are averaged block by block.
+    otherwise the entries that differ are averaged block by block.  The
+    clip, the transform and the diagonal pin act entry by entry, so the
+    kernel stays equal to its transpose.
     """
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")

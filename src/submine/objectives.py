@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, check_number, mirrored, row_blocks
+from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, check_number, row_blocks
 
 
 class Family(enum.Enum):
@@ -405,7 +405,10 @@ def _scg(
             chol = _cholesky(m, errors[1])
             total += w * (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
             if adj is not None:
-                minv = np.linalg.inv(m[0])
+                try:
+                    minv = np.linalg.inv(m[0])
+                except np.linalg.LinAlgError:  # Cholesky took m, but LU met a zero pivot
+                    raise ValueError(errors[1]) from None
                 adj.block(a, a, w * minv)
                 if len(q):
                     p = x[0].T  # B C^-1
@@ -460,18 +463,19 @@ def conditional_gain_closed(
 
 # ---------------------------------------------------------------------------
 # Incremental marginal gains: one mutable state per family, whose one commit
-# updates the caches with `_add`.  Per-family caches:
+# updates the caches with `_add`.  A kernel equals its transpose bit for bit
+# (see kernels.py), so a commit of v reads kernel row v, which is contiguous,
+# as column v.  Per-family caches:
 #   facility-location: item x ground block, best similarity per ground item;
-#     on a ground of every item in order and a kernel equal to its transpose
-#     bit for bit (as `cosine_kernel` builds it), the block is the kernel
-#     itself, else an n x |ground| copy
+#     on a ground of every item in order the block is the kernel itself, else
+#     the kernel's ground columns, an n x |ground| gather
 #   graph-cut: fixed column sums plus running cross sums to the selection
 #   log-determinant: Cholesky rows and residual variance of every item
 #     (Chen, Zhang & Zhou, NeurIPS 2018); the rows fill one buffer, sized
 #     where the state is made (`marginal_state` or `copy`) for the commits
 #     it will take, which doubles only when a commit finds it full
 # Beside the kernel, each state holds O(n) entries, log-det one n-long row
-# per row of room, and facility location its block when it is a copy.
+# per row of room, and facility location its block when it is a gather.
 
 
 class MarginalState:
@@ -510,11 +514,11 @@ class MarginalState:
 class _FacilityLocationState(MarginalState):
     def __init__(self, objective, commits=0):
         super().__init__(objective)
-        # Row v is kernel column v over the ground set, contiguous.
-        if self._whole and mirrored(self._s):
+        # Row v is kernel row v, which is column v, over the ground set.
+        if self._whole:
             self._block = self._s
         else:
-            self._block = np.ascontiguousarray(self._s[objective.ground.as_array(), :].T)
+            self._block = np.take(self._s, objective.ground.as_array(), axis=1)
         self._best: np.ndarray | None = None
 
     def gains(self, items) -> np.ndarray:
@@ -548,7 +552,7 @@ class _GraphCutState(MarginalState):
         return new
 
     def _add(self, v: int) -> None:
-        self._cross += self._s[:, v]
+        self._cross += self._s[v]
 
 
 class _LogDetState(MarginalState):
@@ -592,7 +596,7 @@ class _LogDetState(MarginalState):
             raise ValueError(_pd_message(self.objective.epsilon))
         k = len(self.selected)
         f = self._factor[:k]
-        e = (self._s[:, v] - f[:, v] @ f) / math.sqrt(self._resid[v])
+        e = (self._s[v] - f[:, v] @ f) / math.sqrt(self._resid[v])
         self._resid -= e * e
         if k == len(self._factor):
             self._factor = self._resized(max(2 * k, self.FIRST_ROWS))

@@ -10,7 +10,9 @@ which rows it batches and how.
 """
 
 import csv
+import itertools
 import math
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from submine import (
     IndexSet,
     SubmodularObjective,
     cosine_kernel,
+    evaluate,
     filter_by_objectness,
     greedy_max,
     loss_total,
@@ -28,9 +31,13 @@ from submine import (
 )
 import submine.losses
 import submine.objectives
+from submine.greedy import SelectionResult, _prep
 from submine.kernels import cosine_columns
 from submine.losses import FD_EXHAUSTIVE_LIMIT
-from submine.objectives import commit, marginal_state
+from submine.objectives import commit, marginal_gain, marginal_state
+
+# Subset-enumeration guard for brute_force_opt.
+MAX_BRUTE_FORCE_SUBSETS = 10_000_000
 
 
 def fl_loops(s, members, ground):
@@ -99,6 +106,39 @@ def full_round_greedy(objective, candidates, k, conditioning=()):
     return tuple(picks), tuple(gains)
 
 
+def brute_force_opt(objective, candidates, k, conditioning=None):
+    """Exhaustive search over all subsets of size <= k, the oracle greedy is
+    checked against; it takes the arguments `greedy_max` takes and returns
+    a SelectionResult whose `evaluations` counts the sets valued.
+
+    Ties keep the first subset in enumeration order (sizes ascending, each
+    size in lexicographic order over sorted candidate indices).
+    """
+    order, cond, state = _prep(objective, candidates, int(k), conditioning)
+    kmax = min(int(k), len(order))
+    total = sum(comb(len(order), j) for j in range(kmax + 1))
+    if total > MAX_BRUTE_FORCE_SUBSETS:
+        raise ValueError(f"search space too large: {total} subsets to enumerate")
+    base = evaluate(objective, cond) if len(cond) else 0.0
+    best_set: tuple[int, ...] = ()
+    best_val = 0.0
+    evals = 1
+    for size in range(1, kmax + 1):
+        for combo in itertools.combinations(order, size):
+            val = evaluate(objective, cond.union(IndexSet(combo))) - base
+            evals += 1
+            if val > best_val:
+                best_set, best_val = combo, val
+    # Telescope the winner for per-step gains.
+    gains: list[float] = []
+    for v in best_set:
+        gains.append(marginal_gain(state, v))
+        commit(state, v)
+    return SelectionResult(
+        IndexSet(best_set), tuple(gains), float(best_val), int(k), evals
+    )
+
+
 def cosine(a, b):
     """Cosine similarity of two non-zero vectors: a dot product over two norms."""
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -117,6 +157,12 @@ def cosine_kernel_matrix_reference(data, transform, gram=None):
         g = (g + 1.0) / 2.0
     np.fill_diagonal(g, 1.0)  # each transform maps 1 to 1
     return g
+
+
+def mirrored(m):
+    """Whether the square float64 array m equals its transpose bit for bit,
+    signed zeros included."""
+    return np.array_equal(m.view(np.uint64), m.T.view(np.uint64))
 
 
 def fl_gains_dense(s, ground, selected, items):

@@ -20,7 +20,6 @@ from submine import (
     LossConfig,
     SimilarityKernel,
     SubmodularObjective,
-    brute_force_opt,
     conditional_gain,
     conditional_gain_closed,
     cosine_kernel,
@@ -36,7 +35,7 @@ from submine import (
 )
 from submine.cli import EXIT_OK, SWEEP_GRIDS, main
 from conftest import TOY_MATRIX
-from helpers import nested_triple, random_objective, random_subset
+from helpers import brute_force_opt, nested_triple, random_objective, random_subset
 from test_discovery import brute_assignment_cost
 from test_losses import _instance as loss_instance
 

@@ -627,6 +627,22 @@ def test_gradcheck_that_checks_nothing_fails(tmp_path, capsys):
     assert "18 of 18 probed coordinates were tie-adjacent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["loss", "gradcheck"])
+def test_a_singular_logdet_adjoint_exits_config_naming_the_cross_term(tmp_path, capsys, command):
+    # Seven 2-d rows whose cross term's Schur complement has a Cholesky
+    # factor but no inverse; the message names the term, not numpy's fault.
+    scene = tmp_path / "seven.csv"
+    rows = [[-2, 2], [-1, 2], [-1, 1], [1, 1], [-1, 1], [-2, -1], [-1, 2]]
+    write_embeddings_csv(EmbeddingSet(np.array(rows, dtype=float)), scene)
+    sets = _write_json(tmp_path / "sets.json", {"K": [[3, 4, 5, 6, 0]], "U": [1, 2]})
+    out = tmp_path / "out.json"
+    argv = [command, str(scene), "--sets", sets, "--family", "logdet", "--lam", "0.5",
+            "--nu", "0.5", "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: cross term not positive definite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h", ["0", "nan", "inf"])
 def test_gradcheck_rejects_a_step_that_measures_nothing(tmp_path, small_scene, capsys, h):
     sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [6, 7, 8]})

@@ -11,7 +11,6 @@ from submine import (
     IndexSet,
     SimilarityKernel,
     SubmodularObjective,
-    brute_force_opt,
     conditional_gain_closed,
     evaluate,
     greedy_max,
@@ -20,7 +19,7 @@ from submine import (
 )
 from submine import kernels
 from submine.objectives import commit
-from helpers import full_round_greedy, random_objective
+from helpers import brute_force_opt, full_round_greedy, random_objective
 
 LAZY_SETUPS = [
     (Family.FACILITY_LOCATION, "clip-at-zero", None),

@@ -22,11 +22,12 @@ from submine import (
     read_embeddings_csv,
     write_embeddings_csv,
 )
-from submine.kernels import _symmetrize, check_number, cosine_columns, mirrored, write_text
+from submine.kernels import _symmetrize, check_number, cosine_columns, write_text
 from conftest import TOY_MATRIX
 from helpers import (
     cosine,
     cosine_kernel_matrix_reference,
+    mirrored,
     random_embeddings,
     read_embeddings_csv_reference,
     write_embeddings_csv_reference,
@@ -159,13 +160,17 @@ def _bits(a):
 
 @pytest.mark.parametrize("transform", TRANSFORMS)
 def test_cosine_kernel_is_the_three_step_formula(transform):
-    # 300 rows span several of the checks' row blocks; d = 130 takes numpy's
-    # product through more than one BLAS block.
+    # 300 rows span several of `_symmetrize`'s row blocks; d = 130 takes
+    # numpy's product through more than one BLAS block.  The axes have
+    # cosines of -0.0 and 0.0.
     rng = np.random.default_rng(11)
-    for n, d in [(1, 3), (7, 5), (300, 130)]:
-        e = random_embeddings(rng, n, d)
+    axes = EmbeddingSet([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 1.0]])
+    for e in [random_embeddings(rng, n, d) for n, d in [(1, 3), (7, 5), (300, 130)]] + [axes]:
         kern = cosine_kernel(e, transform=transform)
         assert np.array_equal(_bits(kern.matrix), _bits(cosine_kernel_matrix_reference(e.data, transform)))
+        # Nothing checks symmetry after `_symmetrize`: the clip, the
+        # transform and the diagonal pin must keep every mirror pair's bits.
+        assert mirrored(kern.matrix)
         assert not kern.matrix.flags.writeable and kern.matrix.flags.c_contiguous
 
 
@@ -199,6 +204,14 @@ def test_mirrored_compares_bits():
     assert not mirrored(m)
     m[2, 0] = -0.0
     assert mirrored(m)
+    # `_symmetrize` leaves a mirrored matrix as it is, -0.0 pairs included,
+    # and makes -0.0 against 0.0, equal but a bit apart, +0.0 at both.
+    before = m.copy()
+    _symmetrize(m)
+    assert np.array_equal(_bits(m), _bits(before))
+    m[2, 0] = 0.0
+    _symmetrize(m)
+    assert _bits(m)[0, 2] == _bits(m)[2, 0] == _bits(np.array(0.0))
 
 
 def test_kernel_checks_read_every_row_block():
@@ -209,8 +222,10 @@ def test_kernel_checks_read_every_row_block():
     for delta, ok in [(1e-13, True), (3e-12, False)]:
         m = base.copy()
         m[299, 298] += delta
-        if ok:
-            SimilarityKernel(m)
+        if ok:  # stored as the average with its mirror image; the caller's array is kept
+            kern = SimilarityKernel(m)
+            assert np.array_equal(_bits(kern.matrix), _bits((m + m.T) / 2.0))
+            assert mirrored(kern.matrix) and m[299, 298] != m[298, 299]
         else:
             with pytest.raises(ValueError, match="kernel matrix is not symmetric"):
                 SimilarityKernel(m)
@@ -223,6 +238,8 @@ def test_kernel_checks_read_every_row_block():
         SimilarityKernel(base, transform="affine-shift")
     with pytest.raises(ValueError, match="unknown transform 'square'"):
         cosine_kernel(random_embeddings(rng, 3, 2), transform="square")
+    with pytest.raises(ValueError, match="unknown transform 'square'"):
+        SimilarityKernel(np.eye(2), transform="square")
 
 
 def test_public_kernel_copies_and_leaves_the_caller_array_alone():
@@ -258,6 +275,15 @@ def test_similarity_kernel_validation():
     lopsided = np.array([[1.0, 0.2], [0.4, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         SimilarityKernel(lopsided)
+    # Symmetry is checked last, so another fault's message comes first.
+    with pytest.raises(ValueError, match="non-finite"):
+        SimilarityKernel(np.array([[np.nan, 0.2], [0.4, 1.0]]))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        SimilarityKernel(np.array([[1.0, -0.2], [0.4, 1.0]]), transform="clip-at-zero")
+    with pytest.raises(ValueError, match="unknown transform"):
+        SimilarityKernel(lopsided, transform="square")
+    with pytest.raises(ValueError, match="^epsilon must be a "):
+        SimilarityKernel(lopsided, epsilon=-1.0)
     with pytest.raises(ValueError):
         SimilarityKernel(np.array([[1.0, -0.5], [-0.5, 1.0]]), transform="clip-at-zero")
     for eps in (-1.0, math.nan, math.inf, True):

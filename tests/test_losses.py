@@ -734,6 +734,21 @@ def test_logdet_singular_inputs_error():
         loss_self(dup, [IndexSet.of([0, 1])], IndexSet.of(range(3)), cfg)
 
 
+def test_logdet_adjoint_names_the_cross_term():
+    # Seven 2-d rows whose log-det cross term at nu = 0.5 has a Cholesky
+    # factor, but a Schur complement that LU finds singular.
+    e = EmbeddingSet([[-2, 2], [-1, 2], [-1, 1], [1, 1], [-1, 1], [-2, -1], [-1, 2]])
+    classes, u, t = [IndexSet.of([3, 4, 5, 6, 0])], IndexSet.of([1, 2]), IndexSet.of(range(7))
+    cfg = LossConfig(family="logdet", lam=0.5, nu=0.5)
+    # Each term's value needs no inverse; the gradient's adjoint does.
+    assert math.isfinite(loss_cross(e, classes, u, t, cfg))
+    assert math.isfinite(loss_self(e, classes, t, cfg))
+    for call in (lambda: loss_total(e, classes, u, t, cfg),
+                 lambda: finite_difference_check(e, classes, u, t, cfg)):
+        with pytest.raises(ValueError, match="^cross term not positive definite$"):
+            call()
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="^lam must be a finite number >= 0, got -0.1$"):
         LossConfig(lam=-0.1)

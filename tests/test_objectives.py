@@ -28,6 +28,7 @@ from helpers import (
     VStackLogDetState,
     fl_gains_dense,
     fl_loops,
+    mirrored,
     random_objective,
     random_subset,
     value_loops,
@@ -42,7 +43,7 @@ FAMILY_SETUPS = [
 ]
 
 
-def test_family_parse_aliases():
+def test_family_parse_aliases(toy_kernel):
     assert Family.parse("fl") is Family.FACILITY_LOCATION
     assert Family.parse("flcg") is Family.FACILITY_LOCATION
     assert Family.parse("facility-location") is Family.FACILITY_LOCATION
@@ -54,6 +55,11 @@ def test_family_parse_aliases():
     assert Family.parse("log-determinant") is Family.LOG_DET
     with pytest.raises(ValueError, match="unknown objective family 'qp'"):
         Family.parse("qp")
+    # An objective parses a family given as a string.
+    ground = IndexSet.of(range(3))
+    assert SubmodularObjective(" GCCG ", toy_kernel, ground).family is Family.GRAPH_CUT
+    with pytest.raises(ValueError, match="unknown objective family 'qp'"):
+        SubmodularObjective("qp", toy_kernel, ground)
 
 
 def test_toy_values(toy_objective):
@@ -369,29 +375,35 @@ def test_logdet_copy_holds_the_committed_rows_only():
 
 
 def _fl_kernels(rng, n):
-    """A cosine kernel over n items and a copy of it that is symmetric only
-    to 1e-13: the kernel checks accept it, the facility-location state must
-    not read its rows as its columns."""
+    """A cosine kernel over n items, and the public kernel of a copy whose
+    entry (0, 1) is 1e-13 off its mirror image, with that copy."""
     kern = random_objective(rng, Family.FACILITY_LOCATION, n=n, d=5).kernel
     m = kern.matrix.copy()
     m[0, 1] += 1e-13
-    return kern, SimilarityKernel(m)
+    return kern, SimilarityKernel(m), m
 
 
 def test_facility_location_state_reads_the_kernel_on_the_whole_ground():
     rng = np.random.default_rng(707)
     n = 30
-    kern, lopsided = _fl_kernels(rng, n)
+    kern, lopsided, m = _fl_kernels(rng, n)
+    # The public constructor stores the average, which equals its transpose.
+    assert np.array_equal(_bits(lopsided.matrix), _bits((m + m.T) / 2.0))
+    assert mirrored(lopsided.matrix)
     cases = [
         (kern, IndexSet.of(range(n)), True),
         (kern, IndexSet.of(range(0, n, 2)), False),  # a proper subset
         (kern, IndexSet.of(reversed(range(n))), False),  # every item, out of order
-        (lopsided, IndexSet.of(range(n)), False),
+        (lopsided, IndexSet.of(range(n)), True),
+        (lopsided, IndexSet.of(range(1, n, 3)), False),
     ]
     for kernel, ground, shared in cases:
         obj = SubmodularObjective(Family.FACILITY_LOCATION, kernel, ground)
         state = marginal_state(obj)
         assert np.shares_memory(state._block, kernel.matrix) == shared
+        if not shared:  # row v of the gather is column v over the ground, bit for bit
+            want = kernel.matrix[ground.as_array(), :].T
+            assert np.array_equal(_bits(state._block), _bits(want))
         s = kernel.matrix.tolist()
         selected = []
         for v in (4, 17, 9):

@@ -446,7 +446,11 @@ def test_cli_exits_with_a_known_code_and_echoes_only_sound_config_values(cli_inp
     if code != 0:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-    elif echo:
+        return
+    # Strict JSON: a bare NaN or Infinity token in an output fails to parse.
+    for path in root.glob("out*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    if echo:
         first = (root / echo).read_text().splitlines()[0]
         assert first.startswith("# ")
         echoed = json.loads(first[2:], parse_constant=_reject_constant)
