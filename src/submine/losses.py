@@ -34,8 +34,12 @@ the n x |C| kernel and its adjoint G.  `_assemble` uses up the kernel: once
 the terms have filled G, G * s is formed in the kernel's buffer, its row and
 column sums are taken, and the kernel is dropped before the n x d gradient
 is allocated.  The gradient's row term goes in row blocks, and facility
-location reads large blocks of the kernel in row blocks, so the rest is
-block-sized scratch.  The finite-difference audit builds its own base
+location reads its blocks of the kernel in row blocks, each a slice of
+rows where T is a run of consecutive items, so the rest is block-sized
+scratch.  A plain evaluation reads each class's argmax and max per row over
+T once (`_Kernel.within`): the self term takes its rows T - K_c from that
+read and the cross term uses all of it, so between the terms it holds two
+|T|-long arrays per class.  The finite-difference audit builds its own base
 kernel for its probes to read.
 
 Every term reads the kernel through the objectives' one reader, `_Kernel`,
@@ -269,6 +273,8 @@ def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None, sig=None):
     adj_self = adj_cross = None
     if g is not None:
         adj_self, adj_cross = _Adjoint(g, kern, 1.0), _Adjoint(g, kern, -cfg.eta)
+    if kern.rows is None and cfg.family is Family.FACILITY_LOCATION:
+        kern = kern.within(sets.t)  # each class's maxima over T, read once
     l_self = _self_part(kern, sets, cfg, adj_self)
     l_cross = _cross_part(kern, sets, cfg, adj_cross, sig)
     return l_self, l_cross, l_self - cfg.eta * l_cross

@@ -149,7 +149,16 @@ class _Kernel:
     once, a plain evaluation none.  An entry is keyed by the ids of the sets
     it was made for and holds them, so no other array can take a key while
     the tables live.
+
+    A plain evaluation of the losses reads through `within(T)`: both of
+    facility location's terms read rows inside T, so `best` reads each
+    class's maxima over T once, for the self term over T - K_c, and holds
+    them until the cross term's read over T takes them.
     """
+
+    # Set by `within`: the rows T, and the maxima over T held per column set.
+    _within: np.ndarray | None = None
+    _held: dict
 
     def __init__(self, s: np.ndarray, pos: np.ndarray, i: int | np.ndarray = -1,
                  rows: np.ndarray | None = None, tables: dict | None = None):
@@ -164,6 +173,13 @@ class _Kernel:
         if self._tables is None:
             self._tables = {}
         return _Kernel(self.s, self.pos, i, rows, self._tables)
+
+    def within(self, t: np.ndarray) -> "_Kernel":
+        """A copy of this base reader for facility-location reads whose rows
+        all lie in the sorted t (see `best`)."""
+        new = copy.copy(self)
+        new._within, new._held = t, {}
+        return new
 
     @property
     def size(self) -> int:
@@ -219,21 +235,45 @@ class _Kernel:
         (1, |a|).  For a batch, no argmax but the value per probe and row,
         shape (probes, |a|), or (1, |a|) where no probe moves the block;
         `same` then drops each probe whose argmax rows differ from the base
-        point's."""
+        point's.
+
+        A reader made by `within(t)` reads rows a that are part of t over
+        all of t, holds that read under b's id and hands a's rows out as
+        copies; a read over all of t takes what is held for b, or reads.
+        Argmax and max are per row, so a's rows taken from t's read are the
+        arrays a read of a alone gives."""
         if self.rows is not None:
             return None, self._probe_best(a, b)
-        # Fancy indexing holds about twice its result as scratch, so a base
-        # read spanning more than a third of the block budget goes in row blocks.
-        blocks = row_blocks(len(a), 3 * len(b))
-        if len(blocks) > 1:
-            j = np.empty((1, len(a)), dtype=np.intp)
-            v = np.empty((1, len(a)))
-            for r in blocks:
-                j[:, r], v[:, r] = self.best(a[r], b)
-            return j, v
-        blk = self.s[a[:, None], self.pos[b]]
-        j = blk.argmax(axis=1)
-        return j[None], blk[np.arange(len(a)), j][None]
+        t = self._within
+        if t is None:
+            return self._first_maxima(a, b)
+        if len(a) == len(t):
+            held = self._held.pop(id(b), None)
+            return self._first_maxima(a, b) if held is None else held
+        j, v = self._held[id(b)] = self._first_maxima(t, b)
+        at = t.searchsorted(a)
+        return j[:, at], v[:, at]
+
+    def _first_maxima(self, a: np.ndarray, b: np.ndarray):
+        """Per row of a, the base block's first argmax over b and its value,
+        shape (1, |a|).  Fancy indexing holds about twice its result as
+        scratch, so the block is read in row blocks of a third of the block
+        budget.  Rows that are a sorted run of consecutive items are read as
+        a slice, which holds none; the objectives' sets come in any order."""
+        cols = self.pos[b]
+        run = bool((np.diff(a) == 1).all())
+        j = np.empty((1, len(a)), dtype=np.intp)
+        v = np.empty((1, len(a)))
+        for r in row_blocks(len(a), 3 * len(b)):
+            rows = a[r]
+            if run:
+                blk = np.take(self.s[rows[0] : rows[-1] + 1], cols, axis=1)
+            else:
+                blk = self.s[rows[:, None], cols]
+            j[0, r] = blk.argmax(axis=1)
+            v[0, r] = blk[np.arange(len(rows)), j[0, r]]
+            del blk  # before the next block is read
+        return j, v
 
     def _probe_best(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         (j1, j2), (v1, v2) = self._table(self._maxima, a, b)
@@ -483,14 +523,16 @@ class MarginalState:
 
     `gains(items)` returns the marginal gains of an index array of unselected
     items in one call.  `commit(v)` is the one commit: it refuses an item out
-    of range or already selected, updates the caches in place, and appends v
-    to `selected`.  A state is made with room for `commits` commits, which
-    then grow no cache; only log-det's factor grows with the selection.
+    of range or already selected (a mask beside `selected` answers in O(1)),
+    updates the caches in place, and appends v to `selected`.  A state is
+    made with room for `commits` commits, which then grow no cache; only
+    log-det's factor grows with the selection.
     """
 
     def __init__(self, objective: SubmodularObjective, commits: int = 0):
         self.objective = objective
         self.selected: list[int] = []
+        self._picked = np.zeros(objective.n, dtype=bool)
         self._s = objective.kernel.matrix
         g = objective.ground.as_array()
         # Whether the ground set is every item in order: it then sums whole columns.
@@ -503,12 +545,14 @@ class MarginalState:
         factor into a buffer of its committed rows and that room."""
         new = copy.copy(self)
         new.selected = list(self.selected)
+        new._picked = self._picked.copy()
         return new
 
     def commit(self, v: int) -> None:
         v = _check_new(self, v)
         self._add(v)
         self.selected.append(v)
+        self._picked[v] = True
 
 
 class _FacilityLocationState(MarginalState):
@@ -622,7 +666,7 @@ def _check_new(state: MarginalState, v: int) -> int:
     v = int(v)
     if v < 0 or v >= state.objective.n:
         raise ValueError(f"index {v} out of range for {state.objective.n} items")
-    if v in state.selected:
+    if state._picked[v]:
         raise ValueError("element already selected")
     return v
 

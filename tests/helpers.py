@@ -4,8 +4,10 @@ Everything here is deliberately naive: plain Python loops, itertools
 enumeration, and numpy.linalg calls.  None of it shares code with the
 vectorized or incremental paths under audit, except where a reference
 pins an order of operations bit for bit: `whole_array_loss_reference`
-shares the loss terms and checks only how the gradient is assembled, and
-`row_batch_audit_reference` shares the audit's batches and checks only
+shares the loss terms and checks only how the gradient is assembled,
+`separate_reads_loss_reference` shares each term and checks only that the
+terms' one read of facility location's maxima gives what two reads give,
+and `row_batch_audit_reference` shares the audit's batches and checks only
 which rows it batches and how.
 """
 
@@ -457,19 +459,19 @@ class _WholeReadKernel(submine.objectives._Kernel):
         return j[None], blk[np.arange(len(a)), j][None]
 
 
-def whole_array_loss_reference(embeddings, classes, u, t, config):
-    """`loss_total`'s (l_self, l_cross, l_total, grad) assembled from whole
-    arrays: the kernel is read in one call per block and stays alive while
-    the gradient is formed, g * s is formed in the adjoint's buffer, and the
-    row term is one n x d temporary.  The loss terms are the library's own,
-    so this checks the assembly's order of operations, bit for bit."""
+def _whole_array_assembly(embeddings, classes, u, t, config, parts):
+    """(l_self, l_cross, l_total, grad) of `parts(s, pos, sets, g)`, which
+    returns the three loss parts and fills the adjoint g, assembled from
+    whole arrays: the kernel stays alive while the gradient is formed, g * s
+    is formed in the adjoint's buffer, and the row term is one n x d
+    temporary."""
     sets = submine.losses._index_sets(classes, u, t, config.family)
     cols = sets.cols
     s, unit, norms = cosine_columns(embeddings.data, cols)
     pos = np.full(len(s), len(cols), dtype=np.intp)
     pos[cols] = np.arange(len(cols))
     g = np.zeros_like(s)
-    l_self, l_cross, l_total = submine.losses._parts(_WholeReadKernel(s, pos), sets, config, g)
+    l_self, l_cross, l_total = parts(s, pos, sets, g)
     grad = g @ unit[cols]
     grad[cols] += g.T @ unit
     g *= s
@@ -478,6 +480,34 @@ def whole_array_loss_reference(embeddings, classes, u, t, config):
     grad -= row[:, None] * unit
     grad /= norms[:, None]
     return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad
+
+
+def whole_array_loss_reference(embeddings, classes, u, t, config):
+    """`loss_total`'s (l_self, l_cross, l_total, grad) assembled from whole
+    arrays, with the kernel read in one call per block.  The loss terms are
+    the library's own, so this checks the assembly's order of operations,
+    bit for bit."""
+    return _whole_array_assembly(
+        embeddings, classes, u, t, config,
+        lambda s, pos, sets, g: submine.losses._parts(_WholeReadKernel(s, pos), sets, config, g),
+    )
+
+
+def separate_reads_loss_reference(embeddings, classes, u, t, config):
+    """`loss_total`'s (l_self, l_cross, l_total, grad) with the self and the
+    cross term each reading its own facility-location maxima, the self term
+    over T - K_c and the cross term over T, through a base reader that holds
+    nothing between them, and every self adjoint added before any cross
+    adjoint, assembled as `whole_array_loss_reference` assembles."""
+
+    def parts(s, pos, sets, g):
+        kern = submine.objectives._Kernel(s, pos)
+        adjoint = submine.losses._Adjoint
+        l_self = submine.losses._self_part(kern, sets, config, adjoint(g, kern, 1.0))
+        l_cross = submine.losses._cross_part(kern, sets, config, adjoint(g, kern, -config.eta))
+        return l_self, l_cross, l_self - config.eta * l_cross
+
+    return _whole_array_assembly(embeddings, classes, u, t, config, parts)
 
 
 def finite_difference_reference(

@@ -573,6 +573,40 @@ def test_loss_peaks_at_unit_rows_kernel_and_adjoint():
         assert peak <= bound, (fam, peak, bound)
 
 
+def test_fl_evaluation_reads_each_class_maxima_once(monkeypatch):
+    # Both facility-location terms take each row's argmax and max over K_c,
+    # the self term over T - K_c and the cross term over T.  A plain
+    # evaluation reads them over T once per class, then U's; an audit's
+    # batches keep a table per block each term reads, as before.
+    e, classes, u, _ = _audit_instance()
+    cols = sorted(int(i) for kc in classes + [u] for i in kc)
+    t = IndexSet.of(cols + sorted(set(range(e.n)) - set(cols))[:25])  # T with holes
+    reads, tables = [], []
+    kernel = submine.objectives._Kernel
+    first_maxima, maxima = kernel._first_maxima, kernel._maxima
+
+    def spy_reads(self, a, b):
+        reads.append((a.tolist(), b.tolist()))
+        return first_maxima(self, a, b)
+
+    def spy_tables(self, a, b):
+        tables.append((a.tolist(), b.tolist()))
+        return maxima(self, a, b)
+
+    monkeypatch.setattr(kernel, "_first_maxima", spy_reads)
+    monkeypatch.setattr(kernel, "_maxima", spy_tables)
+    t_arr, u_arr = sorted(t), sorted(u)
+    kcs = [sorted(kc) for kc in classes]
+    once = [(t_arr, kc) for kc in kcs] + [(t_arr, u_arr)]
+    loss_total(e, classes, u, t, LossConfig(family="fl"))
+    assert reads == once and not tables
+    reads.clear()
+    finite_difference_check(e, classes, u, t, LossConfig(family="fl"))
+    assert reads == once
+    grounds = [sorted(set(t_arr) - set(kc)) for kc in kcs]
+    assert tables == list(zip(grounds, kcs)) + [(t_arr, u_arr)] + [(t_arr, kc) for kc in kcs]
+
+
 def _audit_instance():
     return _instance(np.random.default_rng(53), n=100, d=40, class_size=20, u_size=10)
 

@@ -254,6 +254,33 @@ def test_state_copy_leaves_the_original_untouched(family, transform, eps):
     assert state.selected == fresh.selected
 
 
+@pytest.mark.parametrize("family,transform,eps", FAMILY_SETUPS)
+def test_copy_refuses_its_selection_and_leaves_the_original_free(family, transform, eps):
+    rng = np.random.default_rng(507)
+    obj = random_objective(rng, family, n=12, transform=transform, epsilon=eps, lam=0.6)
+    state = marginal_state(obj)
+    for v in (3, 7):
+        commit(state, v)
+    twin = state.copy()
+    # What was selected before the copy stays selected in it.
+    for v in (3, 7):
+        with pytest.raises(ValueError, match="^element already selected$"):
+            commit(twin, v)
+    commit(twin, 5)
+    with pytest.raises(ValueError, match="^element already selected$"):
+        marginal_gain(twin, 5)
+    # The copy's commit of 5 leaves the original free to commit it.
+    commit(state, 5)
+    assert state.selected == twin.selected == [3, 7, 5]
+    with pytest.raises(ValueError, match="^element already selected$"):
+        commit(state, 5)
+    # The range is checked first, as before.
+    with pytest.raises(ValueError, match="out of range"):
+        commit(twin, 12)
+    with pytest.raises(ValueError, match="out of range"):
+        commit(twin, -1)
+
+
 def test_logdet_factor_growth_matches_vstack_bit_for_bit():
     rng = np.random.default_rng(606)
     n = 80
@@ -273,7 +300,7 @@ def test_logdet_factor_growth_matches_vstack_bit_for_bit():
 
 
 def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+    return np.ascontiguousarray(a).view(np.uint8)
 
 
 @pytest.mark.parametrize("family,transform,eps", FAMILY_SETUPS)
@@ -335,10 +362,13 @@ def test_reserve_changes_nothing_for_facility_location_and_graph_cut(family):
     state = commit(roomy, 4)
     twin = state.copy(10**12)
     assert vars(twin).keys() == vars(state).keys()
+    # The copy shares every cache no commit changes; the selection and its mask are its own.
     assert all(
-        getattr(twin, k) is v for k, v in vars(state).items() if k not in ("selected", "_cross")
+        getattr(twin, k) is v for k, v in vars(state).items()
+        if k not in ("selected", "_picked", "_cross")
     )
     assert twin.selected == state.selected == [4]
+    assert np.array_equal(twin._picked, state._picked) and twin._picked is not state._picked
 
 
 def test_logdet_copy_holds_the_committed_rows_only():

@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -47,7 +48,13 @@ from submine import greedy
 from submine.cli import main
 from submine.kernels import write_text
 from submine.losses import FD_EXHAUSTIVE_LIMIT, FD_STEP
-from helpers import full_round_greedy, row_batch_audit_reference, value_loops, whole_array_loss_reference
+from helpers import (
+    full_round_greedy,
+    row_batch_audit_reference,
+    separate_reads_loss_reference,
+    value_loops,
+    whole_array_loss_reference,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -291,6 +298,52 @@ def test_loss_matches_the_whole_array_assembly_bit_for_bit(family, shape):
 
 
 @st.composite
+def fl_layouts(draw):
+    """(embeddings, classes, u, t, config) of facility location, with each
+    item's role drawn on its own: outside T, in T alone, in U, or in one of
+    up to four classes.  Classes so interleave with each other and with U,
+    T has holes, and a class may be a single item; in about half the draws
+    T is C.  Half the draws have small-integer rows, whose maxima tie."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 40))
+    t_is_c = draw(st.booleans())
+    # -1: outside T; 0: in T - C; 1: in U; 2 + c: in class c.
+    roles = draw(st.lists(st.sampled_from([-1] + [0] * (not t_is_c) + list(range(1, k + 2))),
+                          min_size=n, max_size=n))
+    for role, item in enumerate(draw(st.permutations(range(n)))[: k + 1], start=1):
+        roles[item] = role  # U and every class hold at least one item
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        data = rng.integers(-2, 3, size=(n, d)).astype(float)
+        data[~data.any(axis=1), 0] = 1.0
+    else:
+        data = rng.normal(size=(n, d))
+    roles = np.array(roles)
+    classes = [IndexSet.of(np.flatnonzero(roles == 2 + c).tolist()) for c in range(k)]
+    config = LossConfig(family="fl", eta=draw(st.sampled_from([0.5, 1.0])),
+                        nu=draw(st.sampled_from([0.5, 1.0])))
+    return (EmbeddingSet(data), classes, IndexSet.of(np.flatnonzero(roles == 1).tolist()),
+            IndexSet.of(np.flatnonzero(roles >= 0).tolist()), config)
+
+
+@PROPERTY_SETTINGS
+@given(fl_layouts())
+# Interleaved classes, U between them and T with holes; a singleton class.
+@example((EmbeddingSet(np.arange(1.0, 19.0).reshape(9, 2) % 5 - 2),
+          [IndexSet.of([1, 4]), IndexSet.of([2, 6]), IndexSet.of([8])], IndexSet.of([3, 7]),
+          IndexSet.of([1, 2, 3, 4, 6, 7, 8]), LossConfig(family="fl", nu=0.5)))
+def test_fl_loss_with_one_read_per_class_is_bitwise_two_reads(case):
+    # A plain evaluation reads each class's maxima over T once, for both
+    # terms; reading them per term must give the same bits.
+    embeddings, classes, u, t, config = case
+    got = loss_total(embeddings, classes, u, t, config)
+    l_self, l_cross, l_total, grad = separate_reads_loss_reference(embeddings, classes, u, t, config)
+    assert (got.l_self, got.l_cross, got.l_total) == (l_self, l_cross, l_total)
+    assert got.grad.tobytes() == grad.tobytes()
+
+
+@st.composite
 def audit_batches(draw, family):
     """(embeddings, classes, u, t, config, seed) of the family with
     small-integer rows, so argmax, hinge and kernel-entry ties are common
@@ -457,3 +510,85 @@ def test_cli_exits_with_a_known_code_and_echoes_only_sound_config_values(cli_inp
         if sweep:
             echoed = echoed["config"]
         assert all(_echoed_value_is_sound(k, v) for k, v in echoed.items()), echoed
+
+
+# Bytes a mutation writes: a digit, which often leaves the file valid, a
+# byte a CSV or JSON parser reads, or any byte, a third of the time each.
+MUTATION_BYTES = st.one_of(
+    st.sampled_from(list(b"0123456789")),
+    st.sampled_from(list(b'.-+eE,#"\n\r []{}:nN')),
+    st.integers(0, 255),
+)
+MUTATED_COMMANDS = {"scene": ("select", "loss", "gradcheck"), "sets": ("loss", "gradcheck")}
+
+
+@st.composite
+def byte_mutations(draw):
+    """A command, the input it reads that is mutated (the scene CSV or the
+    --sets file), and up to three edits of that file's bytes: each replaces,
+    inserts or deletes one byte at a drawn position."""
+    target = draw(st.sampled_from(sorted(MUTATED_COMMANDS)))
+    command = draw(st.sampled_from(MUTATED_COMMANDS[target]))
+    edit = st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2**16), MUTATION_BYTES)
+    return command, target, draw(st.lists(edit, min_size=1, max_size=3))
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    b = bytearray(data)
+    for kind, at, value in edits:
+        at %= len(b) + 1
+        if kind == "insert":
+            b.insert(at, value)
+        elif at < len(b):
+            if kind == "replace":
+                b[at] = value
+            else:
+                del b[at]
+    return bytes(b)
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """data over the old bytes of path, cut to length, as `write_text` writes text."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """A 30-item scene and a --sets file, as bytes, and a directory for runs."""
+    root = tmp_path_factory.mktemp("cli-mutation")
+    (root / "scene.json").write_text(json.dumps({"n_total": 30, "n_known": 4, "n_unknown": 8}))
+    argv = ["generate", "--config", str(root / "scene.json"), "--out", str(root / "clean.csv")]
+    assert main(argv + ["--quiet"]) == 0
+    # Classes interleave with U, and T has holes.
+    sets = json.dumps({"K": [[0, 1, 2], [5, 7]], "U": [3, 4, 10], "T": list(range(13)) + [15, 17, 19]})
+    return root, {"scene": (root / "clean.csv").read_bytes(), "sets": sets.encode()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(byte_mutations())
+@example(("loss", "sets", [("replace", 8, ord("N"))]))
+@example(("select", "scene", [("insert", 0, 0xFF)]))
+@example(("gradcheck", "scene", [("replace", 40, ord("\r"))]))
+def test_cli_on_mutated_input_bytes_exits_with_a_known_code(mutation_inputs, case):
+    command, target, edits = case
+    root, clean = mutation_inputs
+    for name in ("scene", "sets"):
+        _write_bytes(root / f"{name}.in", _mutated(clean[name], edits) if name == target else clean[name])
+    for stale in root.glob("out*"):
+        stale.unlink()
+    argv = [command, str(root / "scene.in"), "--out", str(root / "out.json"), "--quiet"]
+    if command != "select":
+        argv += ["--sets", str(root / "sets.in")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return
+    # Strict JSON: a bare NaN or Infinity token in an output fails to parse.
+    for path in root.glob("out*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
