@@ -36,7 +36,7 @@ from .discovery import (
     known_prototypes,
     run_discovery,
 )
-from .kernels import TRANSFORMS, EmbeddingSet, IndexSet, _csv_text
+from .kernels import TRANSFORMS, EmbeddingSet, IndexSet, _csv_text, _undecodable
 from .kernels import read_embeddings_csv, write_embeddings_csv, write_text
 from .losses import LossConfig, finite_difference_check, loss_total
 from .objectives import Family
@@ -62,6 +62,8 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: invalid JSON ({e})") from None
+        except UnicodeDecodeError as e:
+            raise _undecodable(path, e) from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data
@@ -244,6 +246,8 @@ def _cmd_loss(args) -> int:
         return _loss_cases(args, file_cfg)
     if args.family == "all":
         raise ValueError("--family all is only valid with --cases")
+    if args.seed is not None:
+        raise ValueError("--seed is only valid with --cases")
     if not args.input:
         raise ValueError("an input CSV is required without --cases")
     if not args.sets:
@@ -405,7 +409,6 @@ def _sweep_loss(args, scene, parameter, values, base):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="PRNG seed (u64)")
     p.add_argument("--config", default=None, help="JSON file with config overrides")
     p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
 
@@ -426,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic scene CSV")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="scene PRNG seed (u64)")
     p.add_argument("--out", default="scene.csv", help="output CSV path")
 
     p = sub.add_parser("select", help="run the mining pipeline on a scene CSV")
@@ -452,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", nargs="?", const=3, type=int, default=None,
                    help="evaluate N built-in separation cases instead of a scene")
     p.add_argument("--family", default=None, choices=["fl", "gc", "logdet", "all"])
+    p.add_argument("--seed", type=int, default=None, help="separation-case seed (u64), with --cases")
     _add_loss_knobs(p)
     p.add_argument("--out", default=None, help="output path (JSON, or CSV with --cases)")
 
@@ -461,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", required=True, help="JSON with K (or K1..Kn), U, optional T")
     p.add_argument("--family", default=None, choices=["fl", "gc", "logdet"])
     _add_loss_knobs(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed (u64) of the coordinate sample above 5000 coordinates")
     p.add_argument("--h", type=float, default=1e-4, help="central-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
     p.add_argument("--perturb-grad", dest="perturb_grad", type=float, default=0.0,

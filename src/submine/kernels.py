@@ -421,6 +421,12 @@ def _reads(cells: list[str]) -> bool:
     return True
 
 
+def _undecodable(path, e: UnicodeDecodeError) -> ValueError:
+    """The error for a file that does not decode, naming the file and the
+    first bad byte: a text file's decoder counts positions from its chunk."""
+    return ValueError(f"{path}: not {e.encoding} text ({e.reason}: 0x{e.object[e.start]:02x})")
+
+
 def _fault(path: Path, header: list[str]) -> str | None:
     """The first ragged row or bad cell, in the rows the csv module splits.
     A row is checked whole first: one parse per cell costs microseconds."""
@@ -445,26 +451,30 @@ def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
     digits.  Labels are truncated toward zero; one that is not finite or
     does not fit int64 is an error, as are a ragged row, a cell that is not
     a number and a feature that is not finite, named by data row and column.
+    Every error names the file, one whose bytes do not decode too.
     """
     path = Path(path)
-    with path.open() as fh:
-        lines = _rows(fh)
-        head, first = next(lines, None), next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: no data rows")
-        header = [c.strip() for c in next(csv.reader([head]))]
-        for tail in (["label", "objectness"], ["label"], ["objectness"], []):
-            d = len(header) - len(tail)
-            if d >= 1 and header == [f"f{j}" for j in range(d)] + tail:
-                break
-        else:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        try:
-            table = np.loadtxt(itertools.chain([first], lines), **_CELLS)
-            if table.shape[1] != len(header):
-                raise ValueError(f"rows have {table.shape[1]} fields, expected {len(header)}")
-        except ValueError as e:
-            raise ValueError(_fault(path, header) or f"{path}: {e}") from None
+    try:
+        with path.open() as fh:
+            lines = _rows(fh)
+            head, first = next(lines, None), next(lines, None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows")
+            header = [c.strip() for c in next(csv.reader([head]))]
+            for tail in (["label", "objectness"], ["label"], ["objectness"], []):
+                d = len(header) - len(tail)
+                if d >= 1 and header == [f"f{j}" for j in range(d)] + tail:
+                    break
+            else:
+                raise ValueError(f"{path}: malformed header {header!r}")
+            try:
+                table = np.loadtxt(itertools.chain([first], lines), **_CELLS)
+                if table.shape[1] != len(header):
+                    raise ValueError(f"rows have {table.shape[1]} fields, expected {len(header)}")
+            except ValueError as e:
+                raise ValueError(_fault(path, header) or f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise _undecodable(path, e) from None
     labels = table[:, d] if "label" in tail else None
     if labels is not None:
         bad = np.flatnonzero(~((labels >= -(2.0**63)) & (labels < 2.0**63)))

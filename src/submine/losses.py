@@ -26,8 +26,8 @@ those of G * s with its column sums added into rows C.  Diagonal entries
 are constants (s_aa = 1) and cancel inside that expression, so adjoints may
 safely land on the diagonal.  Facility-location terms carry argmax/hinge
 structure; the finite-difference checker detects probes that cross such a
-boundary by comparing structure signatures and reports them instead of
-flagging errors.
+boundary, whose argmax rows or hinge rows differ from the base point's,
+and reports them instead of flagging errors.
 
 A loss evaluation holds three large arrays at once: the n x d unit rows,
 the n x |C| kernel and its adjoint G.  `_assemble` uses up the kernel: once
@@ -36,11 +36,11 @@ column sums are taken, and the kernel is dropped before the n x d gradient
 is allocated.  The gradient's row term goes in row blocks, and facility
 location reads its blocks of the kernel in row blocks, each a slice of
 rows where T is a run of consecutive items, so the rest is block-sized
-scratch.  A plain evaluation reads each class's argmax and max per row over
-T once (`_Kernel.within`): the self term takes its rows T - K_c from that
-read and the cross term uses all of it, so between the terms it holds two
-|T|-long arrays per class.  The finite-difference audit builds its own base
-kernel for its probes to read.
+scratch.  The base reader knows T, and reads the argmax and max per row
+over T once per class and once for U (`_Kernel.best`): the self term takes
+copies of its rows T - K_c from that read and the cross term a copy of all
+of it, so the evaluation holds two |T|-long arrays per column set.  The
+finite-difference audit builds its own base kernel for its probes to read.
 
 Every term reads the kernel through the objectives' one reader, `_Kernel`,
 with a leading probe axis, and returns one value per probe.  A plain loss
@@ -67,21 +67,24 @@ changed entries alone.
 What depends on the base point alone is made once per audit, not per
 batch.  The audit's base reader keeps per-audit tables, made on first use
 and shared with every batch's reader: each set's map from items to
-positions, which finds i in a set, and per facility-location block and
-row, the first argmax and the first argmax with that column masked, with
-their values.  The maximum without column i is then the first of them, or
-the second where i is the first.  Graph cut reads base row and column i
-alone.  A batch's reader marks the probes whose argmax rows differ from the
-base point's as it takes them, and the hinge rows are compared whole.  The
-loop keeps each coordinate's difference of totals and whether it is
-tie-adjacent; the quotients and error maxima are taken after it.
+positions, which finds i in a set, and per facility-location column set,
+one read over T of each row's first argmax and first argmax with that
+column masked, with their values, of which the self term keeps its rows
+T - K_c once per class.  The maximum without column i is then the first of
+them, or the second where i is the first.  Graph cut reads base row and
+column i alone.  A batch's reader owns the tie verdict: it marks the probes
+whose argmax rows differ from the base point's as it takes them, and those
+whose hinge rows do, against base hinges it makes from the same tables as
+a plain evaluation makes them.  The loop keeps each coordinate's difference
+of totals and whether it is tie-adjacent; the quotients and error maxima
+are taken after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,41 +256,38 @@ def _self_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None):
     )
 
 
-def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None, sig=None):
+def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None):
     """Per-class conditional gains f(K_c | U) / |T| over ground T with no
-    diagonal shift, one sum per probe.  Adjoints go into adj, and facility
-    location's hinge rows into sig, when given."""
+    diagonal shift, one sum per probe.  Adjoints go into adj when given."""
     k = len(sets.classes)
     return _scg(
         cfg.family, kern, sets.classes, [sets.t] * k, sets.u,
         [1.0 / len(sets.t)] * k, lam=cfg.lam, nu=cfg.nu, shift=0.0,
         errors=("singular unknown-set kernel", "cross term not positive definite"),
-        adj=adj, sig=sig,
+        adj=adj,
     )
 
 
-def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None, sig=None):
+def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None):
     """Self, cross and total loss per probe of `kern`; the total's adjoints
     accumulate into g when given.  For a batch of probes, graph cut's values
     leave out the base sums the probes share (see `_Kernel.total`)."""
     adj_self = adj_cross = None
     if g is not None:
         adj_self, adj_cross = _Adjoint(g, kern, 1.0), _Adjoint(g, kern, -cfg.eta)
-    if kern.rows is None and cfg.family is Family.FACILITY_LOCATION:
-        kern = kern.within(sets.t)  # each class's maxima over T, read once
     l_self = _self_part(kern, sets, cfg, adj_self)
-    l_cross = _cross_part(kern, sets, cfg, adj_cross, sig)
+    l_cross = _cross_part(kern, sets, cfg, adj_cross)
     return l_self, l_cross, l_self - cfg.eta * l_cross
 
 
 def _base(data: np.ndarray, sets: _Sets):
-    """The base kernel over the columns of `sets`, and the unit rows and
-    norms of `data`."""
+    """The base kernel over the columns of `sets`, which reads rows inside
+    T, and the unit rows and norms of `data`."""
     s, unit, norms = cosine_columns(data, sets.cols)
     # An item outside C maps past the last column, so reading it raises.
     pos = np.full(len(s), len(sets.cols), dtype=np.intp)
     pos[sets.cols] = np.arange(len(sets.cols))
-    return _Kernel(s, pos), unit, norms
+    return _Kernel(s, pos, sets.t), unit, norms
 
 
 def loss_self(
@@ -315,13 +315,13 @@ def loss_cross(
     return float(_cross_part(_base(embeddings.data, sets)[0], sets, config)[0])
 
 
-def _assemble(data: np.ndarray, sets: _Sets, cfg: LossConfig, sig: Callable | None = None):
+def _assemble(data: np.ndarray, sets: _Sets, cfg: LossConfig):
     """Loss parts and gradient at `data`.  The gradient folds W = g + g^T
     without forming it, and uses up the kernel (see the module docstring)."""
     kern, unit, norms = _base(data, sets)
     cols = sets.cols
     g = np.zeros_like(kern.s)
-    l_self, l_cross, l_total = _parts(kern, sets, cfg, g, sig)
+    l_self, l_cross, l_total = _parts(kern, sets, cfg, g)
     gs = kern.s
     del kern  # gs is now the kernel's one reference
     gs *= g
@@ -354,20 +354,7 @@ def loss_total(
     return LossReport(l_self, l_cross, l_tot, grad)
 
 
-class _SameSignature:
-    """Compares each hinge row of facility location's cross term with the
-    base point's as they come."""
-
-    def __init__(self, base: list[np.ndarray], size: int):
-        self._base = iter(base)
-        self.same = np.ones(size, dtype=bool)
-
-    def __call__(self, sig: np.ndarray) -> None:
-        self.same &= (sig == next(self._base)).all(axis=1)
-
-
-def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarray,
-                 h: float, base_sig: list[np.ndarray]):
+def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarray, h: float):
     """Per coordinate of `flat`, sorted: the total of its +h probe less that
     of its -h probe, and whether neither probe is tie-adjacent.
 
@@ -405,11 +392,9 @@ def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarra
     def run(batch: _Kernel, lo: int, hi: int) -> None:
         """Evaluates a batch of the +h probes of flat[lo:hi], then their -h probes."""
         c = hi - lo
-        hinges = _SameSignature(base_sig, batch.size)
-        _, _, tot = _parts(batch, sets, cfg, sig=hinges)
+        _, _, tot = _parts(batch, sets, cfg)
         np.subtract(tot[:c], tot[c:], out=diff[lo:hi])
-        same = batch.same & hinges.same
-        np.logical_and(same[:c], same[c:], out=ok[lo:hi])
+        np.logical_and(batch.same[:c], batch.same[c:], out=ok[lo:hi])
 
     stack: list[tuple[int, int, int, np.ndarray]] = []  # (i, lo, hi, kernel rows at C)
 
@@ -492,8 +477,7 @@ def finite_difference_check(
     data = embeddings.data
     n, d = data.shape
     sets = _index_sets(classes, u, t, config.family)
-    base_sig: list[np.ndarray] = []
-    _, _, base_total, grad = _assemble(data, sets, config, base_sig.append)
+    _, _, base_total, grad = _assemble(data, sets, config)
     if perturb != 0.0:
         grad[0, 0] += perturb
     if n * d <= FD_EXHAUSTIVE_LIMIT:
@@ -501,7 +485,7 @@ def finite_difference_check(
     else:
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(n * d, size=min(FD_SAMPLE, n * d), replace=False))
-    diff, ok = _differences(data, sets, config, flat, h, base_sig)
+    diff, ok = _differences(data, sets, config, flat, h)
     fd = diff[ok]
     del diff
     fd /= 2.0 * h

@@ -129,12 +129,11 @@ class _Kernel:
     `s` is n x m with s[a, pos[b]] the entry of items a and b: the
     objectives read an n x n kernel with pos the identity, the losses the
     cosine kernel's columns C = (union of the K_c) + U.  Without `rows` it
-    is the base kernel, a batch of one, read at sets in any order.
-    Otherwise probe p sees it with row and column `i` replaced by `rows[p]`,
-    an n-long kernel row with rows[p, i] = 1 like s[i, pos[i]], and sets are
-    sorted.  `block` reads the base kernel alone; `best`, `total` and
-    `logdet` answer from the base block and row and column i, with no block
-    per probe.
+    is the base kernel, a batch of one.  Otherwise probe p sees it with row
+    and column `i` replaced by `rows[p]`, an n-long kernel row with
+    rows[p, i] = 1 like s[i, pos[i]], and sets are sorted.  `block` reads
+    the base kernel alone; `best`, `total` and `logdet` answer from the base
+    block and row and column i, with no block per probe.
 
     With `i` an array the batch is stacked: probe p moves row i[p] alone,
     given at the kernel's columns, rows[p, pos[b]].  Each i[p] lies outside
@@ -142,54 +141,43 @@ class _Kernel:
     holds every row of the batch or none.  `total` reads such a batch;
     `best` and `logdet` read one only where it moves nothing they read.
 
-    What a batch reads of the base point alone, each set's map from items
-    to positions and each facility-location block's two first maxima per
-    row, is made on first use and kept in tables that the base reader starts
-    at its first `probes` and shares with every batch: an audit makes each
-    once, a plain evaluation none.  An entry is keyed by the ids of the sets
-    it was made for and holds them, so no other array can take a key while
-    the tables live.
-
-    A plain evaluation of the losses reads through `within(T)`: both of
-    facility location's terms read rows inside T, so `best` reads each
-    class's maxima over T once, for the self term over T - K_c, and holds
-    them until the cross term's read over T takes them.
+    A loss's reader knows its batch domain `t`, the sorted rows T that every
+    facility-location read lies in.  Per column set b (a class or U) it
+    reads the base block's maxima over T once, a plain reader the first
+    maximum and a batch the first two, and every read of b takes its rows
+    from that one.  The objectives' reader has no T and reads rows a in any
+    order, each time.  What a batch reads of the base point alone, those
+    maxima and each set's map from items to positions, is made on first use
+    and kept in tables that the base reader shares with every batch it
+    makes: an audit makes each once, and the base point's hinge rows too
+    (`hinge`).  An entry is keyed by the ids of the arguments it was made
+    for and holds them, so no other object can take a key while the tables
+    live.
     """
 
-    # Set by `within`: the rows T, and the maxima over T held per column set.
-    _within: np.ndarray | None = None
-    _held: dict
-
-    def __init__(self, s: np.ndarray, pos: np.ndarray, i: int | np.ndarray = -1,
-                 rows: np.ndarray | None = None, tables: dict | None = None):
-        self.s, self.pos, self.i, self.rows = s, pos, i, rows
-        self._tables = tables
+    def __init__(self, s: np.ndarray, pos: np.ndarray, t: np.ndarray | None = None,
+                 i: int | np.ndarray = -1, rows: np.ndarray | None = None,
+                 tables: dict | None = None):
+        self.s, self.pos, self.t, self.i, self.rows = s, pos, t, i, rows
+        self._tables = {} if tables is None else tables
         # The row whose sets stand for the batch's: i, or a stacked batch's first.
         self._first = int(i[0]) if isinstance(i, np.ndarray) else i
-        # Per probe of a batch: whether every argmax row `best` took equals the base point's.
+        # Per probe of a batch: whether every argmax row and hinge row it
+        # took equals the base point's (see `best` and `hinge`).
         self.same = None if rows is None else np.ones(len(rows), dtype=bool)
 
     def probes(self, i: int | np.ndarray, rows: np.ndarray) -> "_Kernel":
-        if self._tables is None:
-            self._tables = {}
-        return _Kernel(self.s, self.pos, i, rows, self._tables)
-
-    def within(self, t: np.ndarray) -> "_Kernel":
-        """A copy of this base reader for facility-location reads whose rows
-        all lie in the sorted t (see `best`)."""
-        new = copy.copy(self)
-        new._within, new._held = t, {}
-        return new
+        return _Kernel(self.s, self.pos, self.t, i, rows, self._tables)
 
     @property
     def size(self) -> int:
         return 1 if self.rows is None else len(self.rows)
 
-    def _table(self, make, *sets: np.ndarray):
-        """make(*sets), made once for the tables' life."""
-        key = (make.__name__, *map(id, sets))
+    def _table(self, make, *args):
+        """make(*args), made once for the tables' life."""
+        key = (make.__name__, *map(id, args))
         if key not in self._tables:
-            self._tables[key] = (sets, make(*sets))
+            self._tables[key] = (args, make(*args))
         return self._tables[key][1]
 
     def _positions(self, a: np.ndarray) -> np.ndarray:
@@ -198,21 +186,42 @@ class _Kernel:
         where[a] = np.arange(len(a))
         return where
 
-    def _maxima(self, a: np.ndarray, b: np.ndarray):
-        """Per row of a, the base block's first argmax over b and then the
-        first argmax with that column masked, shape (2, |a|), and their
-        values."""
-        blk = self.s[a[:, None], self.pos[b]]
-        r = np.arange(len(a))
-        j = np.empty((2, len(a)), dtype=np.intp)
-        v = np.empty((2, len(a)))
-        j[0] = blk.argmax(axis=1)
-        v[0] = blk[r, j[0]]
-        blk[r, j[0]] = -np.inf
-        j[1] = blk.argmax(axis=1)
-        v[1] = blk[r, j[1]]
-        j.flags.writeable = v.flags.writeable = False
+    def _maxima(self, a: np.ndarray, b: np.ndarray, top: int):
+        """Per row of a, the base block's first argmax over b and its value,
+        and with top 2 then the first argmax with that column masked and its
+        value, shape (top, |a|).  Argmax and max are per row, so any rows'
+        arrays are those of a read of those rows alone.  Fancy indexing
+        holds about twice its result as scratch, so the block is read in row
+        blocks of a third of the block budget.  Rows that are a sorted run
+        of consecutive items are read as a slice, which holds none."""
+        cols = self.pos[b]
+        run = bool((np.diff(a) == 1).all())
+        j = np.empty((top, len(a)), dtype=np.intp)
+        v = np.empty((top, len(a)))
+        for r in row_blocks(len(a), 3 * len(b)):
+            rows = a[r]
+            if run:
+                blk = np.take(self.s[rows[0] : rows[-1] + 1], cols, axis=1)
+            else:
+                blk = self.s[rows[:, None], cols]
+            at = np.arange(len(rows))
+            for k in range(top):
+                if k:
+                    blk[at, j[k - 1, r]] = -np.inf
+                j[k, r] = blk.argmax(axis=1)
+                v[k, r] = blk[at, j[k, r]]
+            del blk  # before the next block is read
         return j, v
+
+    def _read(self, a: np.ndarray, b: np.ndarray, top: int):
+        """`_maxima(a, b, top)` for rows a in T, from the one read over T
+        that the tables keep per column set b: that read itself when a is
+        T, else a copy of a's rows."""
+        j, v = self._table(self._maxima, self.t, b, top)
+        if len(a) == len(self.t):
+            return j, v
+        at = self.t.searchsorted(a)
+        return j[:, at], v[:, at]
 
     def _where(self, a: np.ndarray) -> int:
         """Position of i in a, or -1; for a stacked batch, of its first row."""
@@ -232,51 +241,32 @@ class _Kernel:
 
     def best(self, a: np.ndarray, b: np.ndarray):
         """Per row of a: the first argmax over b and its value, shape
-        (1, |a|).  For a batch, no argmax but the value per probe and row,
-        shape (probes, |a|), or (1, |a|) where no probe moves the block;
-        `same` then drops each probe whose argmax rows differ from the base
-        point's.
-
-        A reader made by `within(t)` reads rows a that are part of t over
-        all of t, holds that read under b's id and hands a's rows out as
-        copies; a read over all of t takes what is held for b, or reads.
-        Argmax and max are per row, so a's rows taken from t's read are the
-        arrays a read of a alone gives."""
+        (1, |a|), arrays the caller may change.  For a batch, no argmax but
+        the value per probe and row, shape (probes, |a|), or (1, |a|) where
+        no probe moves the block; `same` then drops each probe whose argmax
+        rows differ from the base point's."""
         if self.rows is not None:
             return None, self._probe_best(a, b)
-        t = self._within
-        if t is None:
-            return self._first_maxima(a, b)
-        if len(a) == len(t):
-            held = self._held.pop(id(b), None)
-            return self._first_maxima(a, b) if held is None else held
-        j, v = self._held[id(b)] = self._first_maxima(t, b)
-        at = t.searchsorted(a)
-        return j[:, at], v[:, at]
+        if self.t is None:
+            return self._maxima(a, b, 1)
+        j, v = self._read(a, b, 1)
+        return (j.copy(), v.copy()) if len(a) == len(self.t) else (j, v)
 
-    def _first_maxima(self, a: np.ndarray, b: np.ndarray):
-        """Per row of a, the base block's first argmax over b and its value,
-        shape (1, |a|).  Fancy indexing holds about twice its result as
-        scratch, so the block is read in row blocks of a third of the block
-        budget.  Rows that are a sorted run of consecutive items are read as
-        a slice, which holds none; the objectives' sets come in any order."""
-        cols = self.pos[b]
-        run = bool((np.diff(a) == 1).all())
-        j = np.empty((1, len(a)), dtype=np.intp)
-        v = np.empty((1, len(a)))
-        for r in row_blocks(len(a), 3 * len(b)):
-            rows = a[r]
-            if run:
-                blk = np.take(self.s[rows[0] : rows[-1] + 1], cols, axis=1)
-            else:
-                blk = self.s[rows[:, None], cols]
-            j[0, r] = blk.argmax(axis=1)
-            v[0, r] = blk[np.arange(len(rows)), j[0, r]]
-            del blk  # before the next block is read
-        return j, v
+    def hinge(self, active: np.ndarray, a: np.ndarray, b: np.ndarray, q: np.ndarray,
+              nu: float) -> None:
+        """For a batch, drops from `same` each probe whose hinge rows
+        `active`, where the max over b less nu times the max over q is
+        positive per row of a, differ from the base point's."""
+        if self.rows is not None:
+            self.same &= (active == self._table(self._hinges, a, b, q, nu)).all(axis=1)
+
+    def _hinges(self, a: np.ndarray, b: np.ndarray, q: np.ndarray, nu: float) -> np.ndarray:
+        """The base point's hinge rows, made from the tables as a plain
+        evaluation makes them from its reads."""
+        return self._read(a, b, 2)[1][0] - self._read(a, q, 2)[1][0] * nu > 0.0
 
     def _probe_best(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        (j1, j2), (v1, v2) = self._table(self._maxima, a, b)
+        (j1, j2), (v1, v2) = self._table(self._read, a, b, 2)
         moved = self._moved(a, b)
         if moved is None:
             return v1[None].copy()
@@ -354,7 +344,7 @@ class _Kernel:
 def _scg(
     family: Family, reader: _Kernel, sets: Sequence[np.ndarray],
     grounds: Sequence[np.ndarray], q: np.ndarray, weights: Sequence[float], *,
-    lam: float, nu: float, shift: float, errors: tuple[str, str], adj=None, sig=None,
+    lam: float, nu: float, shift: float, errors: tuple[str, str], adj=None,
 ) -> np.ndarray:
     """sum_c weights[c] * f(sets[c] | q), one value per probe: each family's
     closed-form conditional gain with strength nu, or f(sets[c]) when q is
@@ -375,9 +365,10 @@ def _scg(
     positive definite, ValueError(errors[1]) when a gain's block is not.
 
     `adj`, when given, takes the adjoint of the first probe's value as
-    `adj.block(rows, cols, v)` and `adj.pairs(rows, cols, v)`.  `sig`, when
-    given, takes facility location's hinge rows, shape (probes, |rows|), in
-    a fixed order; its argmax rows a batch compares itself (`_Kernel.same`).
+    `adj.block(rows, cols, v)` and `adj.pairs(rows, cols, v)`.  A batch
+    compares each probe's facility-location argmax rows (`_Kernel.best`)
+    and hinge rows (`_Kernel.hinge`) with the base point's itself and keeps
+    the verdict in `reader.same`.
     """
     total = np.zeros(reader.size)
     if len(q) and family is Family.FACILITY_LOCATION:
@@ -406,8 +397,7 @@ def _scg(
                 # moves a column of q only for an item of q.
                 best -= best_q
                 active = best > 0.0
-                if sig is not None:
-                    sig(active)
+                reader.hinge(active, g, a, q, nu)
                 # The hinge as a masked sum, for a batch and a single evaluation.
                 np.maximum(best, 0.0, out=best)
             total += w * best.sum(axis=1)

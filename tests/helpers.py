@@ -610,8 +610,7 @@ def row_batch_audit_reference(embeddings, classes, u, t, config, h=1e-4, seed=0,
     n, d = data.shape
     losses._validate_sets(n, classes, t, u)
     sets = losses._index_sets(classes, u, t, config.family)
-    base_sig = []
-    _, _, base_total, grad = losses._assemble(data, sets, config, base_sig.append)
+    _, _, base_total, grad = losses._assemble(data, sets, config)
     kern, unit, _ = losses._base(data, sets)
     if perturb != 0.0:
         grad[0, 0] += perturb
@@ -627,11 +626,9 @@ def row_batch_audit_reference(embeddings, classes, u, t, config, h=1e-4, seed=0,
     for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
         c = hi - lo
         probes = kern.probes(i, _checked_probe_rows(data, unit, i, flat[lo:hi] % d, h))
-        hinges = losses._SameSignature(base_sig, 2 * c)
-        _, _, tot = losses._parts(probes, sets, config, sig=hinges)
+        _, _, tot = losses._parts(probes, sets, config)
         np.subtract(tot[:c], tot[c:], out=diff[lo:hi])
-        same = probes.same & hinges.same
-        np.logical_and(same[:c], same[c:], out=ok[lo:hi])
+        np.logical_and(probes.same[:c], probes.same[c:], out=ok[lo:hi])
     fd = diff[ok] / (2.0 * h)
     a = np.take(grad, flat[ok])
     checked = len(fd)

@@ -499,6 +499,50 @@ def test_select_names_the_row_and_column_of_a_bad_cell(tmp_path, capsys, cell, m
     assert err.startswith("error: ") and err.rstrip().endswith(message)
 
 
+@pytest.mark.parametrize("target", ["scene", "prototypes", "sets", "config"])
+@pytest.mark.parametrize("at", [0, -1])
+def test_an_input_that_is_not_utf8_is_named(tmp_path, small_scene, capsys, target, at):
+    # A 0xff byte first in the file, or before its last byte.
+    clean = {
+        "scene": small_scene.read_bytes(),
+        "prototypes": b"".join(small_scene.read_bytes().splitlines(keepends=True)[:12]),
+        "sets": json.dumps({"K": [[0, 1, 2]], "U": [6, 7, 8], "T": list(range(60))}).encode(),
+        "config": json.dumps({"eta": 0.5, "family": "gc"}).encode(),
+    }
+    paths = {}
+    for name, data in clean.items():
+        paths[name] = tmp_path / f"{name}.in"
+        if name == target:
+            data = data[:at] + b"\xff" + data[at:]
+        paths[name].write_bytes(data)
+    if target == "prototypes":
+        argv = ["select", str(paths["scene"]), "--prototypes", str(paths["prototypes"])]
+    else:
+        argv = ["loss", str(paths["scene"]), "--sets", str(paths["sets"])]
+        if target == "config":
+            argv += ["--config", str(paths["config"])]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {paths[target]}: not utf-8 text (invalid start byte: 0xff)\n"
+    )
+    assert not out.exists()
+
+
+def test_a_seed_flag_is_refused_where_nothing_reads_it(tmp_path, small_scene, capsys):
+    # select and sweep draw nothing at random, and loss draws only its --cases.
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "tau_b"})
+    out = tmp_path / "out"
+    for argv in (["select", str(small_scene)], ["sweep", str(small_scene), "--sweep", sweep]):
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [6, 7, 8]})
+    argv = ["loss", str(small_scene), "--sets", sets, "--seed", "1", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --seed is only valid with --cases\n"
+    assert not out.exists()
+
+
 def test_loss_on_explicit_sets(tmp_path, small_scene):
     sets = _write_json(
         tmp_path / "sets.json",
@@ -555,12 +599,13 @@ def test_loss_argument_validation(tmp_path, small_scene):
     assert main(["loss", "--quiet"]) == EXIT_CONFIG
 
 
-def _padded_scene(tmp_path, d):
+def _padded_scene(tmp_path, d, seed=0):
     """The small scene in d dimensions, its 2-d means padded with zeros."""
     spec, zeros = SceneSpec(), [0.0] * (d - 2)
     cfg = dict(
         SMALL_SCENE_CFG,
         d=d,
+        seed=seed,
         cluster_means=[list(m) + zeros for m in spec.cluster_means],
         background_mean=list(spec.background_mean) + zeros,
     )
@@ -594,6 +639,22 @@ def test_gradcheck_pass_and_negative_control(tmp_path, scene_12d, capsys, family
     err = capsys.readouterr().err
     assert err.startswith("error: max_rel_err ") and err.endswith(" is not below --tol 1e-05\n")
     assert err.count("\n") == 1
+
+
+def test_gradcheck_leaves_out_probes_that_cross_a_hinge(tmp_path):
+    # At seed 2, two probes move a row of facility location's cross term
+    # across its hinge and no argmax row: counted as checked, their kink
+    # would put max_rel_err at 2.8e-4 and exit 5.
+    scene = _padded_scene(tmp_path, 12, seed=2)
+    sets = _write_json(
+        tmp_path / "sets.json", {"K": [[0, 1, 2], [3, 4, 5]], "U": [6, 7, 8, 9]}
+    )
+    report = tmp_path / "check.json"
+    argv = ["gradcheck", str(scene), "--sets", sets, "--family", "fl",
+            "--eta", "0.5", "--nu", "0.5", "--out", str(report), "--quiet"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(report.read_text())
+    assert payload["tie_adjacent"] == 2 and payload["max_rel_err"] < 1e-5
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

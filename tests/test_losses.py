@@ -360,8 +360,8 @@ def _spy_quotients(monkeypatch):
     quotients = []
     differences = submine.losses._differences
 
-    def spy(data, sets, cfg, flat, h, base_sig):
-        diff, ok = differences(data, sets, cfg, flat, h, base_sig)
+    def spy(data, sets, cfg, flat, h):
+        diff, ok = differences(data, sets, cfg, flat, h)
         quotients.extend(diff[ok] / (2.0 * h))
         return diff, ok
 
@@ -416,6 +416,19 @@ def test_batched_audit_matches_reference_on_ties():
     u, t = IndexSet.of([6, 7, 8]), IndexSet.of(range(10))
     got = finite_difference_check(e, classes, u, t, cfg)
     assert got["checked"] > 0 and got["tie_adjacent"] > 0
+    _assert_same_audit(got, finite_difference_reference(e, classes, u, t, cfg))
+
+
+def test_audit_counts_probes_that_cross_a_hinge():
+    # One-item K_c and U fix every argmax, so only the cross term's hinge
+    # can make a probe tie-adjacent.  Row 2's margin s(2, 0) - s(2, 1) is
+    # about -7e-7, and a probe of 1e-4 on e0[1], e1[0], e2[0] or e2[1] moves
+    # it across zero one way, where the loss has a kink.
+    e = EmbeddingSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0 + 1e-6], [0.3, -0.8]])
+    classes, u, t = [IndexSet.of([0])], IndexSet.of([1]), IndexSet.of(range(4))
+    cfg = LossConfig(family="fl")
+    got = finite_difference_check(e, classes, u, t, cfg)
+    assert got["tie_adjacent"] == 4 and got["max_rel_err"] < 1e-5
     _assert_same_audit(got, finite_difference_reference(e, classes, u, t, cfg))
 
 
@@ -486,8 +499,8 @@ def test_probe_reductions_match_dense_replaced_blocks():
     # Rows whose maximum over K_c (over U) ties kc[0] with kc[2] (u[0] with u[1]).
     s[[1, 5, 9], pos[kc[0]]] = s[[1, 5, 9], pos[kc[2]]] = 1.0
     s[[3, 7, 11], pos[u[0]]] = s[[3, 7, 11], pos[u[1]]] = 1.0
-    kern = submine.losses._Kernel(s, pos)
     t = np.arange(n)
+    kern = submine.losses._Kernel(s, pos, t)
     ties = {"before": 0, "after": 0, "i first of two maxima": 0}
     for i in (kc[0], kc[1], kc[2], u[0], u[2], 1, 7):  # in K_c, in U, outside C
         rows = rng.integers(-4, 5, size=(6, n)) / 4.0
@@ -576,35 +589,29 @@ def test_loss_peaks_at_unit_rows_kernel_and_adjoint():
 def test_fl_evaluation_reads_each_class_maxima_once(monkeypatch):
     # Both facility-location terms take each row's argmax and max over K_c,
     # the self term over T - K_c and the cross term over T.  A plain
-    # evaluation reads them over T once per class, then U's; an audit's
-    # batches keep a table per block each term reads, as before.
+    # evaluation reads the first maximum over T once per class, then U's;
+    # an audit then reads the first two over T once per class, then U's,
+    # and every batch of every term takes its rows from those reads.
     e, classes, u, _ = _audit_instance()
     cols = sorted(int(i) for kc in classes + [u] for i in kc)
     t = IndexSet.of(cols + sorted(set(range(e.n)) - set(cols))[:25])  # T with holes
-    reads, tables = [], []
+    reads = []
     kernel = submine.objectives._Kernel
-    first_maxima, maxima = kernel._first_maxima, kernel._maxima
+    maxima = kernel._maxima
 
-    def spy_reads(self, a, b):
-        reads.append((a.tolist(), b.tolist()))
-        return first_maxima(self, a, b)
+    def spy(self, a, b, top):
+        reads.append((a.tolist(), b.tolist(), top))
+        return maxima(self, a, b, top)
 
-    def spy_tables(self, a, b):
-        tables.append((a.tolist(), b.tolist()))
-        return maxima(self, a, b)
-
-    monkeypatch.setattr(kernel, "_first_maxima", spy_reads)
-    monkeypatch.setattr(kernel, "_maxima", spy_tables)
+    monkeypatch.setattr(kernel, "_maxima", spy)
     t_arr, u_arr = sorted(t), sorted(u)
     kcs = [sorted(kc) for kc in classes]
     once = [(t_arr, kc) for kc in kcs] + [(t_arr, u_arr)]
     loss_total(e, classes, u, t, LossConfig(family="fl"))
-    assert reads == once and not tables
+    assert reads == [(a, b, 1) for a, b in once]
     reads.clear()
     finite_difference_check(e, classes, u, t, LossConfig(family="fl"))
-    assert reads == once
-    grounds = [sorted(set(t_arr) - set(kc)) for kc in kcs]
-    assert tables == list(zip(grounds, kcs)) + [(t_arr, u_arr)] + [(t_arr, kc) for kc in kcs]
+    assert reads == [(a, b, 1) for a, b in once] + [(a, b, 2) for a, b in once]
 
 
 def _audit_instance():
@@ -644,10 +651,10 @@ def test_audit_makes_probe_rows_once_per_row_a_term_reads(monkeypatch):
         calls.append(i)
         return probe_rows(data, unit, i, js, h)
 
-    def spy_parts(kern, sets, cfg, g=None, sig=None):
+    def spy_parts(kern, sets, cfg, g=None):
         if kern.rows is not None:
             batches.append((sorted(set(np.ravel(kern.i).tolist())), kern.rows.size))
-        return parts(kern, sets, cfg, g, sig)
+        return parts(kern, sets, cfg, g)
 
     monkeypatch.setattr(submine.losses, "_probe_rows", spy_rows)
     monkeypatch.setattr(submine.losses, "_parts", spy_parts)
