@@ -24,22 +24,26 @@ with U the row-normalized embeddings.  W is never formed: W @ U is
 G @ U[C] with G^T @ U added into rows C, and the row sums of W * s are
 those of G * s with its column sums added into rows C.  Diagonal entries
 are constants (s_aa = 1) and cancel inside that expression, so adjoints may
-safely land on the diagonal.  Facility-location terms carry argmax/hinge
-structure; the finite-difference checker detects probes that cross such a
-boundary, whose argmax rows or hinge rows differ from the base point's,
-and reports them instead of flagging errors.
+safely land on the diagonal.  Every graph-cut adjoint is a scalar over rows
+of a whole column set, a class or U, so it goes into one n-long row vector
+per column set, which both terms share, and each vector is written into
+G's columns once, after both terms (`_Adjoint`).  Facility-location terms
+carry argmax/hinge structure; the finite-difference checker detects probes
+that cross such a boundary, whose argmax rows or hinge rows differ from the
+base point's, and reports them instead of flagging errors.
 
 A loss evaluation holds three large arrays at once: the n x d unit rows,
 the n x |C| kernel and its adjoint G.  `_assemble` uses up the kernel: once
 the terms have filled G, G * s is formed in the kernel's buffer, its row and
 column sums are taken, and the kernel is dropped before the n x d gradient
-is allocated.  The gradient's row term goes in row blocks, and facility
+is allocated.  The gradient's row term goes in row blocks, facility
 location reads its blocks of the kernel in row blocks, each a slice of
-rows where T is a run of consecutive items, so the rest is block-sized
-scratch.  The base reader knows T, and reads the argmax and max per row
-over T once per class and once for U (`_Kernel.best`): the self term takes
-copies of its rows T - K_c from that read and the cross term a copy of all
-of it, so the evaluation holds two |T|-long arrays per column set.  The
+rows where T is a run of consecutive items, and graph cut gathers each
+block it sums with two 1-D takes, so the rest is block-sized scratch.  The
+base reader knows T, and reads the argmax and max per row over T once per
+class and once for U (`_Kernel.best`): the self term takes copies of its
+rows T - K_c from that read and the cross term a copy of all of it, so the
+evaluation holds two |T|-long arrays per column set.  The
 finite-difference audit builds its own base kernel for its probes to read.
 
 Every term reads the kernel through the objectives' one reader, `_Kernel`,
@@ -129,18 +133,41 @@ class LossReport:
 
 class _Adjoint:
     """dL/ds over the base kernel's entries, n x |C| like it.  One term's
-    adjoints land scaled by `weight`, that term's weight in the total."""
+    adjoints land scaled by `weight`, that term's weight in the total.
 
-    def __init__(self, g: np.ndarray, kern: _Kernel, weight: float):
-        self.g, self.pos, self.weight = g, kern.pos, weight
+    Graph cut's adds are scalars over rows a of a whole column set b, so
+    every column of b takes the same adds in the same order.  They go into
+    one n-long row vector per column set, which the adjoints of every term
+    share (`term`), and `write` puts each vector into g's columns once, so
+    the columns of such a set take nothing else."""
 
-    def block(self, a: np.ndarray, b: np.ndarray, v) -> None:
-        """Add v, a scalar or |a| x |b|, to the block at rows a, columns b."""
+    def __init__(self, g: np.ndarray, pos: np.ndarray, weight: float = 1.0,
+                 columns: dict | None = None):
+        self.g, self.pos, self.weight = g, pos, weight
+        self.columns = {} if columns is None else columns  # id(b): (b, row vector)
+
+    def term(self, weight: float) -> "_Adjoint":
+        """The adjoint of another term, sharing g and the row vectors."""
+        return type(self)(self.g, self.pos, weight, self.columns)
+
+    def block(self, a: np.ndarray, b: np.ndarray, v: np.ndarray) -> None:
+        """Add v, |a| x |b|, to the block at rows a, columns b."""
         self.g[a[:, None], self.pos[b]] += self.weight * v
+
+    def rows(self, a: np.ndarray, b: np.ndarray, v: float) -> None:
+        """Add v at rows a of every column of b, into b's row vector."""
+        if id(b) not in self.columns:
+            self.columns[id(b)] = (b, np.zeros(len(self.g)))
+        self.columns[id(b)][1][a] += self.weight * v
 
     def pairs(self, a: np.ndarray, b: np.ndarray, v: float) -> None:
         """Add v at the distinct entries (a[k], b[k])."""
         self.g[a, self.pos[b]] += self.weight * v
+
+    def write(self) -> None:
+        """Put each column set's row vector into g's columns."""
+        for b, vec in self.columns.values():
+            self.g[:, self.pos[b]] = vec[:, None]
 
 
 def _zero_norm(row: np.ndarray, js: np.ndarray, h: float) -> bool:
@@ -272,11 +299,13 @@ def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None):
     """Self, cross and total loss per probe of `kern`; the total's adjoints
     accumulate into g when given.  For a batch of probes, graph cut's values
     leave out the base sums the probes share (see `_Kernel.total`)."""
-    adj_self = adj_cross = None
-    if g is not None:
-        adj_self, adj_cross = _Adjoint(g, kern, 1.0), _Adjoint(g, kern, -cfg.eta)
-    l_self = _self_part(kern, sets, cfg, adj_self)
-    l_cross = _cross_part(kern, sets, cfg, adj_cross)
+    if g is None:
+        l_self, l_cross = _self_part(kern, sets, cfg), _cross_part(kern, sets, cfg)
+    else:
+        adj = _Adjoint(g, kern.pos)
+        l_self = _self_part(kern, sets, cfg, adj)
+        l_cross = _cross_part(kern, sets, cfg, adj.term(-cfg.eta))
+        adj.write()
     return l_self, l_cross, l_self - cfg.eta * l_cross
 
 

@@ -298,13 +298,22 @@ class _Kernel:
             self.same &= j == j1[pa]
         return v
 
+    def _gather(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The base block at rows a and columns b, C-contiguous as `block`
+        reads it, so its sums round alike, from two 1-D takes, the smaller
+        intermediate first: no broadcast index is made."""
+        cols = self.pos[b]
+        if len(a) * self.s.shape[1] <= len(self.s) * len(b):
+            return np.take(np.take(self.s, a, axis=0), cols, axis=1)
+        return np.take(np.take(self.s, cols, axis=1), a, axis=0)
+
     def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per probe: the block sum; for a batch, less the base block's, which
         every probe shares: the changes of row i and column i add up to that
         difference, and the entry they share is 1 before and after."""
         moved = self._moved(a, b)
         if moved is None:
-            return self.block(a, b).sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
+            return self._gather(a, b)[None].sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
         pa, pb = moved
         value = np.zeros(len(self.rows))
         if pa >= 0:
@@ -365,7 +374,8 @@ def _scg(
     positive definite, ValueError(errors[1]) when a gain's block is not.
 
     `adj`, when given, takes the adjoint of the first probe's value as
-    `adj.block(rows, cols, v)` and `adj.pairs(rows, cols, v)`.  A batch
+    `adj.block(rows, cols, v)` (log-det), `adj.rows(rows, cols, v)` (graph
+    cut) and `adj.pairs(rows, cols, v)` (facility location).  A batch
     compares each probe's facility-location argmax rows (`_Kernel.best`)
     and hinge rows (`_Kernel.hinge`) with the base point's itself and keeps
     the verdict in `reader.same`.
@@ -417,10 +427,10 @@ def _scg(
                 value = value - 2.0 * lam * nu * reader.total(a, q)
             total += w * value
             if adj is not None:
-                adj.block(g, a, w)
-                adj.block(a, a, -w * lam)
+                adj.rows(g, a, w)
+                adj.rows(a, a, -w * lam)
                 if len(q):
-                    adj.block(a, q, -2.0 * w * lam * nu)
+                    adj.rows(a, q, -2.0 * w * lam * nu)
         elif reader.rows is not None:
             total += w * (reader.logdet(a, q, nu, shift, errors[1]) - log_c)
         else:

@@ -4,7 +4,8 @@ Everything here is deliberately naive: plain Python loops, itertools
 enumeration, and numpy.linalg calls.  None of it shares code with the
 vectorized or incremental paths under audit, except where a reference
 pins an order of operations bit for bit: `whole_array_loss_reference`
-shares the loss terms and checks only how the gradient is assembled,
+shares the loss terms and checks only how the gradient is assembled and
+how graph cut's block sums are read and its adjoint added,
 `separate_reads_loss_reference` shares each term and checks only that the
 terms' one read of facility location's maxima gives what two reads give,
 and `row_batch_audit_reference` shares the audit's batches and checks only
@@ -448,8 +449,9 @@ def dense_loss_reference(data, classes, u, t, config, longdouble=False):
 
 
 class _WholeReadKernel(submine.objectives._Kernel):
-    """The base kernel reader with facility location's argmax and max taken
-    in one fancy-indexed read of the whole block, however many rows it has."""
+    """The base kernel reader with facility location's argmax and max, and
+    graph cut's block sums, each taken from one fancy-indexed read of the
+    whole block, however many rows it has."""
 
     def best(self, a, b):
         if self.rows is not None:
@@ -457,6 +459,19 @@ class _WholeReadKernel(submine.objectives._Kernel):
         blk = self.s[a[:, None], self.pos[b]]
         j = blk.argmax(axis=1)
         return j[None], blk[np.arange(len(a)), j][None]
+
+    def total(self, a, b):
+        if self.rows is not None:
+            return super().total(a, b)
+        return self.s[a[:, None], self.pos[b]][None].sum(axis=(1, 2))
+
+
+class _BlockAdjoint(submine.losses._Adjoint):
+    """The loss adjoint with graph cut's adds made block by block into g, in
+    call order, each a fancy-indexed add over rows a and columns b."""
+
+    def rows(self, a, b, v):
+        self.g[a[:, None], self.pos[b]] += self.weight * v
 
 
 def _whole_array_assembly(embeddings, classes, u, t, config, parts):
@@ -482,14 +497,24 @@ def _whole_array_assembly(embeddings, classes, u, t, config, parts):
     return float(l_self[0]), float(l_cross[0]), float(l_total[0]), grad
 
 
+def _reference_parts(kern, sets, config, g, adjoint):
+    """The loss parts of `kern`, the self term's adjoints made before the
+    cross term's, through `adjoint(g, pos)`."""
+    adj = adjoint(g, kern.pos)
+    l_self = submine.losses._self_part(kern, sets, config, adj)
+    l_cross = submine.losses._cross_part(kern, sets, config, adj.term(-config.eta))
+    adj.write()
+    return l_self, l_cross, l_self - config.eta * l_cross
+
+
 def whole_array_loss_reference(embeddings, classes, u, t, config):
     """`loss_total`'s (l_self, l_cross, l_total, grad) assembled from whole
-    arrays, with the kernel read in one call per block.  The loss terms are
-    the library's own, so this checks the assembly's order of operations,
-    bit for bit."""
+    arrays, with the kernel read in one call per block and graph cut's
+    adjoint added block by block.  The loss terms are the library's own, so
+    this checks the assembly's order of operations, bit for bit."""
     return _whole_array_assembly(
         embeddings, classes, u, t, config,
-        lambda s, pos, sets, g: submine.losses._parts(_WholeReadKernel(s, pos), sets, config, g),
+        lambda s, pos, sets, g: _reference_parts(_WholeReadKernel(s, pos), sets, config, g, _BlockAdjoint),
     )
 
 
@@ -499,15 +524,12 @@ def separate_reads_loss_reference(embeddings, classes, u, t, config):
     over T - K_c and the cross term over T, through a base reader that holds
     nothing between them, and every self adjoint added before any cross
     adjoint, assembled as `whole_array_loss_reference` assembles."""
-
-    def parts(s, pos, sets, g):
-        kern = submine.objectives._Kernel(s, pos)
-        adjoint = submine.losses._Adjoint
-        l_self = submine.losses._self_part(kern, sets, config, adjoint(g, kern, 1.0))
-        l_cross = submine.losses._cross_part(kern, sets, config, adjoint(g, kern, -config.eta))
-        return l_self, l_cross, l_self - config.eta * l_cross
-
-    return _whole_array_assembly(embeddings, classes, u, t, config, parts)
+    return _whole_array_assembly(
+        embeddings, classes, u, t, config,
+        lambda s, pos, sets, g: _reference_parts(
+            submine.objectives._Kernel(s, pos), sets, config, g, submine.losses._Adjoint
+        ),
+    )
 
 
 def finite_difference_reference(

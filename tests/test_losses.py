@@ -586,6 +586,34 @@ def test_loss_peaks_at_unit_rows_kernel_and_adjoint():
         assert peak <= bound, (fam, peak, bound)
 
 
+def test_gc_loss_writes_each_column_set_of_the_adjoint_once(monkeypatch):
+    # Every graph-cut adjoint add is a scalar over rows of a whole column
+    # set, K_c or U, so the adds go into one row vector per set, and g
+    # takes each set's columns in one write, after both terms: |classes| + 1
+    # writes of whole columns, and no scatter per block.
+    writes = []
+
+    class Spy(np.ndarray):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    parts = submine.losses._parts
+
+    def spy_parts(kern, sets, cfg, g=None):
+        return parts(kern, sets, cfg, None if g is None else g.view(Spy))
+
+    monkeypatch.setattr(submine.losses, "_parts", spy_parts)
+    e, classes, u, _ = _audit_instance()
+    cols = sorted(int(i) for kc in classes + [u] for i in kc)
+    t = IndexSet.of(cols + sorted(set(range(e.n)) - set(cols))[:25])  # T with holes
+    loss_total(e, classes, u, t, LossConfig(family="gc"))
+    assert len(writes) == len(classes) + 1
+    assert all(rows == slice(None) for rows, _ in writes)
+    written = np.sort(np.concatenate([columns for _, columns in writes]))
+    assert written.tolist() == list(range(len(cols)))
+
+
 def test_fl_evaluation_reads_each_class_maxima_once(monkeypatch):
     # Both facility-location terms take each row's argmax and max over K_c,
     # the self term over T - K_c and the cross term over T.  A plain

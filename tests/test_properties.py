@@ -278,19 +278,33 @@ def assembly_shapes(draw):
     return draw(st.integers(0, 2**32 - 1)), n, d, n_classes, size, n_u, n_t
 
 
+# (lam, nu): lam = 0 makes graph cut's redundancy adjoints adds of -0.0,
+# nu = 0 its coupling adjoints.
+KNOBS = [(0.5, 1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
+
+
 @pytest.mark.parametrize("family", ["fl", "gc", "logdet"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(assembly_shapes())
+@given(shape=assembly_shapes(), knobs=st.sampled_from(KNOBS))
 # |C| = 14 below d; |C| = 16 above d.
-@example((5, 40, 32, 2, 4, 6, 40))
-@example((6, 60, 8, 3, 4, 4, 52))
+@example(shape=(5, 40, 32, 2, 4, 6, 40), knobs=(0.5, 1.0))
+@example(shape=(6, 60, 8, 3, 4, 4, 52), knobs=(0.5, 1.0))
 # |C| = 84 above d, and several row blocks: the n x d row term (20,480
 # entries) and facility location's reads of T x U and T x K_c, each over a
 # third of the 16,384-entry block budget.
-@example((7, 320, 64, 3, 20, 24, 320))
-def test_loss_matches_the_whole_array_assembly_bit_for_bit(family, shape):
+@example(shape=(7, 320, 64, 3, 20, 24, 320), knobs=(0.5, 1.0))
+@example(shape=(5, 40, 32, 2, 4, 6, 40), knobs=(0.0, 1.0))
+@example(shape=(6, 60, 8, 3, 4, 4, 52), knobs=(0.5, 0.0))
+@example(shape=(7, 320, 64, 3, 20, 24, 320), knobs=(0.5, 0.5))
+# Four classes interleaved with U by position, and T holding 40 of 90 rows.
+# Classes of three make weights of 1/3, so the order of the self and cross
+# adjoint adds shows in the bits.
+@example(shape=(8, 90, 16, 4, 3, 5, 40), knobs=(0.0, 0.5))
+@example(shape=(8, 90, 16, 4, 3, 5, 40), knobs=(0.5, 0.5))
+def test_loss_matches_the_whole_array_assembly_bit_for_bit(family, shape, knobs):
     embeddings, classes, u, t = _assembly_batch(*shape)
-    config = LossConfig(family=family, eta=0.8)
+    lam, nu = knobs
+    config = LossConfig(family=family, eta=0.8, lam=lam, nu=nu)
     got = loss_total(embeddings, classes, u, t, config)
     l_self, l_cross, l_total, grad = whole_array_loss_reference(embeddings, classes, u, t, config)
     assert (got.l_self, got.l_cross, got.l_total) == (l_self, l_cross, l_total)
