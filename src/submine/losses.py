@@ -38,12 +38,12 @@ the terms have filled G, G * s is formed in the kernel's buffer, its row and
 column sums are taken, and the kernel is dropped before the n x d gradient
 is allocated.  The gradient's row term goes in row blocks, facility
 location reads its blocks of the kernel in row blocks, each a slice of
-rows where T is a run of consecutive items, and graph cut gathers each
-block it sums with two 1-D takes, so the rest is block-sized scratch.  The
-base reader knows T, and reads the argmax and max per row over T once per
-class and once for U (`_Kernel.best`): the self term takes copies of its
-rows T - K_c from that read and the cross term a copy of all of it, so the
-evaluation holds two |T|-long arrays per column set.  The
+rows where T is a run of consecutive items, and log-det's and graph cut's
+blocks are gathered with two 1-D takes, so the rest is block-sized
+scratch.  The base reader knows T, and reads the argmax and max per row
+over T once per class and once for U (`_Kernel.best`): the self term takes
+copies of its rows T - K_c from that read and the cross term a copy of all
+of it, so the evaluation holds two |T|-long arrays per column set.  The
 finite-difference audit builds its own base kernel for its probes to read.
 
 Every term reads the kernel through the objectives' one reader, `_Kernel`,
@@ -132,23 +132,19 @@ class LossReport:
 
 
 class _Adjoint:
-    """dL/ds over the base kernel's entries, n x |C| like it.  One term's
-    adjoints land scaled by `weight`, that term's weight in the total.
+    """dL/ds over the base kernel's entries, n x |C| like it.  Adjoints land
+    scaled by `weight`, the weight in the total of the term being run.
 
-    Graph cut's adds are scalars over rows a of a whole column set b, so
-    every column of b takes the same adds in the same order.  They go into
-    one n-long row vector per column set, which the adjoints of every term
-    share (`term`), and `write` puts each vector into g's columns once, so
-    the columns of such a set take nothing else."""
+    Graph cut's adds are scalars over rows a of a whole column set b, a
+    class or U, so every column of b takes the same adds in the same order.
+    They go into one n-long row vector per column set, keyed by its items
+    and kept across the terms, and `write` puts each vector into g's
+    columns once.  The sets are disjoint and graph cut makes no other add,
+    so those columns hold nothing else."""
 
-    def __init__(self, g: np.ndarray, pos: np.ndarray, weight: float = 1.0,
-                 columns: dict | None = None):
+    def __init__(self, g: np.ndarray, pos: np.ndarray, weight: float):
         self.g, self.pos, self.weight = g, pos, weight
-        self.columns = {} if columns is None else columns  # id(b): (b, row vector)
-
-    def term(self, weight: float) -> "_Adjoint":
-        """The adjoint of another term, sharing g and the row vectors."""
-        return type(self)(self.g, self.pos, weight, self.columns)
+        self.columns = {}  # b's bytes: (b, row vector)
 
     def block(self, a: np.ndarray, b: np.ndarray, v: np.ndarray) -> None:
         """Add v, |a| x |b|, to the block at rows a, columns b."""
@@ -156,9 +152,10 @@ class _Adjoint:
 
     def rows(self, a: np.ndarray, b: np.ndarray, v: float) -> None:
         """Add v at rows a of every column of b, into b's row vector."""
-        if id(b) not in self.columns:
-            self.columns[id(b)] = (b, np.zeros(len(self.g)))
-        self.columns[id(b)][1][a] += self.weight * v
+        key = b.tobytes()
+        if key not in self.columns:
+            self.columns[key] = (b, np.zeros(len(self.g)))
+        self.columns[key][1][a] += self.weight * v
 
     def pairs(self, a: np.ndarray, b: np.ndarray, v: float) -> None:
         """Add v at the distinct entries (a[k], b[k])."""
@@ -297,14 +294,17 @@ def _cross_part(kern: _Kernel, sets: _Sets, cfg: LossConfig, adj=None):
 
 def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None):
     """Self, cross and total loss per probe of `kern`; the total's adjoints
-    accumulate into g when given.  For a batch of probes, graph cut's values
-    leave out the base sums the probes share (see `_Kernel.total`)."""
+    go into g when given, which holds zeros: log-det's and facility
+    location's accumulate, and graph cut's are written per column set.  For
+    a batch of probes, graph cut's values leave out the base sums the
+    probes share (see `_Kernel.total`)."""
     if g is None:
         l_self, l_cross = _self_part(kern, sets, cfg), _cross_part(kern, sets, cfg)
     else:
-        adj = _Adjoint(g, kern.pos)
+        adj = _Adjoint(g, kern.pos, 1.0)
         l_self = _self_part(kern, sets, cfg, adj)
-        l_cross = _cross_part(kern, sets, cfg, adj.term(-cfg.eta))
+        adj.weight = -cfg.eta
+        l_cross = _cross_part(kern, sets, cfg, adj)
         adj.write()
     return l_self, l_cross, l_self - cfg.eta * l_cross
 

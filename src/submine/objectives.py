@@ -236,8 +236,13 @@ class _Kernel:
         return None if pa < 0 and pb < 0 else (pa, pb)
 
     def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The base block at rows a and columns b, shape (1, |a|, |b|)."""
-        return self.s[a[:, None], self.pos[b]][None]
+        """The base block at rows a and columns b, shape (1, |a|, |b|),
+        C-contiguous, from two 1-D takes, the smaller intermediate first: no
+        broadcast index is made."""
+        cols = self.pos[b]
+        if len(a) * self.s.shape[1] <= len(self.s) * len(b):
+            return self.s.take(a, axis=0).take(cols, axis=1)[None]
+        return self.s.take(cols, axis=1).take(a, axis=0)[None]
 
     def best(self, a: np.ndarray, b: np.ndarray):
         """Per row of a: the first argmax over b and its value, shape
@@ -298,22 +303,13 @@ class _Kernel:
             self.same &= j == j1[pa]
         return v
 
-    def _gather(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The base block at rows a and columns b, C-contiguous as `block`
-        reads it, so its sums round alike, from two 1-D takes, the smaller
-        intermediate first: no broadcast index is made."""
-        cols = self.pos[b]
-        if len(a) * self.s.shape[1] <= len(self.s) * len(b):
-            return np.take(np.take(self.s, a, axis=0), cols, axis=1)
-        return np.take(np.take(self.s, cols, axis=1), a, axis=0)
-
     def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per probe: the block sum; for a batch, less the base block's, which
         every probe shares: the changes of row i and column i add up to that
         difference, and the entry they share is 1 before and after."""
         moved = self._moved(a, b)
         if moved is None:
-            return self._gather(a, b)[None].sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
+            return self.block(a, b).sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
         pa, pb = moved
         value = np.zeros(len(self.rows))
         if pa >= 0:

@@ -499,10 +499,11 @@ def _whole_array_assembly(embeddings, classes, u, t, config, parts):
 
 def _reference_parts(kern, sets, config, g, adjoint):
     """The loss parts of `kern`, the self term's adjoints made before the
-    cross term's, through `adjoint(g, pos)`."""
-    adj = adjoint(g, kern.pos)
+    cross term's, through `adjoint(g, pos, weight)`."""
+    adj = adjoint(g, kern.pos, 1.0)
     l_self = submine.losses._self_part(kern, sets, config, adj)
-    l_cross = submine.losses._cross_part(kern, sets, config, adj.term(-config.eta))
+    adj.weight = -config.eta
+    l_cross = submine.losses._cross_part(kern, sets, config, adj)
     adj.write()
     return l_self, l_cross, l_self - config.eta * l_cross
 
