@@ -33,15 +33,11 @@ from .kernels import (
     TRANSFORMS,
     UNKNOWN_LABEL,
     _unit_rows,
+    check_budget,
     check_number,
     cosine_kernel,
 )
 from .objectives import Family, MarginalState, SubmodularObjective
-
-# Largest array, in bytes, a run builds: a kept x kept kernel of 16,384 kept
-# items, or a generated scene's embeddings; 2 GiB.
-MAX_KERNEL_BYTES = 1 << 31
-
 
 class StageError(RuntimeError):
     """Pipeline failure, tagged with the stage that raised it."""
@@ -238,8 +234,9 @@ def _prepare(
 ) -> _Prepared:
     """Stages 1-2, the kept-only kernel and objective, and K committed.
 
-    A kernel above MAX_KERNEL_BYTES raises ValueError, not StageError: the
-    input is too large for the run, before anything is allocated for it.
+    A kernel above kernels.MAX_KERNEL_BYTES raises ValueError, not
+    StageError: the input is too large for the run, before anything is
+    allocated for it.
     """
     try:
         kept = filter_by_objectness(embeddings, config.tau_e)
@@ -248,11 +245,7 @@ def _prepare(
     except ValueError as e:
         raise StageError("filter", str(e)) from None
     nbytes = 8 * len(kept) ** 2  # float64 entries
-    if nbytes > MAX_KERNEL_BYTES:
-        raise ValueError(
-            f"{len(kept)} kept items need a {nbytes:,}-byte kernel, "
-            f"above the {MAX_KERNEL_BYTES:,}-byte budget"
-        )
+    check_budget(nbytes, f"{len(kept)} kept items need a {nbytes:,}-byte kernel")
     try:
         known = match_knowns(embeddings, kept, prototypes)
     except ValueError as e:

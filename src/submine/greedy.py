@@ -85,19 +85,24 @@ def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> Sel
     fresh picks are committed into it, in the room the state was made with,
     and picks already selected gain 0 unscored.  prune (sound under
     diminishing returns) takes a row's last gain as a bound on its next; a
-    round then scores rows by descending bound, lowest index first, until
-    every unscored bound is below the best gain, so no unscored row can win
-    or tie.  The first round has no bounds and scores every row in one call,
-    as every unpruned round does; the gain state bounds the kernel entries
-    one call reads."""
+    round then scores rows by descending bound until every unscored bound is
+    below the best gain, so no unscored row can win or tie.  The live fresh
+    rows are one array, made once and kept across rounds: a pick leaves it,
+    and a pruned round re-ranks the last round's order with one stable sort,
+    which is linear when only a short scored prefix moved.  Rows start in
+    index order, and rows of equal bound keep the order they had the round
+    before; that order can move a chunk boundary, never a pick.  The first
+    round has no bounds and scores every row in one call, as every unpruned
+    round does, reading the same array; the gain state bounds the kernel
+    entries one call reads."""
     fresh = ~np.isin(order, state.selected)  # live and not in the selection
+    rows = np.flatnonzero(fresh)
     # Per row: its gain this round, else its last gain; picked rows -inf.
     round_gains = np.where(fresh, -np.inf, 0.0)
     picks: list[int] = []
     gains: list[float] = []
     evals = 0
     for _ in range(min(k, len(order))):
-        rows = np.flatnonzero(fresh)
         step, start, best = len(rows), 0, -np.inf
         if prune and picks:  # the first round has no bounds: one call scores it
             rows, step = rows[np.argsort(-round_gains[rows], kind="stable")], PRUNE_CHUNK
@@ -114,6 +119,7 @@ def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> Sel
         round_gains[p] = -np.inf
         if fresh[p]:
             fresh[p] = False
+            rows = rows[rows != p]
             commit(state, picks[-1])
     return SelectionResult(IndexSet.of(picks), tuple(gains), float(sum(gains)), k, evals)
 

@@ -51,6 +51,11 @@ SEED_MAX = (1 << 64) - 1
 # block needs.
 _BLOCK = 1 << 14
 
+# Largest array, in bytes, a run builds: a kept x kept kernel of 16,384 kept
+# items, a loss's n x |C| kernel with its adjoint, or a generated scene's
+# embeddings; 2 GiB.
+MAX_KERNEL_BYTES = 1 << 31
+
 
 def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf, integer: bool = False):
     """`value` when it is a number in [lo, hi], else an error that starts with
@@ -72,6 +77,13 @@ def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf, 
     kind = kind if integer else "a finite number"
     bounds = f" in [{lo}, {hi}]" if hi < math.inf else f" >= {lo}" if lo > -math.inf else ""
     raise ValueError(f"{name} must be {kind}{bounds}, got {value!r}")
+
+
+def check_budget(nbytes: int, need: str) -> None:
+    """Refuse `nbytes` above MAX_KERNEL_BYTES, read at call time, before
+    anything is allocated: the ValueError reads `need`, then the budget."""
+    if nbytes > MAX_KERNEL_BYTES:
+        raise ValueError(f"{need}, above the {MAX_KERNEL_BYTES:,}-byte budget")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -45,6 +45,8 @@ over T once per class and once for U (`_Kernel.best`): the self term takes
 copies of its rows T - K_c from that read and the cross term a copy of all
 of it, so the evaluation holds two |T|-long arrays per column set.  The
 finite-difference audit builds its own base kernel for its probes to read.
+A kernel and G above `kernels.MAX_KERNEL_BYTES` are refused before either
+is built.
 
 Every term reads the kernel through the objectives' one reader, `_Kernel`,
 with a leading probe axis, and returns one value per probe.  A plain loss
@@ -92,7 +94,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import SEED_MAX, EmbeddingSet, IndexSet, check_number, cosine_columns, row_blocks
+from .kernels import (
+    SEED_MAX, EmbeddingSet, IndexSet, check_budget, check_number, cosine_columns, row_blocks,
+)
 from .objectives import Family, _Kernel, _scg
 
 FD_STEP = 1e-4
@@ -312,6 +316,11 @@ def _parts(kern: _Kernel, sets: _Sets, cfg: LossConfig, g=None):
 def _base(data: np.ndarray, sets: _Sets):
     """The base kernel over the columns of `sets`, which reads rows inside
     T, and the unit rows and norms of `data`."""
+    n, c = len(data), len(sets.cols)
+    nbytes = 2 * 8 * n * c  # float64 kernel and adjoint
+    check_budget(
+        nbytes, f"K and U hold {c} items, so the {n} x {c} kernel and its adjoint need {nbytes:,} bytes"
+    )
     s, unit, norms = cosine_columns(data, sets.cols)
     # An item outside C maps past the last column, so reading it raises.
     pos = np.full(len(s), len(sets.cols), dtype=np.intp)
@@ -325,7 +334,11 @@ def loss_self(
     t: IndexSet,
     config: LossConfig = LossConfig(),
 ) -> float:
-    """Per-class self information, normalized by class size, summed over classes."""
+    """Per-class self information, normalized by class size, summed over
+    classes, over ground t - K_c for facility location and all of t for
+    graph cut.  loss_total's self term sums graph cut over T - U, so for
+    graph cut loss_self(e, classes, t.minus(u)), not loss_self(e, classes,
+    t), is its l_self; for the other families t itself is."""
     _validate_sets(embeddings.n, classes, t, None)
     sets = _index_sets(classes, None, t, config.family)
     return float(_self_part(_base(embeddings.data, sets)[0], sets, config)[0])
@@ -338,7 +351,8 @@ def loss_cross(
     t: IndexSet,
     config: LossConfig = LossConfig(),
 ) -> float:
-    """Per-class conditional gain against U, normalized by 1/|T|."""
+    """Per-class conditional gain against U, normalized by 1/|T|: loss_total's
+    l_cross on the same t, for every family (see loss_self for l_self)."""
     _validate_sets(embeddings.n, classes, t, u)
     sets = _index_sets(classes, u, t, config.family)
     return float(_cross_part(_base(embeddings.data, sets)[0], sets, config)[0])

@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .kernels import EMPTY_SET, IndexSet, SimilarityKernel, check_number, row_blocks
 
 
@@ -562,10 +563,11 @@ class _FacilityLocationState(MarginalState):
         self._best: np.ndarray | None = None
 
     def gains(self, items) -> np.ndarray:
-        pieces = row_blocks(len(items), self._block.shape[1])
-        if len(pieces) > 1:  # each row's gain is the same, bit for bit, in any piece
-            return np.concatenate([self.gains(items[r]) for r in pieces])
-        block = np.take(self._block, items, axis=0)
+        width = self._block.shape[1]
+        if len(items) > 1 and len(items) * width > kernels._BLOCK:
+            # Each row's gain is the same, bit for bit, in any piece.
+            return np.concatenate([self.gains(items[r]) for r in row_blocks(len(items), width)])
+        block = self._block.take(items, axis=0)
         if self._best is not None:
             np.maximum(np.subtract(block, self._best, out=block), 0.0, out=block)
         return block.sum(axis=1)

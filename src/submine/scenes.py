@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discovery import MAX_KERNEL_BYTES
-from .kernels import BACKGROUND_LABEL, SEED_MAX, UNKNOWN_LABEL, EmbeddingSet, IndexSet, check_number
+from .kernels import (
+    BACKGROUND_LABEL, SEED_MAX, UNKNOWN_LABEL, EmbeddingSet, IndexSet, check_budget, check_number,
+)
 
 # Stream tags; known class c uses tag c, so keep these out of reach.
 _TAG_UNKNOWN = 1 << 20
@@ -50,7 +51,7 @@ class SceneSpec:
     is a broad normal blob; its objectness band deliberately overlaps the
     filter threshold region so the objectness filter stays non-trivial.
     A scene whose n_total x d float64 embeddings exceed
-    `discovery.MAX_KERNEL_BYTES` is refused before anything is drawn.
+    `kernels.MAX_KERNEL_BYTES` is refused before anything is drawn.
     """
 
     seed: int = 0
@@ -73,11 +74,7 @@ class SceneSpec:
         for name in ("cluster_stddev", "background_stddev"):
             check_number(name, getattr(self, name), 0)
         nbytes = 8 * self.n_total * self.d  # float64 embeddings
-        if nbytes > MAX_KERNEL_BYTES:
-            raise ValueError(
-                f"n_total x d = {self.n_total} x {self.d} embeddings need {nbytes:,} bytes, "
-                f"above the {MAX_KERNEL_BYTES:,}-byte budget"
-            )
+        check_budget(nbytes, f"n_total x d = {self.n_total} x {self.d} embeddings need {nbytes:,} bytes")
         if self.n_total < self.n_known + self.n_unknown:
             raise ValueError("n_total smaller than n_known plus n_unknown")
         for name, depth in (("cluster_means", 2), ("background_mean", 1)):

@@ -109,6 +109,40 @@ def full_round_greedy(objective, candidates, k, conditioning=()):
     return tuple(picks), tuple(gains)
 
 
+def pruned_greedy_reference(objective, candidates, k, conditioning=(), chunk=16):
+    """Greedy with stale-bound pruning, in loops: the first round scores
+    every candidate in one MarginalState.gains call; each later round sorts
+    every live candidate by descending bound (its last gain), lowest index
+    first, and scores `chunk` of them a call until the next bound is below
+    the best gain so far.  The pick is the lowest index of largest gain.
+    candidates must not meet conditioning.  Returns (picks, gains, rows
+    scored)."""
+    state = marginal_state(objective)
+    for q in conditioning:
+        commit(state, q)
+    live = sorted(set(candidates))
+    assert not set(live) & set(conditioning)
+    bound, picks, gains, scored = {}, [], [], 0
+    for r in range(min(k, len(live))):
+        ranked = sorted(live, key=lambda v: (-bound[v], v)) if r else live
+        step = chunk if r else len(live)
+        best = -math.inf
+        for start in range(0, len(ranked), step):
+            batch = ranked[start : start + step]
+            if bound.get(batch[0], math.inf) < best:
+                break
+            for v, g in zip(batch, state.gains(np.array(batch, dtype=int))):
+                bound[v] = float(g)
+                best = max(best, bound[v])
+            scored += len(batch)
+        pick = min(live, key=lambda v: (-bound[v], v))
+        picks.append(pick)
+        gains.append(bound[pick])
+        live.remove(pick)
+        commit(state, pick)
+    return tuple(picks), tuple(gains), scored
+
+
 def brute_force_opt(objective, candidates, k, conditioning=None):
     """Exhaustive search over all subsets of size <= k, the oracle greedy is
     checked against; it takes the arguments `greedy_max` takes and returns

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import submine.discovery
+import submine.kernels
+import submine.losses
 from submine import (
     DiscoveryConfig,
     EmbeddingSet,
@@ -836,7 +838,7 @@ def test_a_kernel_over_the_byte_budget_exits_config_before_it_is_built(
 ):
     kept = int((read_embeddings_csv(small_scene).objectness >= 0.2).sum())
     nbytes = 8 * kept**2
-    monkeypatch.setattr(submine.discovery, "MAX_KERNEL_BYTES", nbytes - 1)
+    monkeypatch.setattr(submine.kernels, "MAX_KERNEL_BYTES", nbytes - 1)
 
     def never(*args, **kwargs):
         raise AssertionError("the kernel is built")
@@ -849,9 +851,42 @@ def test_a_kernel_over_the_byte_budget_exits_config_before_it_is_built(
         err = capsys.readouterr().err
         assert err == (f"error: {kept} kept items need a {nbytes:,}-byte kernel, "
                        f"above the {nbytes - 1:,}-byte budget\n")
-    monkeypatch.setattr(submine.discovery, "MAX_KERNEL_BYTES", nbytes)
+    monkeypatch.setattr(submine.kernels, "MAX_KERNEL_BYTES", nbytes)
     with pytest.raises(AssertionError, match="the kernel is built"):
         main(["select", str(small_scene), "--out", str(tmp_path / "o.json"), "--quiet"])
+
+
+def test_a_loss_over_the_byte_budget_exits_config_before_its_kernel_is_built(
+    tmp_path, small_scene, capsys, monkeypatch
+):
+    # The budget counts the n x |C| kernel and its adjoint; C is K and U.
+    scene = read_embeddings_csv(small_scene)
+    sets = _write_json(tmp_path / "sets.json", {"K": [[0, 1, 2]], "U": [10, 11]})
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "eta", "values": [1.0]})
+    runs = [
+        (["loss", str(small_scene), "--sets", sets], 5),
+        (["gradcheck", str(small_scene), "--sets", sets], 5),
+        (["sweep", str(small_scene), "--sweep", sweep], int((scene.labels >= 0).sum())),
+    ]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the kernel is built")
+
+    monkeypatch.setattr(submine.losses, "cosine_columns", never)
+    out = tmp_path / "out"
+    for argv, c in runs:
+        argv = argv + ["--out", str(out), "--quiet"]
+        nbytes = 2 * 8 * scene.n * c
+        monkeypatch.setattr(submine.kernels, "MAX_KERNEL_BYTES", nbytes - 1)
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: K and U hold {c} items, so the {scene.n} x {c} kernel and its adjoint "
+            f"need {nbytes:,} bytes, above the {nbytes - 1:,}-byte budget\n"
+        )
+        assert not out.exists()
+        monkeypatch.setattr(submine.kernels, "MAX_KERNEL_BYTES", nbytes)
+        with pytest.raises(AssertionError, match="the kernel is built"):
+            main(argv)
 
 
 def test_select_with_everything_filtered_exits_stage(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from submine import (
     lazy_greedy_max,
     marginal_state,
 )
-from submine import kernels
+from submine import greedy, kernels
 from submine.objectives import commit
-from helpers import brute_force_opt, full_round_greedy, random_objective
+from helpers import brute_force_opt, full_round_greedy, pruned_greedy_reference, random_objective
 
 LAZY_SETUPS = [
     (Family.FACILITY_LOCATION, "clip-at-zero", None),
@@ -182,6 +183,26 @@ def test_pruned_first_round_in_chunks_matches_full_rounds(monkeypatch, condition
     assert (tuple(chunked.selected), chunked.gains) == reference
     assert (chunked.selected, chunked.gains) == (whole.selected, whole.gains)
     assert chunked.evaluations == whole.evaluations
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 16])
+@pytest.mark.parametrize("conditioned", [0, 3])
+def test_pruned_greedy_scores_rows_by_bound_then_index(chunk, conditioned):
+    # Gaussian rows under affine-shift give non-negative kernels whose bounds
+    # do not tie, so the ranking kept across rounds scores the rows a fresh
+    # sort by descending bound, lowest index first, does.
+    rng = np.random.default_rng(37 + chunk + conditioned)
+    for _ in range(10):
+        n = int(rng.integers(20, 60))
+        obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, d=6, transform="affine-shift")
+        cond = [int(i) for i in rng.permutation(n)[:conditioned]]
+        pool = IndexSet.of(i for i in range(n) if i not in cond)
+        k = int(rng.integers(1, len(pool) + 1))
+        want = pruned_greedy_reference(obj, pool, k, cond, chunk)
+        with mock.patch.object(greedy, "PRUNE_CHUNK", chunk):
+            for run in (greedy_max, lazy_greedy_max):
+                result = run(obj, pool, k, IndexSet.of(cond))
+                assert (tuple(result.selected), result.gains, result.evaluations) == want
 
 
 def test_an_unpruned_facility_location_round_reads_the_kernel_in_blocks():

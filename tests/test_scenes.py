@@ -14,7 +14,7 @@ from submine import (
     gen_scene,
     gen_separation_cases,
 )
-from submine.discovery import MAX_KERNEL_BYTES
+from submine.kernels import MAX_KERNEL_BYTES
 from helpers import cosine
 
 
