@@ -142,10 +142,8 @@ def _sets_from_labels(embeddings: EmbeddingSet):
     class_ids = sorted(int(c) for c in np.unique(labels) if c >= 1)
     if not class_ids:
         raise ValueError("scene has no labeled known items")
-    classes = [
-        IndexSet.of(int(i) for i in np.flatnonzero(labels == c)) for c in class_ids
-    ]
-    u = IndexSet.of(int(i) for i in np.flatnonzero(labels == 0))
+    classes = [IndexSet.of(np.flatnonzero(labels == c)) for c in class_ids]
+    u = IndexSet.of(np.flatnonzero(labels == 0))
     t = IndexSet.of(range(embeddings.n))
     return classes, u, t
 

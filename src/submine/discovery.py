@@ -135,8 +135,7 @@ def filter_by_objectness(embeddings: EmbeddingSet, tau_e: float) -> IndexSet:
     """Indices of items with objectness >= tau_e (inclusive), ascending."""
     if embeddings.objectness is None:
         raise ValueError("objectness scores required")
-    keep = np.flatnonzero(embeddings.objectness >= tau_e)
-    return IndexSet.of(int(i) for i in keep)
+    return IndexSet.of(np.flatnonzero(embeddings.objectness >= tau_e))
 
 
 def hungarian_assign(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -373,12 +372,15 @@ def coverage_metrics(result: DiscoveryResult, truth: np.ndarray) -> dict:
     truth = np.asarray(truth)
     if truth.ndim != 1 or len(truth) <= max(result.kept):
         raise ValueError("truth labels do not cover the kept items")
-    mined = [i for i in result.unknown if truth[i] == UNKNOWN_LABEL]
-    purity = len(mined) / len(result.unknown) if len(result.unknown) else 0.0
-    kept_unknown = [i for i in result.kept if truth[i] == UNKNOWN_LABEL]
-    coverage = len(mined) / len(kept_unknown) if kept_unknown else 0.0
-    pool_unknown = [i for i in result.pool if truth[i] == UNKNOWN_LABEL]
-    prevalence = len(pool_unknown) / len(result.pool) if len(result.pool) else 0.0
+
+    def unknowns(s: IndexSet) -> int:
+        return int(np.count_nonzero(truth[s.as_array()] == UNKNOWN_LABEL))
+
+    mined = unknowns(result.unknown)
+    purity = mined / len(result.unknown) if len(result.unknown) else 0.0
+    kept_unknown = unknowns(result.kept)
+    coverage = mined / kept_unknown if kept_unknown else 0.0
+    prevalence = unknowns(result.pool) / len(result.pool) if len(result.pool) else 0.0
     return {
         "purity": purity,
         "coverage": coverage,

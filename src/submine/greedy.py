@@ -83,18 +83,18 @@ def _conditioned_state(
 def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> SelectionResult:
     """The greedy loop from `state`, whose selection is the conditioning set:
     fresh picks are committed into it, in the room the state was made with,
-    and picks already selected gain 0 unscored.  prune (sound under
-    diminishing returns) takes a row's last gain as a bound on its next; a
-    round then scores rows by descending bound until every unscored bound is
-    below the best gain, so no unscored row can win or tie.  The live fresh
-    rows are one array, made once and kept across rounds: a pick leaves it,
-    and a pruned round re-ranks the last round's order with one stable sort,
-    which is linear when only a short scored prefix moved.  Rows start in
-    index order, and rows of equal bound keep the order they had the round
-    before; that order can move a chunk boundary, never a pick.  The first
-    round has no bounds and scores every row in one call, as every unpruned
-    round does, reading the same array; the gain state bounds the kernel
-    entries one call reads."""
+    and picks already selected gain 0 unscored.  The live fresh rows are one
+    array, made once and kept across rounds; a pick leaves it.  An unpruned
+    round, and the first round, which has no bounds, scores every live row
+    with one gather and one gains call, and the gain state bounds the kernel
+    entries that call reads.  prune (sound under diminishing returns) takes
+    a row's last gain as a bound on its next: each later round re-ranks the
+    last round's order with one stable sort, which is linear when only a
+    short scored prefix moved, and scores rows PRUNE_CHUNK a call by
+    descending bound until every unscored bound is below the best gain, so
+    no unscored row can win or tie.  Rows start in index order, and rows of
+    equal bound keep the order they had the round before; that order can
+    move a chunk boundary, never a pick."""
     fresh = ~np.isin(order, state.selected)  # live and not in the selection
     rows = np.flatnonzero(fresh)
     # Per row: its gain this round, else its last gain; picked rows -inf.
@@ -103,17 +103,19 @@ def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> Sel
     gains: list[float] = []
     evals = 0
     for _ in range(min(k, len(order))):
-        step, start, best = len(rows), 0, -np.inf
-        if prune and picks:  # the first round has no bounds: one call scores it
-            rows, step = rows[np.argsort(-round_gains[rows], kind="stable")], PRUNE_CHUNK
-        while start < len(rows) and round_gains[rows[start]] >= best:
-            chunk = rows[start : start + step]
-            round_gains[chunk] = g = state.gains(order[chunk])
-            evals += len(chunk)
-            start += step
-            if prune:
+        if prune and picks:
+            rows = rows[np.argsort(-round_gains[rows], kind="stable")]
+            start, best = 0, -np.inf
+            while start < len(rows) and round_gains[rows[start]] >= best:
+                chunk = rows[start : start + PRUNE_CHUNK]
+                round_gains[chunk] = g = state.gains(order[chunk])
+                evals += len(chunk)
+                start += PRUNE_CHUNK
                 best = max(best, g.max())
-        p = int(np.argmax(round_gains))  # the first maximum: lowest index wins
+        else:
+            round_gains[rows] = state.gains(order[rows])
+            evals += len(rows)
+        p = int(round_gains.argmax())  # the first maximum: lowest index wins
         picks.append(int(order[p]))
         gains.append(float(round_gains[p]))
         round_gains[p] = -np.inf

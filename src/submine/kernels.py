@@ -5,7 +5,9 @@ row-normalized embeddings.  A kernel is indexed by row position in the
 embeddings it was built from: the mining pipeline builds it over the kept
 items only, so its indices are kept positions, not scene ids.  The training
 losses read only the columns of their class and unknown sets, which
-`cosine_columns` builds.  Index sets are small immutable tuples.
+`cosine_columns` builds.  Index sets are small immutable tuples, checked
+where they are made from outside values; a set derived from valid sets
+(`minus`, `union`, `sorted`) is not checked again.
 
 Every `SimilarityKernel` equals its transpose bit for bit: `_symmetrize`
 makes it so once, where the kernel is made, and no later code checks it
@@ -136,16 +138,30 @@ class EmbeddingSet:
         return self.data.shape[1]
 
 
+def _index(i) -> int:
+    """i as an int, if it is an integer of any width but not a bool."""
+    if isinstance(i, numbers.Integral) and not isinstance(i, bool):
+        return int(i)
+    raise TypeError(f"indices must be integers, got {i!r}")
+
+
 @dataclass(frozen=True, order=True)
 class IndexSet:
-    """An immutable set of distinct item indices, kept in insertion order."""
+    """An immutable set of distinct item indices, kept in insertion order.
+
+    The indices are ints of any width, numpy's included, or an integer
+    array; a float or a bool is a TypeError, a negative or repeated index a
+    ValueError."""
 
     indices: tuple[int, ...]
     _members: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
+        idx = self.indices
+        idx = tuple(idx.tolist()) if isinstance(idx, np.ndarray) else tuple(idx)
+        if not set(map(type, idx)) <= {int}:
+            idx = tuple(map(_index, idx))
+        if idx and min(idx) < 0:
             raise ValueError("indices must be non-negative")
         members = frozenset(idx)
         if len(members) != len(idx):
@@ -154,8 +170,16 @@ class IndexSet:
         object.__setattr__(self, "_members", members)
 
     @classmethod
-    def of(cls, items: Iterable[int]) -> "IndexSet":
-        return cls(tuple(items))
+    def of(cls, items: Iterable[int] | np.ndarray) -> "IndexSet":
+        return cls(items if isinstance(items, np.ndarray) else tuple(items))
+
+    @classmethod
+    def _valid(cls, idx: tuple[int, ...]) -> "IndexSet":
+        """The set of idx, distinct non-negative ints, without the checks."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "indices", idx)
+        object.__setattr__(s, "_members", frozenset(idx))
+        return s
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -170,21 +194,22 @@ class IndexSet:
         return np.asarray(self.indices, dtype=np.intp)
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.indices + tuple(i for i in other.indices if i not in self._members))
+        return IndexSet._valid(
+            self.indices + tuple(itertools.filterfalse(self._members.__contains__, other.indices)))
 
     def minus(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(tuple(i for i in self.indices if i not in other._members))
+        return IndexSet._valid(tuple(itertools.filterfalse(other._members.__contains__, self.indices)))
 
     def intersects(self, other: "IndexSet") -> bool:
         return not self._members.isdisjoint(other._members)
 
     def sorted(self) -> "IndexSet":
-        return IndexSet(tuple(sorted(self.indices)))
+        return IndexSet._valid(tuple(sorted(self.indices)))
 
     def check_bounds(self, n: int) -> None:
-        for i in self.indices:
-            if i >= n:
-                raise ValueError(f"index {i} out of range for {n} items")
+        if self.indices and max(self.indices) >= n:
+            i = next(i for i in self.indices if i >= n)
+            raise ValueError(f"index {i} out of range for {n} items")
 
 
 EMPTY_SET = IndexSet(())

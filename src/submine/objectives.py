@@ -583,10 +583,11 @@ class _GraphCutState(MarginalState):
         s = self._s if self._whole else self._s[objective.ground.as_array(), :]
         self._colsum = s.sum(axis=0)
         self._cross = np.zeros(objective.n)
+        self._diag = np.diagonal(self._s)
 
     def gains(self, items) -> np.ndarray:
         lam = self.objective.lam
-        return self._colsum[items] - lam * (2.0 * self._cross[items] + self._s[items, items])
+        return self._colsum[items] - lam * (2.0 * self._cross[items] + self._diag[items])
 
     def copy(self, commits=0):
         new = super().copy()

@@ -293,19 +293,20 @@ def test_candidates_overlapping_conditioning_rejected(toy_objective):
 
 
 def test_allow_conditioned_candidates_gives_zero_gain(toy_objective):
-    gc = toy_objective("gc", lam=2.0)
-    # All fresh gains are negative after the first pick under lam=2, so the
-    # already-conditioned item (gain exactly 0) wins later rounds.
-    result = greedy_max(
-        gc,
-        IndexSet.of([0, 1, 2]),
-        2,
-        conditioning=IndexSet.of([1]),
-        allow_conditioned_candidates=True,
-    )
-    assert 1 in result.selected
-    picked_at = tuple(result.selected).index(1)
-    assert result.gains[picked_at] == 0.0
+    # Conditioned on item 1, every fresh gain is negative (graph cut under
+    # lam=2, log-det with no shift), so the first round's one gains call
+    # scores rows 0 and 2 and the unscored conditioned row 1, at gain exactly
+    # 0, wins; later rounds take the fresh rows.
+    pool = IndexSet.of([2, 1, 0])
+    for obj in (toy_objective("gc", lam=2.0), toy_objective("logdet", epsilon=0.0)):
+        state = marginal_state(obj)
+        commit(state, 1)
+        assert (state.gains(np.array([0, 2])) < 0.0).all()
+        result = greedy_max(obj, pool, 3, IndexSet.of([1]), allow_conditioned_candidates=True)
+        assert (tuple(result.selected), result.gains) == full_round_greedy(obj, pool, 3, [1])
+        assert result.selected.indices[0] == 1 and result.gains[0] == 0.0
+        assert all(g < 0.0 for g in result.gains[1:])
+        assert result.evaluations == 2 + 2 + 1
 
 
 def test_brute_force_matches_exhaustive_loop(toy_objective):

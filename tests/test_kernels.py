@@ -106,6 +106,68 @@ def test_index_set_bounds_check():
     IndexSet.of([0, 2]).check_bounds(3)
     with pytest.raises(ValueError, match="index 3 out of range for 3 items"):
         IndexSet.of([3]).check_bounds(3)
+    with pytest.raises(ValueError, match="index 5 out of range for 3 items"):
+        IndexSet.of([0, 5, 2, 7]).check_bounds(3)  # the first index out of range
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.int8, np.uint16])
+def test_index_set_of_an_integer_array_is_the_set_of_its_list(dtype):
+    items = [7, 0, 3, 12]
+    want = IndexSet.of(items)
+    strided = np.repeat(np.array(items, dtype=dtype), 2)[::2]
+    for s in (IndexSet.of(np.array(items, dtype=dtype)), IndexSet.of(strided)):
+        assert s == want and hash(s) == hash(want)
+        assert all(type(i) is int for i in s.indices)
+        assert 3 in s and 4 not in s
+    scalars = IndexSet.of(dtype(i) for i in items)  # numpy integer scalars of this width
+    assert scalars == want and all(type(i) is int for i in scalars.indices)
+    assert IndexSet.of(np.array([], dtype=dtype)) == EMPTY_SET
+
+
+def test_derived_index_sets_equal_their_checked_construction():
+    a = IndexSet.of([9, 2, 5, 0, 7])
+    b = IndexSet.of([5, 11, 0, 3])
+    derived = {
+        a.minus(b): (9, 2, 7),
+        a.union(b): (9, 2, 5, 0, 7, 11, 3),
+        b.union(a): (5, 11, 0, 3, 9, 2, 7),
+        a.sorted(): (0, 2, 5, 7, 9),
+        EMPTY_SET.union(EMPTY_SET): (),
+        a.minus(a): (),
+    }
+    for s, indices in derived.items():
+        checked = IndexSet(indices)
+        assert s == checked and hash(s) == hash(checked)
+        assert s.indices == indices and set(indices) == {i for i in range(12) if i in s}
+        assert s.as_array().tolist() == list(indices)
+
+
+def test_index_set_arrays_keep_the_checks():
+    with pytest.raises(ValueError, match="^indices must be non-negative$"):
+        IndexSet.of(np.array([2, -1, 4]))
+    with pytest.raises(ValueError, match="^duplicate indices in set$"):
+        IndexSet.of(np.array([2, 1, 2], dtype=np.int32))
+    with pytest.raises(ValueError, match="^index 3 out of range for 3 items$"):
+        IndexSet.of(np.array([0, 3, 1], dtype=np.uint64)).check_bounds(3)
+
+
+@pytest.mark.parametrize(
+    "items, bad",
+    [
+        ((1.9, 2.2), "1.9"),
+        ((1.0, 1.5), "1.0"),
+        ((0, np.float64(2.0)), "2.0"),
+        ((True, 2), "True"),
+        ((1, np.bool_(False)), "False"),
+        (np.array([0.0, 1.0]), "0.0"),
+        (np.array([False, True]), "False"),
+        (("3",), "'3'"),
+    ],
+)
+def test_index_set_refuses_non_integer_indices(items, bad):
+    # A float used to be truncated (1.9 -> 1), and (1.0, 1.5) read as a duplicate.
+    with pytest.raises(TypeError, match=f"^indices must be integers, got .*{bad}"):
+        IndexSet.of(items)
 
 
 # ---------------------------------------------------------------------------
