@@ -1,9 +1,10 @@
 """Budgeted greedy maximization of conditional gains.
 
 Greedy runs exactly k rounds (no early stop on negative gains) and breaks ties
-by lowest item index.  greedy_max and lazy_greedy_max share one loop, which may
-prune rounds with stale upper bounds (Minoux 1978; Leskovec et al., KDD 2007)
-without changing a pick or a gain.
+by lowest item index.  There is one loop and one pruning rule: facility
+location prunes rounds with stale upper bounds (Minoux 1978; Leskovec et al.,
+KDD 2007) once its gains can only fall, without changing a pick or a gain,
+and the other families run full rounds.  lazy_greedy_max is greedy_max.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import EMPTY_SET, IndexSet, nonnegative
+from .kernels import EMPTY_SET, IndexSet
 from .objectives import (
     Family,
     MarginalState,
@@ -66,7 +67,7 @@ def _prep(
         raise ValueError("candidates overlap conditioning set")
     if state is None:  # room for every pick; a handed-in state keeps its own
         state = _conditioned_state(objective, cond, min(k, len(cand)))
-    return cand.sorted().as_array(), cond, state
+    return cand.sorted().as_array(), state
 
 
 def _conditioned_state(
@@ -80,30 +81,38 @@ def _conditioned_state(
     return state
 
 
-def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> SelectionResult:
+def _greedy(state: MarginalState, order: np.ndarray, k: int) -> SelectionResult:
     """The greedy loop from `state`, whose selection is the conditioning set:
     fresh picks are committed into it, in the room the state was made with,
     and picks already selected gain 0 unscored.  The live fresh rows are one
-    array, made once and kept across rounds; a pick leaves it.  An unpruned
-    round, and the first round, which has no bounds, scores every live row
-    with one gather and one gains call, and the gain state bounds the kernel
-    entries that call reads.  prune (sound under diminishing returns) takes
-    a row's last gain as a bound on its next: each later round re-ranks the
-    last round's order with one stable sort, which is linear when only a
-    short scored prefix moved, and scores rows PRUNE_CHUNK a call by
-    descending bound until every unscored bound is below the best gain, so
-    no unscored row can win or tie.  Rows start in index order, and rows of
-    equal bound keep the order they had the round before; that order can
-    move a chunk boundary, never a pick."""
-    fresh = ~np.isin(order, state.selected)  # live and not in the selection
+    array, made once and kept across rounds; a pick leaves it.  A full round
+    scores every live row with one gather and one gains call, and the gain
+    state bounds the kernel entries that call reads.
+
+    Facility location prunes a round once every live row's last gain was
+    scored while the state held a commit: from then on each gain is
+    sum(max(s - best, 0)) and `best` only rises, so in floating point a
+    row's last gain bounds its next, for any kernel sign.  From an empty
+    state rounds 1 and 2 are full and pruning starts at round 3.  A pruned
+    round re-ranks the last round's order with one stable sort, which is
+    linear when only a short scored prefix moved, and scores rows
+    PRUNE_CHUNK a call by descending bound until every unscored bound is
+    below the best gain, so no unscored row can win or tie.  Rows start in
+    index order, and rows of equal bound keep the order they had the round
+    before; that order can move a chunk boundary, never a pick.  Graph
+    cut's and log-det's gains cost O(1) a row, so they always run full
+    rounds, which one numpy call scores faster than pruned ones."""
+    fresh = ~state._picked[order]  # live and not in the selection
     rows = np.flatnonzero(fresh)
     # Per row: its gain this round, else its last gain; picked rows -inf.
     round_gains = np.where(fresh, -np.inf, 0.0)
+    family_prunes = state.objective.family is Family.FACILITY_LOCATION
+    bounded = False  # every live row's last gain is a bound on its next
     picks: list[int] = []
     gains: list[float] = []
     evals = 0
     for _ in range(min(k, len(order))):
-        if prune and picks:
+        if bounded:
             rows = rows[np.argsort(-round_gains[rows], kind="stable")]
             start, best = 0, -np.inf
             while start < len(rows) and round_gains[rows[start]] >= best:
@@ -115,6 +124,7 @@ def _greedy(state: MarginalState, order: np.ndarray, k: int, prune: bool) -> Sel
         else:
             round_gains[rows] = state.gains(order[rows])
             evals += len(rows)
+            bounded = family_prunes and len(state.selected) > 0
         p = int(round_gains.argmax())  # the first maximum: lowest index wins
         picks.append(int(order[p]))
         gains.append(float(round_gains[p]))
@@ -144,17 +154,12 @@ def greedy_max(
     may appear in the pool; re-selecting one contributes exactly zero gain
     (set semantics) and leaves the state untouched.
 
-    Only facility location prunes: its gains cost O(|ground|) a row, graph
-    cut's and log-det's O(1).  Its gains only fall once a commit has set each
-    ground item's best, or from the start on a non-negative ground x pool block.
+    Facility location prunes rounds with stale bounds once its gains can
+    only fall, from the first round scored under a commit on; graph cut and
+    log-det run full rounds (see `_greedy`).
     """
-    order, _, state = _prep(
-        objective, candidates, int(k), conditioning, allow_conditioned_candidates
-    )
-    prune = objective.family is Family.FACILITY_LOCATION and (
-        len(state.selected) > 0
-        or nonnegative(objective.kernel.matrix, objective.ground.as_array(), order))
-    return _greedy(state, order, int(k), prune)
+    order, state = _prep(objective, candidates, int(k), conditioning, allow_conditioned_candidates)
+    return _greedy(state, order, int(k))
 
 
 def lazy_greedy_max(
@@ -163,19 +168,7 @@ def lazy_greedy_max(
     k: int,
     conditioning: IndexSet | None = None,
 ) -> SelectionResult:
-    """Pruned greedy; identical picks and gains to greedy_max.
-
-    Bounds need diminishing returns: facility location and graph cut raise
-    ValueError on a negative kernel entry their gains read (ground x pool,
-    pool x pool; the pool with the conditioning set).  Log-det, whose gains
-    cost O(1), runs full rounds, so a kernel that is not PD raises.
-    """
-    order, cond, state = _prep(objective, candidates, int(k), conditioning)
-    family = objective.family
-    if family is not Family.LOG_DET:
-        cols = np.concatenate([order, cond.as_array()])
-        rows = objective.ground.as_array() if family is Family.FACILITY_LOCATION else cols
-        if not nonnegative(objective.kernel.matrix, rows, cols):
-            raise ValueError(f"lazy greedy needs a non-negative kernel for {family.value}")
-    return _greedy(state, order, int(k), prune=family is not Family.LOG_DET)
-
+    """Lazy greedy (Minoux 1978), kept as an entry point: it is greedy_max,
+    whose one loop already prunes where stale bounds are sound, and returns
+    greedy_max's selection, gains and evaluations."""
+    return greedy_max(objective, candidates, k, conditioning)

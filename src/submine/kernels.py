@@ -14,10 +14,10 @@ makes it so once, where the kernel is made, and no later code checks it
 again.  So a kernel's row v is its column v, and the gain states read rows.
 A kernel costs about its own n x n bytes to build and to check.
 `cosine_kernel` builds it in one buffer, which it makes exactly symmetric,
-clips and transforms in place and then hands over read-only.  `_symmetrize`,
-greedy's `nonnegative` gates and facility location's gains read it in
-`row_blocks` of about `_BLOCK` entries a numpy call, so none builds an
-n x n temporary; the public constructor adds only its one copy.
+clips and transforms in place and then hands over read-only.  `_symmetrize`
+and facility location's gains read it in `row_blocks` of about `_BLOCK`
+entries a numpy call, so neither builds an n x n temporary; the public
+constructor adds only its one copy.
 
 The CSV codec at the end serves every CSV the CLI reads or writes: one
 `np.loadtxt` call splits and converts a scene's cells (the csv module splits
@@ -258,12 +258,6 @@ def _halves(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     entries, each with its mirror image: views (m[i:j, i:], m[i:, i:j].T)."""
     for r in row_blocks(len(m), len(m)):
         yield m[r, r.start :], m[r.start :, r].T
-
-
-def nonnegative(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether the block of s at rows x cols has no negative entry, read in
-    row blocks."""
-    return all(np.all(s[np.ix_(rows[r], cols)] >= 0.0) for r in row_blocks(len(rows), len(cols)))
 
 
 def _symmetrize(m: np.ndarray) -> None:

@@ -12,78 +12,26 @@ mined unknowns U, over ground T with no diagonal shift.  Incremental-learning
 replay uses the identical cross term with U replaced by the previous-task
 exemplar buffer, so `mode` is carried on the config purely as provenance.
 
-Similarities are raw cosines of the embedding rows (signed, no clipping).
-Every term reads kernel entries s_ab with b in C, the union of the classes
-and U, so the kernel is built over those columns only: n x |C| entries, not
-n x n.  Gradients accumulate an adjoint G = dL/ds of the same shape and
-apply the cosine chain rule row-wise with W = G + G^T:
+Similarities are raw cosines of the embedding rows (signed, no clipping),
+read at columns C, the union of the classes and U only, so the kernel s
+and its adjoint G = dL/ds are n x |C|.  With U the row-normalized
+embeddings and W = G + G^T, the cosine chain rule gives, row by row,
 
   dL/de_a = ((W @ U)_a - (sum_b W_ab s_ab) u_a) / ||e_a||
 
-with U the row-normalized embeddings.  W is never formed: W @ U is
-G @ U[C] with G^T @ U added into rows C, and the row sums of W * s are
-those of G * s with its column sums added into rows C.  Diagonal entries
-are constants (s_aa = 1) and cancel inside that expression, so adjoints may
-safely land on the diagonal.  Every graph-cut adjoint is a scalar over rows
-of a whole column set, a class or U, so it goes into one n-long row vector
-per column set, which both terms share, and each vector is written into
-G's columns once, after both terms (`_Adjoint`).  Facility-location terms
-carry argmax/hinge structure; the finite-difference checker detects probes
-that cross such a boundary, whose argmax rows or hinge rows differ from the
-base point's, and reports them instead of flagging errors.
+W is never formed: W @ U is G @ U[C] with G^T @ U added into rows C, and
+the row sums of W * s are those of G * s with its column sums added into
+rows C.  Diagonal entries (s_aa = 1) cancel, so adjoints may land there.
 
-A loss evaluation holds three large arrays at once: the n x d unit rows,
-the n x |C| kernel and its adjoint G.  `_assemble` uses up the kernel: once
-the terms have filled G, G * s is formed in the kernel's buffer, its row and
-column sums are taken, and the kernel is dropped before the n x d gradient
-is allocated.  The gradient's row term goes in row blocks, facility
-location reads its blocks of the kernel in row blocks, each a slice of
-rows where T is a run of consecutive items, and log-det's and graph cut's
-blocks are gathered with two 1-D takes, so the rest is block-sized
-scratch.  The base reader knows T, and reads the argmax and max per row
-over T once per class and once for U (`_Kernel.best`): the self term takes
-copies of its rows T - K_c from that read and the cross term a copy of all
-of it, so the evaluation holds two |T|-long arrays per column set.  The
-finite-difference audit builds its own base kernel for its probes to read.
-A kernel and G above `kernels.MAX_KERNEL_BYTES` are refused before either
-is built.
-
-Every term reads the kernel through the objectives' one reader, `_Kernel`,
-with a leading probe axis, and returns one value per probe.  A plain loss
-evaluation is a batch of one, and only there are adjoints accumulated.  The
-finite-difference audit uses that a probe on coordinate (i, j) moves row i
-of the unit embeddings alone, so only row and column i of the kernel: it
-builds the n-long kernel rows of the probes of one row with one matrix
-product and evaluates them as one batch over the base kernel.  Two kinds of
-row make no batch of their own.  A row no term reads (log-det reads blocks
-over C, the others rows of T) moves nothing: its coordinates share the
-difference of two probes that move nothing, made once.  Graph cut's rows in
-T - C move only its row term, at C's columns, so runs of them are stacked
-into batches |C| wide, one row i per probe.  Each probe's total is the one
-its row's own batch gives, so the report's bytes do not depend on the
-batching.  No block is built per probe: facility location's argmax and max
-per row, graph cut's block sums and log-det's log-determinants are answered
-from the base block and each probe's row and column i.  A log-det probe
-reads i's residual given the rest of each class's block, and when i is in
-U, its residual in U's block once per batch, which every class's gain
-subtracts.  Graph cut's and log-det's probe values leave out a constant
-every probe shares, so the audit's difference quotient is built from the
-changed entries alone.
-
-What depends on the base point alone is made once per audit, not per
-batch.  The audit's base reader keeps per-audit tables, made on first use
-and shared with every batch's reader: each set's map from items to
-positions, which finds i in a set, and per facility-location column set,
-one read over T of each row's first argmax and first argmax with that
-column masked, with their values, of which the self term keeps its rows
-T - K_c once per class.  The maximum without column i is then the first of
-them, or the second where i is the first.  Graph cut reads base row and
-column i alone.  A batch's reader owns the tie verdict: it marks the probes
-whose argmax rows differ from the base point's as it takes them, and those
-whose hinge rows do, against base hinges it makes from the same tables as
-a plain evaluation makes them.  The loop keeps each coordinate's difference
-of totals and whether it is tie-adjacent; the quotients and error maxima
-are taken after it.
+The contract: a loss evaluation holds three large arrays at once, the
+n x d unit rows, the kernel and G, plus block-sized scratch; the kernel's
+buffer is used up before the n x d gradient is allocated.  A kernel and G
+above `kernels.MAX_KERNEL_BYTES` are refused before either is built.  The
+finite-difference audit reports a probe whose argmax rows or hinges differ
+from the base point's as tie-adjacent instead of checking it.  How the
+terms read the kernel (two 1-D takes per block, graph cut's row vectors
+per column set, the audit's stacked batches) is set out in README's loss
+and `gradcheck` sections.
 """
 
 from __future__ import annotations

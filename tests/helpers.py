@@ -110,22 +110,26 @@ def full_round_greedy(objective, candidates, k, conditioning=()):
 
 
 def pruned_greedy_reference(objective, candidates, k, conditioning=(), chunk=16):
-    """Greedy with stale-bound pruning, in loops: the first round scores
-    every candidate in one MarginalState.gains call; each later round sorts
-    every live candidate by descending bound (its last gain), lowest index
-    first, and scores `chunk` of them a call until the next bound is below
-    the best gain so far.  The pick is the lowest index of largest gain.
-    candidates must not meet conditioning.  Returns (picks, gains, rows
-    scored)."""
+    """Facility-location greedy with stale-bound pruning, in loops: a full
+    round scores every candidate in one MarginalState.gains call.  Bounds
+    hold once they were scored under a commit, so the first round is full,
+    and so is the second when nothing is conditioned.  Each later round
+    sorts every live candidate by descending bound (its last gain), lowest
+    index first, and scores `chunk` of them a call until the next bound is
+    below the best gain so far.  The pick is the lowest index of largest
+    gain.  candidates must not meet conditioning.  Returns (picks, gains,
+    rows scored)."""
     state = marginal_state(objective)
     for q in conditioning:
         commit(state, q)
     live = sorted(set(candidates))
     assert not set(live) & set(conditioning)
     bound, picks, gains, scored = {}, [], [], 0
+    full_rounds = 1 if conditioning else 2
     for r in range(min(k, len(live))):
-        ranked = sorted(live, key=lambda v: (-bound[v], v)) if r else live
-        step = chunk if r else len(live)
+        pruned = r >= full_rounds
+        ranked = sorted(live, key=lambda v: (-bound[v], v)) if pruned else live
+        step = chunk if pruned else len(live)
         best = -math.inf
         for start in range(0, len(ranked), step):
             batch = ranked[start : start + step]
@@ -151,7 +155,8 @@ def brute_force_opt(objective, candidates, k, conditioning=None):
     Ties keep the first subset in enumeration order (sizes ascending, each
     size in lexicographic order over sorted candidate indices).
     """
-    order, cond, state = _prep(objective, candidates, int(k), conditioning)
+    order, state = _prep(objective, candidates, int(k), conditioning)
+    cond = IndexSet.of(state.selected)
     kmax = min(int(k), len(order))
     total = sum(comb(len(order), j) for j in range(kmax + 1))
     if total > MAX_BRUTE_FORCE_SUBSETS:

@@ -26,6 +26,8 @@ LAZY_SETUPS = [
     (Family.FACILITY_LOCATION, "clip-at-zero", None),
     (Family.GRAPH_CUT, "clip-at-zero", None),
     (Family.LOG_DET, "raw-cosine", 1e-4),
+    (Family.FACILITY_LOCATION, "raw-cosine", None),
+    (Family.GRAPH_CUT, "raw-cosine", None),
 ]
 
 
@@ -79,17 +81,30 @@ def test_lazy_greedy_is_bit_identical_to_naive():
             assert lazy.evaluations <= naive.evaluations + n
 
 
-def test_lazy_greedy_rejects_negative_kernels():
-    # Raw cosine breaks diminishing returns for facility-location and
-    # graph-cut, where stale bounds would silently pick wrongly.
+def test_lazy_greedy_is_greedy_max_on_signed_kernels():
+    # Raw cosines break diminishing returns from the empty set, and lazy
+    # greedy runs greedy_max on them.  On the 4 x 4 kernel, s[2, 3] < 0 is
+    # read by graph cut's cross sums over the pool {2, 3} and never by
+    # facility location over the ground {0, 1}.
     rng = np.random.default_rng(808)
+    runs = [(random_objective(rng, family, n=12, transform="raw-cosine"), IndexSet.of(range(12)), 4)
+            for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT)]
+    s = np.array(
+        [
+            [1.0, 0.5, 0.2, 0.3],
+            [0.5, 1.0, 0.4, 0.1],
+            [0.2, 0.4, 1.0, -0.3],
+            [0.3, 0.1, -0.3, 1.0],
+        ]
+    )
+    kernel = SimilarityKernel(s)
     for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
-        obj = random_objective(rng, family, n=12, transform="raw-cosine")
-        with pytest.raises(ValueError, match="non-negative kernel"):
-            lazy_greedy_max(obj, IndexSet.of(range(12)), 4)
-    ld = random_objective(rng, Family.LOG_DET, n=12, transform="raw-cosine", epsilon=1e-4)
-    naive = greedy_max(ld, IndexSet.of(range(12)), 4)
-    assert lazy_greedy_max(ld, IndexSet.of(range(12)), 4).gains == naive.gains
+        runs.append((SubmodularObjective(family, kernel, IndexSet.of([0, 1])), IndexSet.of([2, 3]), 2))
+    for obj, pool, k in runs:
+        assert obj.kernel.matrix.min() < 0.0
+        lazy, naive = lazy_greedy_max(obj, pool, k), greedy_max(obj, pool, k)
+        assert (lazy.selected, lazy.gains, lazy.evaluations) == (
+            naive.selected, naive.gains, naive.evaluations)
 
 
 def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
@@ -119,26 +134,6 @@ def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
     assert 0 < raised < 200
 
 
-def test_lazy_greedy_checks_only_entries_the_gains_read():
-    # s[2, 3] < 0: facility-location over ground {0, 1} never reads it, while
-    # graph-cut's cross sums over the pool {2, 3} do.
-    s = np.array(
-        [
-            [1.0, 0.5, 0.2, 0.3],
-            [0.5, 1.0, 0.4, 0.1],
-            [0.2, 0.4, 1.0, -0.3],
-            [0.3, 0.1, -0.3, 1.0],
-        ]
-    )
-    kernel = SimilarityKernel(s)
-    ground, pool = IndexSet.of([0, 1]), IndexSet.of([2, 3])
-    fl = SubmodularObjective(Family.FACILITY_LOCATION, kernel, ground)
-    assert lazy_greedy_max(fl, pool, 2).gains == greedy_max(fl, pool, 2).gains
-    gc = SubmodularObjective(Family.GRAPH_CUT, kernel, ground)
-    with pytest.raises(ValueError, match="non-negative kernel for graph-cut"):
-        lazy_greedy_max(gc, pool, 2)
-
-
 def test_lazy_greedy_saves_evaluations():
     # Facility-location greedy_max prunes with stale bounds as lazy greedy
     # does; graph cut keeps full rounds, scoring every live row every round.
@@ -153,6 +148,25 @@ def test_lazy_greedy_saves_evaluations():
     assert lazy.evaluations < full_rounds
     gc = random_objective(rng, Family.GRAPH_CUT, n=n, transform="clip-at-zero")
     assert greedy_max(gc, IndexSet.of(range(n)), k).evaluations == full_rounds
+
+
+def test_facility_location_prunes_signed_kernels_from_the_third_round():
+    # From an empty state the first round is scored without a commit, where
+    # a raw-cosine gain is a plain sum that a negative entry can make grow;
+    # the second round's gains are scored under one, so they bound later ones.
+    rng = np.random.default_rng(38)
+    n, k = 40, 8
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="raw-cosine")
+    assert obj.kernel.matrix.min() < 0.0
+    state = marginal_state(obj)
+    calls, gains = [], state.gains
+    state.gains = lambda items: (calls.append(len(items)), gains(items))[1]
+    result = greedy_max(obj, IndexSet.of(range(n)), k, conditioning=state)
+    assert calls[:2] == [n, n - 1]
+    assert max(calls[2:]) <= greedy.PRUNE_CHUNK
+    assert result.evaluations == sum(calls) < sum(n - r for r in range(k))
+    want = full_round_greedy(obj, range(n), k)
+    assert (tuple(result.selected), result.gains) == want
 
 
 @pytest.mark.parametrize("conditioning", [(), (5, 6)])
@@ -206,8 +220,8 @@ def test_pruned_greedy_scores_rows_by_bound_then_index(chunk, conditioned):
 
 
 def test_an_unpruned_facility_location_round_reads_the_kernel_in_blocks():
-    # Raw cosines hold negative entries, so with nothing conditioned greedy
-    # runs full rounds, each scoring every one of the 1,000 rows.
+    # With nothing conditioned greedy's first two rounds are full, each
+    # scoring every one of the 1,000 rows.
     rng = np.random.default_rng(36)
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=1000, d=16, transform="raw-cosine")
     assert obj.kernel.matrix.min() < 0.0
@@ -224,6 +238,8 @@ def test_an_unpruned_facility_location_round_reads_the_kernel_in_blocks():
 
 
 def test_greedy_gates_read_the_kernel_without_a_block_copy():
+    # Neither entry point reads a |pool| x |ground| copy of the kernel, on
+    # facility location (pruned rounds) or graph cut (full rounds).
     rng = np.random.default_rng(35)
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=1000, d=16, transform="clip-at-zero")
     nbytes = obj.kernel.matrix.nbytes
