@@ -81,14 +81,27 @@ def test_lazy_greedy_is_bit_identical_to_naive():
             assert lazy.evaluations <= naive.evaluations + n
 
 
+def assert_lazy_is_greedy_max(obj, pool, k):
+    assert obj.kernel.matrix.min() < 0.0
+    lazy, naive = lazy_greedy_max(obj, pool, k), greedy_max(obj, pool, k)
+    assert (lazy.selected, lazy.gains, lazy.evaluations) == (
+        naive.selected, naive.gains, naive.evaluations)
+
+
 def test_lazy_greedy_is_greedy_max_on_signed_kernels():
     # Raw cosines break diminishing returns from the empty set, and lazy
-    # greedy runs greedy_max on them.  On the 4 x 4 kernel, s[2, 3] < 0 is
-    # read by graph cut's cross sums over the pool {2, 3} and never by
-    # facility location over the ground {0, 1}.
+    # greedy runs greedy_max on them.
     rng = np.random.default_rng(808)
-    runs = [(random_objective(rng, family, n=12, transform="raw-cosine"), IndexSet.of(range(12)), 4)
-            for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT)]
+    for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
+        obj = random_objective(rng, family, n=12, transform="raw-cosine")
+        assert_lazy_is_greedy_max(obj, IndexSet.of(range(12)), 4)
+    ld = random_objective(rng, Family.LOG_DET, n=12, transform="raw-cosine", epsilon=1e-4)
+    assert_lazy_is_greedy_max(ld, IndexSet.of(range(12)), 4)
+
+
+def test_lazy_greedy_is_greedy_max_where_gains_read_a_negative_entry():
+    # s[2, 3] < 0 is read by graph cut's cross sums over the pool {2, 3}
+    # and never by facility location over the ground {0, 1}.
     s = np.array(
         [
             [1.0, 0.5, 0.2, 0.3],
@@ -99,12 +112,8 @@ def test_lazy_greedy_is_greedy_max_on_signed_kernels():
     )
     kernel = SimilarityKernel(s)
     for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
-        runs.append((SubmodularObjective(family, kernel, IndexSet.of([0, 1])), IndexSet.of([2, 3]), 2))
-    for obj, pool, k in runs:
-        assert obj.kernel.matrix.min() < 0.0
-        lazy, naive = lazy_greedy_max(obj, pool, k), greedy_max(obj, pool, k)
-        assert (lazy.selected, lazy.gains, lazy.evaluations) == (
-            naive.selected, naive.gains, naive.evaluations)
+        obj = SubmodularObjective(family, kernel, IndexSet.of([0, 1]))
+        assert_lazy_is_greedy_max(obj, IndexSet.of([2, 3]), 2)
 
 
 def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
