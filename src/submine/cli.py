@@ -22,6 +22,7 @@ import functools
 import gc
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -36,9 +37,9 @@ from .discovery import (
     known_prototypes,
     run_discovery,
 )
-from .kernels import TRANSFORMS, EmbeddingSet, IndexSet, _csv_text, _undecodable
+from .kernels import TRANSFORMS, UNKNOWN_LABEL, EmbeddingSet, IndexSet, _csv_text, _undecodable
 from .kernels import read_embeddings_csv, write_embeddings_csv, write_text
-from .losses import LossConfig, finite_difference_check, loss_total
+from .losses import FD_EXHAUSTIVE_LIMIT, FD_STEP, LossConfig, finite_difference_check, loss_total
 from .objectives import Family
 from .scenes import SceneSpec, gen_scene, gen_separation_cases
 
@@ -111,9 +112,9 @@ def _config_dict(cfg) -> dict:
 
 def _parse_sets(path: str, n: int):
     """The known classes, U and T of a --sets file: K a list of lists of
-    integers (or K1..Kn lists of integers), U and the optional T (default:
-    every item) lists of integers.  Anything else raises ValueError naming
-    the file and the key."""
+    integers, or lists of integers under keys K1..Kn (K and ASCII digits);
+    U and the optional T (default: every item) lists of integers.  Anything
+    else raises ValueError naming the file, and the key where there is one."""
     spec = _load_json(path)
 
     def items(key, value) -> IndexSet:
@@ -126,12 +127,10 @@ def _parse_sets(path: str, n: int):
             raise ValueError(f"{path}: K must be a list of lists of integers")
         classes = [items(f"K[{j}]", c) for j, c in enumerate(spec["K"])]
     else:
-        keyed = sorted(
-            (int(k[1:]), k) for k in spec if k.startswith("K") and k[1:].isdigit()
-        )
+        keyed = sorted((int(k[1:]), k) for k in spec if re.fullmatch("K[0-9]+", k))
         classes = [items(k, spec[k]) for _, k in keyed]
     if not classes:
-        raise ValueError("sets file defines no known classes (K or K1..Kn)")
+        raise ValueError(f"{path}: defines no known classes (K or K1..Kn)")
     u = items("U", spec.get("U", []))
     t = items("T", spec["T"]) if "T" in spec else IndexSet.of(range(n))
     return classes, u, t
@@ -139,11 +138,11 @@ def _parse_sets(path: str, n: int):
 
 def _sets_from_labels(embeddings: EmbeddingSet):
     labels = embeddings.labels
-    class_ids = sorted(int(c) for c in np.unique(labels) if c >= 1)
+    class_ids = sorted(int(c) for c in np.unique(labels) if c > UNKNOWN_LABEL)
     if not class_ids:
         raise ValueError("scene has no labeled known items")
     classes = [IndexSet.of(np.flatnonzero(labels == c)) for c in class_ids]
-    u = IndexSet.of(np.flatnonzero(labels == 0))
+    u = IndexSet.of(np.flatnonzero(labels == UNKNOWN_LABEL))
     t = IndexSet.of(range(embeddings.n))
     return classes, u, t
 
@@ -465,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, choices=["fl", "gc", "logdet"])
     _add_loss_knobs(p)
     p.add_argument("--seed", type=int, default=None,
-                   help="seed (u64) of the coordinate sample above 5000 coordinates")
-    p.add_argument("--h", type=float, default=1e-4, help="central-difference step")
+                   help=f"seed (u64) of the coordinate sample above {FD_EXHAUSTIVE_LIMIT} coordinates")
+    p.add_argument("--h", type=float, default=FD_STEP, help="central-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
     p.add_argument("--perturb-grad", dest="perturb_grad", type=float, default=0.0,
                    help="corrupt one gradient entry by this amount (negative control)")

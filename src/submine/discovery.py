@@ -37,7 +37,7 @@ from .kernels import (
     check_number,
     cosine_kernel,
 )
-from .objectives import Family, MarginalState, SubmodularObjective
+from .objectives import DEFAULT_LOGDET_EPSILON, Family, MarginalState, SubmodularObjective
 
 class StageError(RuntimeError):
     """Pipeline failure, tagged with the stage that raised it."""
@@ -70,13 +70,12 @@ class DiscoveryConfig:
     family: Family = Family.GRAPH_CUT
     lam: float = 0.5
     nu: float = 1.0
-    epsilon: float = 1e-4
+    epsilon: float = DEFAULT_LOGDET_EPSILON
     transform: str | None = None
     exclude_background_from_pool: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            object.__setattr__(self, "family", Family.parse(str(self.family)))
+        object.__setattr__(self, "family", Family.parse(self.family))
         for name, hi in (("tau_e", 1), ("tau_b", 1), ("k", math.inf), ("lam", math.inf),
                          ("epsilon", math.inf)):
             check_number(name, getattr(self, name), 0, hi)
@@ -209,7 +208,7 @@ def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
     """The labeled known items themselves, as an instance-level prototype set."""
     if embeddings.labels is None:
         raise ValueError("labels required to derive prototypes")
-    idx = np.flatnonzero(embeddings.labels >= 1)
+    idx = np.flatnonzero(embeddings.labels > UNKNOWN_LABEL)
     if len(idx) == 0:
         raise ValueError("no labeled known items")
     return EmbeddingSet(embeddings.data[idx], labels=embeddings.labels[idx])
@@ -217,14 +216,13 @@ def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What stages 3 and 4 start from: the scene-level sets, the kept-only
-    objective, and a state with the knowns committed and no room for more.
+    """What stages 3 and 4 start from: the scene-level sets and a state of
+    the kept-only objective with the knowns committed and no room for more.
     It is never advanced; each selection runs on a copy with its own room."""
 
     kept: IndexSet
     known: IndexSet
     known_k: IndexSet  # the knowns as kept positions, in prototype order
-    objective: SubmodularObjective
     state: MarginalState
 
 
@@ -266,7 +264,7 @@ def _prepare(
         state = _conditioned_state(objective, known_k)
     except ValueError as e:
         raise StageError("background", str(e)) from None
-    return _Prepared(kept, known, known_k, objective, state)
+    return _Prepared(kept, known, known_k, state)
 
 
 def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
@@ -274,7 +272,7 @@ def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
     from the state stage 3 left.  The copy has room for every commit both
     stages can make, floor(tau_b * |pool|) and then at most min(k, |stage-4
     pool|), so its factor is allocated once and no commit regrows it."""
-    objective = prepared.objective
+    objective = prepared.state.objective
     pool_v = objective.ground.minus(prepared.known_k)
     budget = math.floor(config.tau_b * len(pool_v))
     pool_u_size = len(pool_v) - budget if config.exclude_background_from_pool else len(pool_v)
@@ -322,8 +320,6 @@ def run_discovery(
     position; sets are translated to positions on the way in and back to
     scene indices on the way out.  kept is ascending, so the map is monotone
     and greedy's lowest-index tie-break picks the same items either way.
-    The knowns are committed once: stage 3 continues from that state, and
-    stage 4 from the state stage 3 left, which holds K then B in pick order.
     """
     return _select(_prepare(embeddings, prototypes, config), config)
 

@@ -1,10 +1,9 @@
 """Budgeted greedy maximization of conditional gains.
 
 Greedy runs exactly k rounds (no early stop on negative gains) and breaks ties
-by lowest item index.  There is one loop and one pruning rule: facility
-location prunes rounds with stale upper bounds (Minoux 1978; Leskovec et al.,
-KDD 2007) once its gains can only fall, without changing a pick or a gain,
-and the other families run full rounds.  lazy_greedy_max is greedy_max.
+by lowest item index.  One loop serves every family, and prunes facility
+location's rounds with stale upper bounds (Minoux 1978; Leskovec et al., KDD
+2007) where that changes no pick or gain; lazy_greedy_max is greedy_max.
 """
 
 from __future__ import annotations
@@ -51,23 +50,20 @@ def _prep(
     conditioning: IndexSet | MarginalState | None,
     allow_conditioned: bool = False,
 ):
-    cand = candidates if isinstance(candidates, IndexSet) else IndexSet.of(candidates)
-    state = None
-    if isinstance(conditioning, MarginalState):
-        if conditioning.objective is not objective:
-            raise ValueError("conditioning state belongs to another objective")
-        state = conditioning
-        conditioning = IndexSet(tuple(state.selected))
-    cond = conditioning if conditioning is not None else EMPTY_SET
+    if isinstance(conditioning, MarginalState) and conditioning.objective is not objective:
+        raise ValueError("conditioning state belongs to another objective")
     if int(k) != k or k < 0:
         raise ValueError("budget k must be a non-negative integer")
+    cand = IndexSet.of(candidates)
     cand.check_bounds(objective.n)
-    cond.check_bounds(objective.n)
-    if not allow_conditioned and cand.intersects(cond):
+    state = conditioning
+    if not isinstance(state, MarginalState):  # room for every pick
+        cond = EMPTY_SET if state is None else state
+        state = _conditioned_state(objective, cond, min(int(k), len(cand)))
+    order = cand.sorted().as_array()
+    if not allow_conditioned and state._picked[order].any():
         raise ValueError("candidates overlap conditioning set")
-    if state is None:  # room for every pick; a handed-in state keeps its own
-        state = _conditioned_state(objective, cond, min(k, len(cand)))
-    return cand.sorted().as_array(), state
+    return order, state
 
 
 def _conditioned_state(
@@ -83,25 +79,18 @@ def _conditioned_state(
 
 def _greedy(state: MarginalState, order: np.ndarray, k: int) -> SelectionResult:
     """The greedy loop from `state`, whose selection is the conditioning set:
-    fresh picks are committed into it, in the room the state was made with,
-    and picks already selected gain 0 unscored.  The live fresh rows are one
-    array, made once and kept across rounds; a pick leaves it.  A full round
-    scores every live row with one gather and one gains call, and the gain
-    state bounds the kernel entries that call reads.
+    fresh picks are committed into it, and picks already selected gain 0
+    unscored.  The live fresh rows are one array, kept across rounds.
 
     Facility location prunes a round once every live row's last gain was
-    scored while the state held a commit: from then on each gain is
+    scored while the state held a commit: from then on a gain is
     sum(max(s - best, 0)) and `best` only rises, so in floating point a
-    row's last gain bounds its next, for any kernel sign.  From an empty
-    state rounds 1 and 2 are full and pruning starts at round 3.  A pruned
-    round re-ranks the last round's order with one stable sort, which is
-    linear when only a short scored prefix moved, and scores rows
-    PRUNE_CHUNK a call by descending bound until every unscored bound is
-    below the best gain, so no unscored row can win or tie.  Rows start in
-    index order, and rows of equal bound keep the order they had the round
-    before; that order can move a chunk boundary, never a pick.  Graph
-    cut's and log-det's gains cost O(1) a row, so they always run full
-    rounds, which one numpy call scores faster than pruned ones."""
+    row's last gain bounds its next, for any kernel sign.  A pruned round
+    scores rows PRUNE_CHUNK a call by descending bound, in a stable sort of
+    the last round's order, until every unscored bound is below the best
+    gain, so no unscored row can win or tie.  Graph cut's and log-det's
+    gains cost O(1) a row, so one numpy call a round scores them fastest.
+    README's greedy bullet gives the whole rule."""
     fresh = ~state._picked[order]  # live and not in the selection
     rows = np.flatnonzero(fresh)
     # Per row: its gain this round, else its last gain; picked rows -inf.
@@ -149,16 +138,13 @@ def greedy_max(
     conditioning is the set to condition on, or a MarginalState of this
     objective whose selection is that set: the run then continues from the
     state and commits its picks into it, instead of re-committing the set;
-    a commit past the room the state was made with regrows log-det's factor.
-    With allow_conditioned_candidates items already in the conditioning set
-    may appear in the pool; re-selecting one contributes exactly zero gain
-    (set semantics) and leaves the state untouched.
-
-    Facility location prunes rounds with stale bounds once its gains can
-    only fall, from the first round scored under a commit on; graph cut and
-    log-det run full rounds (see `_greedy`).
+    a commit past the state's room regrows log-det's factor.  With
+    allow_conditioned_candidates items already in the conditioning set may
+    appear in the pool; re-selecting one contributes exactly zero gain (set
+    semantics) and leaves the state untouched.  Facility location prunes
+    rounds with stale bounds where they are sound (see `_greedy`).
     """
-    order, state = _prep(objective, candidates, int(k), conditioning, allow_conditioned_candidates)
+    order, state = _prep(objective, candidates, k, conditioning, allow_conditioned_candidates)
     return _greedy(state, order, int(k))
 
 

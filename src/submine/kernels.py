@@ -1,28 +1,16 @@
 """Embedding containers, cosine similarity kernels, and CSV I/O.
 
-Everything downstream works on a symmetric similarity matrix built from
-row-normalized embeddings.  A kernel is indexed by row position in the
-embeddings it was built from: the mining pipeline builds it over the kept
-items only, so its indices are kept positions, not scene ids.  The training
-losses read only the columns of their class and unknown sets, which
-`cosine_columns` builds.  Index sets are small immutable tuples, checked
+A kernel is indexed by row position in the embeddings it was built from:
+the mining pipeline builds it over the kept items only, so its indices are
+kept positions, not scene ids, and the losses build only the columns of
+their class and unknown sets (`cosine_columns`).  Index sets are checked
 where they are made from outside values; a set derived from valid sets
-(`minus`, `union`, `sorted`) is not checked again.
-
-Every `SimilarityKernel` equals its transpose bit for bit: `_symmetrize`
-makes it so once, where the kernel is made, and no later code checks it
-again.  So a kernel's row v is its column v, and the gain states read rows.
-A kernel costs about its own n x n bytes to build and to check.
-`cosine_kernel` builds it in one buffer, which it makes exactly symmetric,
-clips and transforms in place and then hands over read-only.  `_symmetrize`
-and facility location's gains read it in `row_blocks` of about `_BLOCK`
-entries a numpy call, so neither builds an n x n temporary; the public
-constructor adds only its one copy.
-
-The CSV codec at the end serves every CSV the CLI reads or writes: one
-`np.loadtxt` call splits and converts a scene's cells (the csv module splits
-a file again only to name a fault), and rows are written by joining cells.
-`write_text` is the one writer of every file the program writes.
+(`minus`, `union`, `sorted`) is not checked again.  Every
+`SimilarityKernel` equals its transpose bit for bit, made so once where it
+is made (`_symmetrize`), so its row v is its column v; README's memory
+bullet gives what a kernel costs to build.  The CSV codec at the end serves
+every CSV the CLI reads or writes, and `write_text` is the one writer of
+every file the program writes.
 """
 
 from __future__ import annotations
@@ -170,7 +158,10 @@ class IndexSet:
         object.__setattr__(self, "_members", members)
 
     @classmethod
-    def of(cls, items: Iterable[int] | np.ndarray) -> "IndexSet":
+    def of(cls, items: IndexSet | Iterable[int] | np.ndarray) -> "IndexSet":
+        """items as a set: an IndexSet unchanged, else a checked new one."""
+        if isinstance(items, IndexSet):
+            return items
         return cls(items if isinstance(items, np.ndarray) else tuple(items))
 
     @classmethod
@@ -338,17 +329,12 @@ def cosine_kernel(
     transform: str = "raw-cosine",
     epsilon: float = 0.0,
 ) -> SimilarityKernel:
-    """Pairwise cosine similarities of all rows, optionally range-transformed.
-
-    The Gram matrix is symmetrized, clipped to [-1, 1], transformed and its
+    """Pairwise cosine similarities of all rows, optionally range-transformed:
+    entry for entry apply_transform(clip((G + G.T) / 2, -1, 1)) with the
     diagonal pinned to 1.0, which every transform maps to itself, so
-    roundoff cannot leak into downstream log-det factorizations: entry for
-    entry the values of apply_transform(clip((G + G.T) / 2)), built in place
-    in the one n x n buffer the kernel then holds.  numpy computes
-    unit @ unit.T with syrk, whose result is already exactly symmetric;
-    otherwise the entries that differ are averaged block by block.  The
-    clip, the transform and the diagonal pin act entry by entry, so the
-    kernel stays equal to its transpose.
+    roundoff cannot leak into log-det factorizations.  It is built in place
+    in the one n x n buffer the kernel holds; the clip, the transform and
+    the pin act entry by entry, so the kernel stays exactly symmetric.
     """
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
@@ -473,16 +459,11 @@ def _fault(path: Path, header: list[str]) -> str | None:
 
 
 def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
-    """Read a CSV in the layout `write_embeddings_csv` writes.
-
-    Lines end in LF, CRLF or CR; blank lines and those whose first cell,
-    unquoted and left-stripped, starts with '#' are dropped.  One
-    `np.loadtxt` call splits and converts the rest: quoted and padded cells
-    parse, each as `float()` does but without underscores or non-ASCII
-    digits.  Labels are truncated toward zero; one that is not finite or
-    does not fit int64 is an error, as are a ragged row, a cell that is not
-    a number and a feature that is not finite, named by data row and column.
-    Every error names the file, one whose bytes do not decode too.
+    """Read a CSV in the layout `write_embeddings_csv` writes, as README's
+    CSV section describes: one `np.loadtxt` call splits and converts the
+    lines that are neither blank nor comments, and labels are truncated
+    toward zero.  Every error names the file, and a bad cell, label or
+    feature its data row and column.
     """
     path = Path(path)
     try:

@@ -61,8 +61,7 @@ class LossConfig:
     mode: str = "owod"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            object.__setattr__(self, "family", Family.parse(str(self.family)))
+        object.__setattr__(self, "family", Family.parse(self.family))
         if self.mode not in ("owod", "iod"):
             raise ValueError(f"unknown mode {self.mode!r}")
         check_number("eta", self.eta)
@@ -349,21 +348,17 @@ def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarra
     """Per coordinate of `flat`, sorted: the total of its +h probe less that
     of its -h probe, and whether neither probe is tie-adjacent.
 
-    The probes of one row are one batch over the base kernel, save where
-    they move nothing a term reads, or only graph cut's row term:
-    - A row outside `sets.read` makes no kernel rows.  Its coordinates take
-      the difference of two probes that move nothing, made once per audit
-      by a batch of two: 0.0, or NaN where the total every such probe sees
-      is not finite, as when the loss overflows.
-    - A graph-cut row in T - C moves only `_Kernel.total`'s row term, at C's
-      columns.  Runs of such rows go in stacked batches of those columns,
-      holding no more entries than the row batch, n wide, of the row with
-      the most coordinates.  Each row's kernel rows still come from its own
-      product, since a product's entries round by its row count.
-    Either way each probe's total is the one its row's own batch gives.
-    Every row's probe norms are checked, without the product, and the
-    batches run in row order, a stack before a zero norm is raised, so an
-    audit raises the error the first failing row's batch raises."""
+    The probes of one row are one batch over the base kernel.  A row
+    outside `sets.read` moves nothing a term reads: its coordinates share
+    the difference of two such probes, made once (0.0, or NaN where that
+    total is not finite).  A graph-cut row in T - C moves only the row term,
+    so runs of them go in stacked batches of C's columns, no larger than
+    the largest one-row batch; each row's kernel rows still come from its
+    own product, since a product's entries round by its row count.  Every
+    probe's total is the one its row's own batch gives.  Batches run in row
+    order, a stack before a zero norm is raised, so an audit raises the
+    error the first failing row's batch raises.  README's `gradcheck`
+    section gives the plan."""
     # Only a row with fewer than two non-zero squares can lose its norm to a
     # probe, and each such row's squares add up to their largest.
     squares = data * data
@@ -445,21 +440,12 @@ def finite_difference_check(
     for every tolerance.  They are NaN too when a checked coordinate's
     difference quotient or gradient entry is not finite, as when the loss
     overflows.  `perturb` is a test hook added to one gradient entry before
-    comparison.
+    comparison.  `h` must be finite and positive and `seed` an integer in
+    [0, 2**64 - 1], or ValueError is raised.
 
-    The +h and -h probes of the coordinates of one row are evaluated as one
-    batch: only that row and column of the base kernel change, so one matrix
-    product gives every probe's kernel row, and no family builds a block per
-    probe (see `objectives._Kernel`): a log-det probe reads one residual
-    per class, and when i is in U one more per batch.  A row no term reads,
-    outside C for log-det and outside T for the others, makes no batch, and
-    graph cut stacks its rows in T - C, which move its row term alone, into
-    shared batches (`_differences`); every probe's total, and so the report,
-    is the one its row's own batch gives.  What the batches read of the base
-    point alone is made once, in the base reader's tables, and the error
-    maxima are taken once, over every coordinate's totals.  `h` must be
-    finite and positive and `seed` an integer in [0, 2**64 - 1], or
-    ValueError is raised.
+    The probes of each row are evaluated in batches over the base kernel
+    (`_differences`), with no block per probe; the report is the one a
+    batch per row gives.  README's `gradcheck` section sets out the reads.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h!r}")

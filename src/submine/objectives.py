@@ -21,14 +21,9 @@ reads the kernel through one reader, `_Kernel`, with a leading probe axis,
 which takes the block reductions too: facility location's argmax and max per
 row, graph cut's block sums, log-det's log residuals of a probed item.
 `evaluate` (Q empty) and `conditional_gain_closed` read the base kernel, a
-batch of one, with the shift eps.  The training losses in losses.py are the
-same formulas.  Their self term is f(K_c) over ground T - K_c (facility
-location) or T - U (graph cut), and with shift lam (log-det); their cross
-term is f(K_c | U) over ground T with shift 0.
-
-Incremental selection goes through one mutable state per family: it scores a
-whole array of candidates in one numpy call and updates its caches in place
-on each commit.
+batch of one, with the shift eps; the training losses in losses.py read
+their own (see its docstring for their grounds and shifts).  Greedy's
+incremental gains come from one mutable state per family, at the end.
 """
 
 from __future__ import annotations
@@ -51,7 +46,10 @@ class Family(enum.Enum):
     LOG_DET = "log-determinant"
 
     @classmethod
-    def parse(cls, name: str) -> "Family":
+    def parse(cls, name: "str | Family") -> "Family":
+        """The family named by `name`, which may be a Family itself."""
+        if isinstance(name, cls):
+            return name
         aliases = {
             "fl": cls.FACILITY_LOCATION,
             "flcg": cls.FACILITY_LOCATION,
@@ -63,9 +61,9 @@ class Family(enum.Enum):
             "logdetcg": cls.LOG_DET,
             "log-determinant": cls.LOG_DET,
         }
-        key = name.strip().lower()
+        key = str(name).strip().lower()
         if key not in aliases:
-            raise ValueError(f"unknown objective family {name!r}")
+            raise ValueError(f"unknown objective family {str(name)!r}")
         return aliases[key]
 
 
@@ -90,8 +88,7 @@ class SubmodularObjective:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            object.__setattr__(self, "family", Family.parse(str(self.family)))
+        object.__setattr__(self, "family", Family.parse(self.family))
         self.ground.check_bounds(self.kernel.n)
         if self.epsilon is None:
             eps = self.kernel.epsilon
@@ -104,10 +101,6 @@ class SubmodularObjective:
     @property
     def n(self) -> int:
         return self.kernel.n
-
-
-def _as_indexset(a: IndexSet | Iterable[int]) -> IndexSet:
-    return a if isinstance(a, IndexSet) else IndexSet.of(a)
 
 
 def _pd_message(eps: float) -> str:
@@ -127,33 +120,19 @@ class _Kernel:
     """Kernel columns as a batch of probes sees them, with a leading probe
     axis, and the reductions `_scg` takes of their blocks.
 
-    `s` is n x m with s[a, pos[b]] the entry of items a and b: the
-    objectives read an n x n kernel with pos the identity, the losses the
-    cosine kernel's columns C = (union of the K_c) + U.  Without `rows` it
-    is the base kernel, a batch of one.  Otherwise probe p sees it with row
-    and column `i` replaced by `rows[p]`, an n-long kernel row with
-    rows[p, i] = 1 like s[i, pos[i]], and sets are sorted.  `block` reads
-    the base kernel alone; `best`, `total` and `logdet` answer from the base
-    block and row and column i, with no block per probe.
-
-    With `i` an array the batch is stacked: probe p moves row i[p] alone,
-    given at the kernel's columns, rows[p, pos[b]].  Each i[p] lies outside
-    the columns, so no column moves, and in the sets i[0] lies in, so a set
-    holds every row of the batch or none.  `total` reads such a batch;
-    `best` and `logdet` read one only where it moves nothing they read.
-
-    A loss's reader knows its batch domain `t`, the sorted rows T that every
-    facility-location read lies in.  Per column set b (a class or U) it
-    reads the base block's maxima over T once, a plain reader the first
-    maximum and a batch the first two, and every read of b takes its rows
-    from that one.  The objectives' reader has no T and reads rows a in any
-    order, each time.  What a batch reads of the base point alone, those
-    maxima and each set's map from items to positions, is made on first use
-    and kept in tables that the base reader shares with every batch it
-    makes: an audit makes each once, and the base point's hinge rows too
-    (`hinge`).  An entry is keyed by the ids of the arguments it was made
-    for and holds them, so no other object can take a key while the tables
-    live.
+    `s` is n x m with s[a, pos[b]] the entry of items a and b: n x n with
+    pos the identity for the objectives, the cosine kernel's columns C =
+    (union of the K_c) + U for the losses.  Without `rows` it is the base
+    kernel, a batch of one.  Otherwise probe p sees row and column `i`
+    replaced by `rows[p]`, with rows[p, i] = 1, and sets are sorted; with
+    `i` an array the batch is stacked, probe p moving row i[p] alone, which
+    lies outside the columns and in the sets i[0] lies in (`total` reads
+    such a batch).  A loss's reader knows its sorted batch domain `t`, and
+    reads each column set's maxima over T once.  What batches read of the
+    base point alone is made once, in tables the base reader shares with
+    them; an entry is keyed by the ids of its arguments and holds them, so
+    no other object can take a key while the tables live.  README's loss
+    and `gradcheck` sections set out the read plan.
     """
 
     def __init__(self, s: np.ndarray, pos: np.ndarray, t: np.ndarray | None = None,
@@ -357,16 +336,11 @@ def _scg(
     empty.  The one copy of each formula, for the objectives and the losses.
 
     `reader` reads the kernel with a leading axis of `reader.size` probes,
-    or of 1 where no probe changes what is read (see `_Kernel`): facility
-    location takes its blocks' argmax and max over columns (`best`), graph
-    cut their sums (`total`, which may leave out a constant every probe
-    shares), log-det the blocks themselves (`block`), or for a batch of
-    probes, i's log residual in each block (`logdet`, the same way).
-    Facility location and graph cut sum over rows grounds[c]; with q
-    non-empty every class shares grounds[0].  The q-side work runs once per
-    batch: facility location's argmax, log-det's factor of q's block, or for
-    a batch of probes i's log residual in q's block, which every class's
-    gain subtracts.  Log-det adds `shift` to the diagonals of the blocks of
+    or of 1 where no probe changes what is read (see `_Kernel`; graph cut's
+    `total` may leave out a constant every probe shares).  Facility location
+    and graph cut sum over rows grounds[c]; with q non-empty every class
+    shares grounds[0].  The q-side work, which every class's gain shares,
+    runs once per batch.  Log-det adds `shift` to the diagonals of the blocks of
     sets[c] and q, and raises ValueError(errors[0]) when q's block is not
     positive definite, ValueError(errors[1]) when a gain's block is not.
 
@@ -465,8 +439,7 @@ def conditional_gain(
     q: IndexSet | Iterable[int],
 ) -> float:
     """Definitional gain f(A u Q) - f(Q); A and Q must be disjoint."""
-    a = _as_indexset(a)
-    q = _as_indexset(q)
+    a, q = IndexSet.of(a), IndexSet.of(q)
     if a.intersects(q):
         raise ValueError("conditioning sets overlap")
     return evaluate(objective, q.union(a)) - evaluate(objective, q)
@@ -482,8 +455,7 @@ def conditional_gain_closed(
     For an empty Q every family returns f(A): the nu-weighted coupling term
     vanishes with nothing to condition on.
     """
-    a = _as_indexset(a)
-    q = _as_indexset(q)
+    a, q = IndexSet.of(a), IndexSet.of(q)
     if a.intersects(q):
         raise ValueError("conditioning sets overlap")
     a.check_bounds(objective.n)
@@ -500,19 +472,12 @@ def conditional_gain_closed(
 
 # ---------------------------------------------------------------------------
 # Incremental marginal gains: one mutable state per family, whose one commit
-# updates the caches with `_add`.  A kernel equals its transpose bit for bit
-# (see kernels.py), so a commit of v reads kernel row v, which is contiguous,
-# as column v.  Per-family caches:
-#   facility-location: item x ground block, best similarity per ground item;
-#     on a ground of every item in order the block is the kernel itself, else
-#     the kernel's ground columns, an n x |ground| gather
-#   graph-cut: fixed column sums plus running cross sums to the selection
-#   log-determinant: Cholesky rows and residual variance of every item
-#     (Chen, Zhang & Zhou, NeurIPS 2018); the rows fill one buffer, sized
-#     where the state is made (`marginal_state` or `copy`) for the commits
-#     it will take, which doubles only when a commit finds it full
-# Beside the kernel, each state holds O(n) entries, log-det one n-long row
-# per row of room, and facility location its block when it is a gather.
+# updates its caches with `_add`, reading kernel row v as column v (kernels
+# are exactly symmetric).  Facility location keeps its item x ground block
+# and each ground item's best similarity, graph cut the column sums and the
+# cross sums to the selection, log-det the Cholesky rows and every item's
+# residual (Chen, Zhang & Zhou, NeurIPS 2018).  README's memory bullet
+# gives what each holds.
 
 
 class MarginalState:
@@ -600,12 +565,10 @@ class _GraphCutState(MarginalState):
 
 class _LogDetState(MarginalState):
     """Log-det gains from the Cholesky rows of the selection and the residual
-    variance of every item.  Row r of `_factor` is the row of the r-th
-    commit, and rows past the selection are room for later commits: the
-    buffer is sized once where the state is made, for the commits it will
-    take, and a commit that finds it full doubles it (to FIRST_ROWS at
-    least).  Each row is computed from a view of the rows before it, so the
-    rows are the same bit for bit whatever the buffer's length."""
+    variance of every item.  Row r of `_factor` is the r-th commit's; rows
+    past the selection are room, which a commit that finds none doubles (to
+    FIRST_ROWS at least).  Each row is computed from a view of the rows
+    before it, so the rows are the same bits whatever the buffer's length."""
 
     # Fewest rows a commit that finds the buffer full grows it to.
     FIRST_ROWS = 16

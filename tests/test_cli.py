@@ -1094,6 +1094,14 @@ def test_malformed_sets_file_exits_config(tmp_path, small_scene, capsys, spec, k
     assert f"sets.json: {key} must be a list of" in err
 
 
+@pytest.mark.parametrize("command", ["loss", "gradcheck"])
+def test_sets_file_class_keys_take_ascii_digits_only(tmp_path, small_scene, capsys, command):
+    # "²" and "٣" pass str.isdigit(), and int() reads "٣" but not "²".
+    sets = _write_json(tmp_path / "sets.json", {"K²": [0, 1], "K٣": [2], "U": [3]})
+    assert main([command, str(small_scene), "--sets", sets, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {sets}: defines no known classes (K or K1..Kn)\n"
+
+
 def test_sweep_config_must_be_an_object(tmp_path, small_scene, capsys):
     sweep = _write_json(tmp_path / "sweep.json", {"parameter": "k", "config": [1, 2]})
     cfg = _write_json(tmp_path / "cfg.json", {"k": 3})

@@ -22,6 +22,16 @@ from submine import greedy, kernels
 from submine.objectives import commit
 from helpers import brute_force_opt, full_round_greedy, pruned_greedy_reference, random_objective
 
+
+def reference_run(obj, pool, k, cond=()):
+    """(picks, gains, evaluations) of the loop references: facility
+    location's pruned rounds, and full rounds for the other families."""
+    if obj.family is Family.FACILITY_LOCATION:
+        return pruned_greedy_reference(obj, pool, k, cond, greedy.PRUNE_CHUNK)
+    live = len(set(pool))
+    return (*full_round_greedy(obj, pool, k, cond), sum(live - r for r in range(min(k, live))))
+
+
 LAZY_SETUPS = [
     (Family.FACILITY_LOCATION, "clip-at-zero", None),
     (Family.GRAPH_CUT, "clip-at-zero", None),
@@ -74,16 +84,16 @@ def test_lazy_greedy_is_bit_identical_to_naive():
             obj = random_objective(
                 rng, family, n=n, transform=transform, epsilon=eps, lam=0.5
             )
-            naive = greedy_max(obj, IndexSet.of(range(n)), k)
             lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
-            assert tuple(lazy.selected) == tuple(naive.selected)
-            assert lazy.gains == naive.gains  # exact float equality
-            assert lazy.evaluations <= naive.evaluations + n
+            # Exact float equality with the loop references.
+            assert (tuple(lazy.selected), lazy.gains, lazy.evaluations) == reference_run(
+                obj, range(n), k)
 
 
 def assert_lazy_is_greedy_max(obj, pool, k):
     assert obj.kernel.matrix.min() < 0.0
     lazy, naive = lazy_greedy_max(obj, pool, k), greedy_max(obj, pool, k)
+    assert (tuple(lazy.selected), lazy.gains, lazy.evaluations) == reference_run(obj, pool, k)
     assert (lazy.selected, lazy.gains, lazy.evaluations) == (
         naive.selected, naive.gains, naive.evaluations)
 
@@ -131,32 +141,32 @@ def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
         )
         k = int(rng.integers(2, 20))
         try:
-            naive = greedy_max(obj, IndexSet.of(range(n)), k)
+            want = full_round_greedy(obj, range(n), k)
         except ValueError:
             raised += 1
             with pytest.raises(ValueError, match="not positive definite"):
                 lazy_greedy_max(obj, IndexSet.of(range(n)), k)
             continue
         lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
-        assert tuple(lazy.selected) == tuple(naive.selected)
-        assert lazy.gains == naive.gains
+        assert (tuple(lazy.selected), lazy.gains) == want
     assert 0 < raised < 200
 
 
 def test_lazy_greedy_saves_evaluations():
-    # Facility-location greedy_max prunes with stale bounds as lazy greedy
-    # does; graph cut keeps full rounds, scoring every live row every round.
+    # Facility location prunes with stale bounds, scoring the rows the loop
+    # reference scores; graph cut keeps full rounds, every live row a round.
     rng = np.random.default_rng(33)
     n, k = 40, 10
     full_rounds = sum(n - r for r in range(k))
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="clip-at-zero")
-    naive = greedy_max(obj, IndexSet.of(range(n)), k)
     lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
-    assert tuple(lazy.selected) == tuple(naive.selected)
-    assert naive.evaluations < full_rounds
+    want = pruned_greedy_reference(obj, range(n), k)
+    assert (tuple(lazy.selected), lazy.gains, lazy.evaluations) == want
     assert lazy.evaluations < full_rounds
     gc = random_objective(rng, Family.GRAPH_CUT, n=n, transform="clip-at-zero")
-    assert greedy_max(gc, IndexSet.of(range(n)), k).evaluations == full_rounds
+    lazy = lazy_greedy_max(gc, IndexSet.of(range(n)), k)
+    assert (tuple(lazy.selected), lazy.gains) == full_round_greedy(gc, range(n), k)
+    assert lazy.evaluations == full_rounds
 
 
 def test_facility_location_prunes_signed_kernels_from_the_third_round():
@@ -223,9 +233,8 @@ def test_pruned_greedy_scores_rows_by_bound_then_index(chunk, conditioned):
         k = int(rng.integers(1, len(pool) + 1))
         want = pruned_greedy_reference(obj, pool, k, cond, chunk)
         with mock.patch.object(greedy, "PRUNE_CHUNK", chunk):
-            for run in (greedy_max, lazy_greedy_max):
-                result = run(obj, pool, k, IndexSet.of(cond))
-                assert (tuple(result.selected), result.gains, result.evaluations) == want
+            result = greedy_max(obj, pool, k, IndexSet.of(cond))
+        assert (tuple(result.selected), result.gains, result.evaluations) == want
 
 
 def test_an_unpruned_facility_location_round_reads_the_kernel_in_blocks():
@@ -246,20 +255,19 @@ def test_an_unpruned_facility_location_round_reads_the_kernel_in_blocks():
     assert peak <= 0.1 * obj.kernel.matrix.nbytes
 
 
-def test_greedy_gates_read_the_kernel_without_a_block_copy():
-    # Neither entry point reads a |pool| x |ground| copy of the kernel, on
-    # facility location (pruned rounds) or graph cut (full rounds).
+def test_greedy_reads_the_kernel_without_a_block_copy():
+    # Greedy reads no |pool| x |ground| copy of the kernel, on facility
+    # location (pruned rounds) or graph cut (full rounds).
     rng = np.random.default_rng(35)
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=1000, d=16, transform="clip-at-zero")
     nbytes = obj.kernel.matrix.nbytes
     pool = IndexSet.of(range(1000))
     gc = SubmodularObjective(Family.GRAPH_CUT, obj.kernel, obj.ground)
-    runs = [(greedy_max, obj), (lazy_greedy_max, obj), (lazy_greedy_max, gc)]
-    for run, objective in runs:
-        run(objective, pool, 2)
+    for objective in (obj, gc):
+        greedy_max(objective, pool, 2)
         tracemalloc.start()
         try:
-            run(objective, pool, 2)
+            greedy_max(objective, pool, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -271,8 +279,7 @@ def test_tie_break_prefers_lowest_index():
     obj = SubmodularObjective(Family.FACILITY_LOCATION, flat, IndexSet.of(range(4)))
     result = greedy_max(obj, IndexSet.of([3, 1, 2, 0]), 3)
     assert tuple(result.selected) == (0, 1, 2)
-    lazy = lazy_greedy_max(obj, IndexSet.of([3, 1, 2, 0]), 3)
-    assert tuple(lazy.selected) == (0, 1, 2)
+    assert (tuple(result.selected), result.gains) == full_round_greedy(obj, [3, 1, 2, 0], 3)
 
 
 def test_greedy_fills_budget_despite_negative_gains(toy_objective):
@@ -311,10 +318,31 @@ def test_conditioning_changes_gains(toy_objective):
     assert conditioned.objective_value == pytest.approx(want, abs=1e-12)
 
 
-def test_candidates_overlapping_conditioning_rejected(toy_objective):
+@pytest.mark.parametrize(
+    "pool, k, cond, message",
+    [
+        ([0, 2], -1, None, "budget k must be a non-negative integer"),
+        ([0, 2], 1.5, None, "budget k must be a non-negative integer"),
+        ([0, 3], 1, None, "index 3 out of range for 3 items"),
+        ([0, 2], 1, [1, 3], "index 3 out of range for 3 items"),
+        ([0, 2], 1, "other objective's state", "conditioning state belongs to another objective"),
+        ([0, 1], 1, [1], "candidates overlap conditioning set"),
+        ([0, 1], 1, "state", "candidates overlap conditioning set"),
+    ],
+    ids=["negative-k", "fractional-k", "candidate-out-of-range", "set-out-of-range",
+         "other-objective-state", "overlap-set", "overlap-state"],
+)
+def test_greedy_refusals_name_their_fault(toy_objective, pool, k, cond, message):
     fl = toy_objective("fl")
-    with pytest.raises(ValueError, match="overlap conditioning"):
-        greedy_max(fl, IndexSet.of([0, 1]), 1, conditioning=IndexSet.of([1]))
+    if cond == "state":  # a state whose selection is {1}
+        cond = marginal_state(fl)
+        cond.commit(1)
+    elif cond == "other objective's state":
+        cond = marginal_state(toy_objective("fl"))
+    elif cond is not None:
+        cond = IndexSet.of(cond)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        greedy_max(fl, IndexSet.of(pool), k, cond)
 
 
 def test_allow_conditioned_candidates_gives_zero_gain(toy_objective):
@@ -332,6 +360,11 @@ def test_allow_conditioned_candidates_gives_zero_gain(toy_objective):
         assert result.selected.indices[0] == 1 and result.gains[0] == 0.0
         assert all(g < 0.0 for g in result.gains[1:])
         assert result.evaluations == 2 + 2 + 1
+        # Conditioned through the state itself, the run is the same.
+        through = greedy_max(obj, pool, 3, state, allow_conditioned_candidates=True)
+        assert (through.selected, through.gains, through.evaluations) == (
+            result.selected, result.gains, result.evaluations)
+        assert state.selected == [1, *result.selected.indices[1:]]
 
 
 def test_brute_force_matches_exhaustive_loop(toy_objective):
@@ -375,8 +408,3 @@ def test_gain_engines_refuse_nu_other_than_one(family, transform, eps):
     closed = conditional_gain_closed(obj, got.selected, cond)
     assert got.objective_value == pytest.approx(closed, abs=1e-9)
 
-
-def test_conditioning_state_of_another_objective_rejected(toy_objective):
-    fl, other = toy_objective("fl"), toy_objective("fl")
-    with pytest.raises(ValueError, match="belongs to another objective"):
-        greedy_max(fl, IndexSet.of([0, 2]), 1, marginal_state(other))

@@ -67,8 +67,8 @@ TRANSFORMS = {
     Family.GRAPH_CUT: ("raw-cosine", "clip-at-zero", "affine-shift"),
     Family.LOG_DET: ("raw-cosine", "affine-shift"),
 }
-# Settings where lazy greedy must match naive greedy bit for bit: submodular
-# ones, and raw cosines, which are not submodular from the empty set.
+# Settings where lazy greedy must match the full-round loop bit for bit:
+# submodular ones, and raw cosines, which are not submodular from the empty set.
 LAZY_TRANSFORMS = {
     Family.FACILITY_LOCATION: ("clip-at-zero", "raw-cosine"),
     Family.GRAPH_CUT: ("clip-at-zero", "raw-cosine"),
@@ -150,33 +150,30 @@ def test_engine_gains_equal_growth_of_loop_reference(case):
 def test_lazy_greedy_is_bitwise_naive_greedy(case):
     objective, pool, cond, k = case
     cond = cond.minus(pool)  # lazy greedy takes no conditioned candidates
-    naive = greedy_max(objective, pool, k, cond)
     lazy = lazy_greedy_max(objective, pool, k, cond)
-    assert tuple(lazy.selected) == tuple(naive.selected)
-    assert lazy.gains == naive.gains
+    assert (tuple(lazy.selected), lazy.gains) == full_round_greedy(objective, pool, k, cond)
 
 
 @st.composite
-def pruning_cases(draw, transforms, signed):
+def pruning_cases(draw):
     """(objective, pool, conditioning, k, chunk) with up to 24 items, so that
     pruned rounds span several chunks of `chunk` rows.  Half the kernels are
-    quantized: entries on a small grid (negative ones only when signed) tie
-    many gains; a log-det diagonal of n keeps the matrix positive definite."""
+    quantized: entries on a small signed grid tie many gains; a log-det
+    diagonal of n keeps the matrix positive definite."""
     n = draw(st.integers(1, 24))
-    family = draw(st.sampled_from(sorted(transforms, key=lambda f: f.value)))
+    family = draw(st.sampled_from(sorted(TRANSFORMS, key=lambda f: f.value)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ground = IndexSet.of(int(i) for i in np.flatnonzero(rng.random(n) < 0.7))
     lam = draw(st.sampled_from((0.0, 0.5, 2.0)))
     if draw(st.booleans()):
-        grid = (-0.5, 0.0, 0.5, 1.0) if signed else (0.0, 0.5, 1.0)
-        m = np.triu(rng.choice(grid, size=(n, n)))
+        m = np.triu(rng.choice((-0.5, 0.0, 0.5, 1.0), size=(n, n)))
         m = m + np.triu(m, 1).T
         if family is Family.LOG_DET:
             np.fill_diagonal(m, float(n))
         objective = SubmodularObjective(family, SimilarityKernel(m), ground, lam=lam, epsilon=1e-4)
     else:
         rows = rng.integers(-2, 3, size=(n, draw(st.integers(1, 3))))
-        transform = draw(st.sampled_from(transforms[family]))
+        transform = draw(st.sampled_from(TRANSFORMS[family]))
         objective = make_objective(rows, family, transform, ground, lam)
     pool = IndexSet.of(int(i) for i in rng.permutation(n)[: draw(st.integers(0, n))])
     cond = IndexSet.of(int(i) for i in rng.permutation(n)[: draw(st.integers(0, n))])
@@ -188,7 +185,7 @@ def pruning_cases(draw, transforms, signed):
 
 
 @PROPERTY_SETTINGS
-@given(pruning_cases(TRANSFORMS, signed=True))
+@given(pruning_cases())
 def test_greedy_max_is_bitwise_full_round_greedy(case):
     # Conditioned candidates are allowed, and facility location prunes even
     # on signed kernels once a round was scored under a commit.
@@ -199,7 +196,7 @@ def test_greedy_max_is_bitwise_full_round_greedy(case):
 
 
 @PROPERTY_SETTINGS
-@given(pruning_cases(TRANSFORMS, signed=True))
+@given(pruning_cases())
 def test_lazy_greedy_is_bitwise_full_round_greedy(case):
     objective, pool, cond, k, chunk = case
     cond = cond.minus(pool)
