@@ -122,15 +122,19 @@ def _parse_sets(path: str, n: int):
             raise ValueError(f"{path}: {key} must be a list of integers")
         return IndexSet.of(value)
 
+    keyed = sorted((int(k[1:]), k) for k in spec if re.fullmatch("K[0-9]+", k))
     if "K" in spec:
         if not isinstance(spec["K"], list):
             raise ValueError(f"{path}: K must be a list of lists of integers")
         classes = [items(f"K[{j}]", c) for j, c in enumerate(spec["K"])]
     else:
-        keyed = sorted((int(k[1:]), k) for k in spec if re.fullmatch("K[0-9]+", k))
         classes = [items(k, spec[k]) for _, k in keyed]
     if not classes:
         raise ValueError(f"{path}: defines no known classes (K or K1..Kn)")
+    named = {"U", "T"} | ({"K"} if "K" in spec else {k for _, k in keyed})
+    for key in spec:
+        if key not in named:
+            raise ValueError(f"{path}: unknown key {key!r} (a sets file holds K or K1..Kn, U and T)")
     u = items("U", spec.get("U", []))
     t = items("T", spec["T"]) if "T" in spec else IndexSet.of(range(n))
     return classes, u, t

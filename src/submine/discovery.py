@@ -182,8 +182,11 @@ def select_background(
     known may be a MarginalState whose selection is the knowns; it is
     advanced in place to K then B.
     """
-    budget = math.floor(tau_b * len(pool))
-    return greedy_max(objective, pool, budget, conditioning=known)
+    return greedy_max(objective, pool, _background_budget(tau_b, pool), conditioning=known)
+
+
+def _background_budget(tau_b: float, pool: IndexSet) -> int:
+    return math.floor(tau_b * len(pool))  # stage 3's budget, which _select also sizes its state by
 
 
 def select_unknowns(
@@ -274,7 +277,7 @@ def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
     pool|), so its factor is allocated once and no commit regrows it."""
     objective = prepared.state.objective
     pool_v = objective.ground.minus(prepared.known_k)
-    budget = math.floor(config.tau_b * len(pool_v))
+    budget = _background_budget(config.tau_b, pool_v)
     pool_u_size = len(pool_v) - budget if config.exclude_background_from_pool else len(pool_v)
     state = prepared.state.copy(budget + min(int(config.k), pool_u_size))
     try:

@@ -52,7 +52,7 @@ def _prep(
 ):
     if isinstance(conditioning, MarginalState) and conditioning.objective is not objective:
         raise ValueError("conditioning state belongs to another objective")
-    if int(k) != k or k < 0:
+    if isinstance(k, bool) or int(k) != k or k < 0:
         raise ValueError("budget k must be a non-negative integer")
     cand = IndexSet.of(candidates)
     cand.check_bounds(objective.n)

@@ -137,12 +137,12 @@ def _probe_rows(data: np.ndarray, unit: np.ndarray, i: int, js: np.ndarray, h: f
     and then back down would be."""
     c = len(js)
     up = data[i, js] + h
-    probes = np.repeat(data[i][None], 2 * c, axis=0)
-    probes[np.arange(2 * c), np.tile(js, 2)] = np.concatenate([up, up - 2.0 * h])
-    norms = np.linalg.norm(probes, axis=1)
-    probes /= norms[:, None]
+    probes = data[i][None].repeat(2 * c, axis=0)
+    probes[np.arange(2 * c), np.concatenate([js, js])] = np.concatenate([up, up - 2.0 * h])
+    # The norms as np.linalg.norm takes them, without its wrapper.
+    probes /= np.sqrt(np.add.reduce(probes * probes, axis=1))[:, None]
     rows = probes @ unit.T
-    np.clip(rows, -1.0, 1.0, out=rows)
+    rows.clip(-1.0, 1.0, out=rows)
     rows[:, i] = 1.0
     return rows
 
@@ -387,10 +387,10 @@ def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarra
     def flush() -> None:
         """Evaluates the stack as one batch: every +h probe, then every -h probe."""
         if stack:
-            owners = np.concatenate([np.full(hi - lo, i) for i, lo, hi, _ in stack])
+            owners = np.repeat([i for i, *_ in stack] * 2, [hi - lo for _, lo, hi, _ in stack] * 2)
             ups = [r[: hi - lo] for _, lo, hi, r in stack]
             downs = [r[hi - lo :] for _, lo, hi, r in stack]
-            run(kern.probes(np.tile(owners, 2), np.concatenate(ups + downs)), stack[0][1], stack[-1][2])
+            run(kern.probes(owners, np.concatenate(ups + downs)), stack[0][1], stack[-1][2])
             stack.clear()
 
     # `flat` is sorted, so each row's coordinates start where the row does.
@@ -412,7 +412,7 @@ def _differences(data: np.ndarray, sets: _Sets, cfg: LossConfig, flat: np.ndarra
                 run(kern.probes(np.array([i, i]), kern.s[[i, i]]), lo, lo + 1)
             diff[lo:hi], ok[lo:hi] = diff[shared], ok[shared]
         elif row_only[i]:
-            stack.append((i, lo, hi, np.take(_probe_rows(data, unit, i, js, h), sets.cols, axis=1)))
+            stack.append((i, lo, hi, _probe_rows(data, unit, i, js, h).take(sets.cols, axis=1)))
         else:
             run(kern.probes(i, _probe_rows(data, unit, i, js, h)), lo, hi)
     flush()

@@ -130,9 +130,11 @@ class _Kernel:
     such a batch).  A loss's reader knows its sorted batch domain `t`, and
     reads each column set's maxima over T once.  What batches read of the
     base point alone is made once, in tables the base reader shares with
-    them; an entry is keyed by the ids of its arguments and holds them, so
-    no other object can take a key while the tables live.  README's loss
-    and `gradcheck` sections set out the read plan.
+    them, and what one batch reads again (where i lies in a set, row i's
+    maxima over a column set, a block sum) once, in `_reads`, which it
+    drops with itself.  An entry is keyed by the ids of its arguments and
+    holds them, so no other object can take its key while it lives.
+    README's loss and `gradcheck` sections set out the read plan.
     """
 
     def __init__(self, s: np.ndarray, pos: np.ndarray, t: np.ndarray | None = None,
@@ -140,6 +142,7 @@ class _Kernel:
                  tables: dict | None = None):
         self.s, self.pos, self.t, self.i, self.rows = s, pos, t, i, rows
         self._tables = {} if tables is None else tables
+        self._reads = {}
         # The row whose sets stand for the batch's: i, or a stacked batch's first.
         self._first = int(i[0]) if isinstance(i, np.ndarray) else i
         # Per probe of a batch: whether every argmax row and hinge row it
@@ -153,12 +156,13 @@ class _Kernel:
     def size(self) -> int:
         return 1 if self.rows is None else len(self.rows)
 
-    def _table(self, make, *args):
-        """make(*args), made once for the tables' life."""
+    def _table(self, make, *args, store=None):
+        """make(*args), made once for the life of the tables, or of `store`."""
+        store = self._tables if store is None else store
         key = (make.__name__, *map(id, args))
-        if key not in self._tables:
-            self._tables[key] = (args, make(*args))
-        return self._tables[key][1]
+        if key not in store:
+            store[key] = (args, make(*args))
+        return store[key][1]
 
     def _positions(self, a: np.ndarray) -> np.ndarray:
         """Each item's index in a, or -1."""
@@ -205,7 +209,9 @@ class _Kernel:
 
     def _where(self, a: np.ndarray) -> int:
         """Position of i in a, or -1; for a stacked batch, of its first row."""
-        return int(self._table(self._positions, a)[self._first]) if len(a) else -1
+        if id(a) not in self._reads:  # an int key, which no `_table` key is
+            self._reads[id(a)] = (a, int(self._table(self._positions, a)[self._first]) if len(a) else -1)
+        return self._reads[id(a)][1]
 
     def _moved(self, a: np.ndarray, b: np.ndarray):
         """Positions of i in a and in b, -1 where absent, or None when no
@@ -256,7 +262,6 @@ class _Kernel:
         if moved is None:
             return v1[None].copy()
         pa, pb = moved
-        p = len(self.rows)
         if pb >= 0:
             # The first maximum without column i is the second one in rows
             # where i is the first.  Each probe's column i wins above it,
@@ -264,7 +269,7 @@ class _Kernel:
             second = j1 == pb
             j0 = np.where(second, j2, j1)
             v0 = np.where(second, v2, v1)
-            v = np.take(self.rows, a, axis=1)
+            v = self.rows.take(a, axis=1)
             wins = v >= np.where(j0 > pb, v0, np.nextafter(v0, np.inf))
             np.copyto(v, v0, where=~wins)
             # A row's argmax, pb where column i wins and j0 where it loses,
@@ -275,18 +280,26 @@ class _Kernel:
             np.equal(wins, second, out=wins)
             self.same &= wins.all(axis=1)
         else:
-            v = np.repeat(v1[None], p, axis=0)
+            v = v1[None].repeat(len(self.rows), axis=0)
         if pa >= 0:
-            r = np.take(self.rows, b, axis=1)
-            j = r.argmax(axis=1)
-            v[:, pa] = r[np.arange(p), j]
-            self.same &= j == j1[pa]
+            v[:, pa], same = self._table(self._row_best, b, store=self._reads)
+            self.same &= same
         return v
+
+    def _row_best(self, b: np.ndarray):
+        """Per probe: row i's maximum over b and whether its argmax is the base point's."""
+        r = self.rows.take(b, axis=1)
+        j = r.argmax(axis=1)
+        return r[np.arange(len(r)), j], j == self._read(self.t, b, 2)[0][0, self._where(self.t)]
 
     def total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per probe: the block sum; for a batch, less the base block's, which
         every probe shares: the changes of row i and column i add up to that
-        difference, and the entry they share is 1 before and after."""
+        difference, and the entry they share is 1 before and after.  Kept by
+        the reader: the caller does not change it."""
+        return self._table(self._total, a, b, store=self._reads)
+
+    def _total(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         moved = self._moved(a, b)
         if moved is None:
             return self.block(a, b).sum(axis=(1, 2)) if self.rows is None else np.zeros(1)
@@ -294,14 +307,14 @@ class _Kernel:
         value = np.zeros(len(self.rows))
         if pa >= 0:
             if isinstance(self.i, np.ndarray):  # stacked: row i[p] at C's columns
-                row = np.take(self.rows, self.pos[b], axis=1)
+                row = self.rows.take(self.pos[b], axis=1)
                 row -= self.s[self.i[:, None], self.pos[b]]
             else:
-                row = np.take(self.rows, b, axis=1)
+                row = self.rows.take(b, axis=1)
                 row -= self.s[self.i, self.pos[b]]
             value += row.sum(axis=1)
         if pb >= 0:
-            col = np.take(self.rows, a, axis=1)
+            col = self.rows.take(a, axis=1)
             col -= self.s[a, self.pos[self.i]]
             value += col.sum(axis=1)
         return value
@@ -318,10 +331,10 @@ class _Kernel:
         on_a = np.arange(len(b)) < len(a) - in_a
         blk = self.s[b[:, None], self.pos[b]] + shift * np.eye(len(b))
         blk *= np.where(on_a[:, None] == on_a, 1.0, nu)
-        v = np.take(self.rows, b, axis=1) * np.where(on_a == in_a, 1.0, nu)
+        v = self.rows.take(b, axis=1) * np.where(on_a == in_a, 1.0, nu)
         x = np.linalg.solve(_cholesky(blk, error), v.T)
         resid = self.rows[:, self.i] + shift - (x * x).sum(axis=0)
-        if np.any(resid <= 0.0):
+        if (resid <= 0.0).any():
             raise ValueError(error)
         return np.log(resid)
 

@@ -1102,6 +1102,23 @@ def test_sets_file_class_keys_take_ascii_digits_only(tmp_path, small_scene, caps
     assert capsys.readouterr().err == f"error: {sets}: defines no known classes (K or K1..Kn)\n"
 
 
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ({"K1": [0, 1], "k2": [2, 3], "U": [4]}, "k2"),  # a misspelt class key
+        ({"K": [[0, 1]], "K1": [2, 3], "U": [4]}, "K1"),  # K beside K1..Kn
+        ({"K": [[0, 1]], "U": [4], "note": "x"}, "note"),
+    ],
+)
+@pytest.mark.parametrize("command", ["loss", "gradcheck"])
+def test_sets_file_refuses_keys_it_does_not_read(tmp_path, small_scene, capsys, spec, key, command):
+    sets = _write_json(tmp_path / "sets.json", spec)
+    assert main([command, str(small_scene), "--sets", sets, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {sets}: unknown key {key!r} (a sets file holds K or K1..Kn, U and T)\n"
+    )
+
+
 def test_sweep_config_must_be_an_object(tmp_path, small_scene, capsys):
     sweep = _write_json(tmp_path / "sweep.json", {"parameter": "k", "config": [1, 2]})
     cfg = _write_json(tmp_path / "cfg.json", {"k": 3})

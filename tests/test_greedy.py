@@ -323,13 +323,14 @@ def test_conditioning_changes_gains(toy_objective):
     [
         ([0, 2], -1, None, "budget k must be a non-negative integer"),
         ([0, 2], 1.5, None, "budget k must be a non-negative integer"),
+        ([0, 2], True, None, "budget k must be a non-negative integer"),
         ([0, 3], 1, None, "index 3 out of range for 3 items"),
         ([0, 2], 1, [1, 3], "index 3 out of range for 3 items"),
         ([0, 2], 1, "other objective's state", "conditioning state belongs to another objective"),
         ([0, 1], 1, [1], "candidates overlap conditioning set"),
         ([0, 1], 1, "state", "candidates overlap conditioning set"),
     ],
-    ids=["negative-k", "fractional-k", "candidate-out-of-range", "set-out-of-range",
+    ids=["negative-k", "fractional-k", "bool-k", "candidate-out-of-range", "set-out-of-range",
          "other-objective-state", "overlap-set", "overlap-state"],
 )
 def test_greedy_refusals_name_their_fault(toy_objective, pool, k, cond, message):

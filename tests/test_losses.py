@@ -614,6 +614,93 @@ def test_gc_loss_writes_each_column_set_of_the_adjoint_once(monkeypatch):
     assert written.tolist() == list(range(len(cols)))
 
 
+def _term_reads(sets, cfg):
+    """The reductions one batch of the loss reads, self term then cross
+    term, as (method, arguments): the same sets come back in both."""
+    kcs, u, t = sets.classes, sets.u, sets.t
+    if cfg.family is Family.FACILITY_LOCATION:
+        own = [("best", g, kc) for g, kc in zip(sets.grounds, kcs)]
+        return own + [("best", t, u)] + [("best", t, kc) for kc in kcs]
+    if cfg.family is Family.GRAPH_CUT:
+        own = [r for g, kc in zip(sets.grounds, kcs) for r in (("total", g, kc), ("total", kc, kc))]
+        return own + [r for kc in kcs for r in (("total", t, kc), ("total", kc, kc), ("total", kc, u))]
+    none = u[:0]
+    own = [("logdet", kc, none, cfg.nu, cfg.lam, "") for kc in kcs]
+    cross = [("logdet", kc, u, cfg.nu, 0.0, "") for kc in kcs]
+    return own + [("logdet", u, none, cfg.nu, 0.0, "")] + cross
+
+
+def _reads_as_fresh_batches_read(batch, kern, reads) -> bool:
+    """Whether each of `reads` on `batch`, in order, gives the value, bit
+    for bit, that a fresh batch of the same probes gives, and leaves
+    `batch.same` the AND of the fresh batches' so far."""
+    def read(k, name, args):
+        value = getattr(k, name)(*args)
+        return value[1] if name == "best" else value  # best's argmax is None for a batch
+
+    same = np.ones(len(batch.rows), dtype=bool)
+    for name, *args in reads:
+        fresh = kern.probes(batch.i, batch.rows)
+        got, want = read(batch, name, args), read(fresh, name, args)
+        same &= fresh.same
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            return False
+        if not np.array_equal(batch.same, same):
+            return False
+    return True
+
+
+class _LengthKeyedReads(submine.objectives._Kernel):
+    """A batch that keeps what it reads keyed by the lengths of the sets,
+    not by their ids, so sets of one size share an entry."""
+
+    def _table(self, make, *args, store=None):
+        if store is None:
+            return super()._table(make, *args)
+        key = (make.__name__, *map(len, args))
+        if key not in store:
+            store[key] = make(*args)
+        return store[key]
+
+    def _where(self, a):
+        return self._table(super()._where, a, store=self._reads)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_batch_reads_each_set_once_as_fresh_batches_would(fam, monkeypatch):
+    # The classes and U have one size, so a memo keyed by length mixes them up.
+    e, classes, u, t = _instance(np.random.default_rng(61), n=14, d=8, class_size=3, u_size=3)
+    cfg = LossConfig(family=fam, nu=0.5)
+    sets = submine.losses._index_sets(classes, u, t, cfg.family)
+    kern, unit, _ = submine.losses._base(e.data, sets)
+    reads = _term_reads(sets, cfg)
+    # A batch makes facility location's row-i maxima once per column set,
+    # and graph cut's block sums once per pair of sets.
+    kernel = submine.objectives._Kernel
+    made = []
+    for name in ("_row_best", "_total"):
+
+        def spy(self, *args, make=getattr(kernel, name)):
+            made.append(self)
+            return make(self, *args)
+
+        monkeypatch.setattr(kernel, name, spy)
+    outside = sorted(set(sets.t.tolist()) - set(sets.cols.tolist()))[0]
+    controls = []
+    for i in (int(sets.classes[0][0]), int(sets.u[1]), outside):
+        rows = submine.losses._probe_rows(e.data, unit, i, np.arange(e.d), 1e-4)
+        batch = kern.probes(i, rows)
+        assert _reads_as_fresh_batches_read(batch, kern, reads), i
+        makes = sum(k is batch for k in made)
+        if fam == "fl":
+            assert makes == len(classes) + 1  # once per column set, K_1, K_2 and U
+        elif fam == "gc":
+            assert makes == len({(id(a), id(b)) for _, a, b in reads})
+        control = _LengthKeyedReads(kern.s, kern.pos, kern.t, i, rows, kern._tables)
+        controls.append(_reads_as_fresh_batches_read(control, kern, reads))
+    assert not all(controls)
+
+
 def test_fl_evaluation_reads_each_class_maxima_once(monkeypatch):
     # Both facility-location terms take each row's argmax and max over K_c,
     # the self term over T - K_c and the cross term over T.  A plain
