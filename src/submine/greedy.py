@@ -3,7 +3,7 @@
 Greedy runs exactly k rounds (no early stop on negative gains) and breaks ties
 by lowest item index.  One loop serves every family, and prunes facility
 location's rounds with stale upper bounds (Minoux 1978; Leskovec et al., KDD
-2007) where that changes no pick or gain; lazy_greedy_max is greedy_max.
+2007) where that changes no pick or gain: greedy_max is lazy greedy.
 """
 
 from __future__ import annotations
@@ -147,14 +147,3 @@ def greedy_max(
     order, state = _prep(objective, candidates, k, conditioning, allow_conditioned_candidates)
     return _greedy(state, order, int(k))
 
-
-def lazy_greedy_max(
-    objective: SubmodularObjective,
-    candidates: IndexSet | Iterable[int],
-    k: int,
-    conditioning: IndexSet | None = None,
-) -> SelectionResult:
-    """Lazy greedy (Minoux 1978), kept as an entry point: it is greedy_max,
-    whose one loop already prunes where stale bounds are sound, and returns
-    greedy_max's selection, gains and evaluations."""
-    return greedy_max(objective, candidates, k, conditioning)

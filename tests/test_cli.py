@@ -754,6 +754,32 @@ def test_sweep_validation(tmp_path, small_scene):
     )
 
 
+@pytest.mark.parametrize("flag", ["--config", "--sets", "--sweep"])
+def test_a_json_input_that_is_a_list_exits_config(tmp_path, small_scene, capsys, flag):
+    path = _write_json(tmp_path / "list.json", [{"k": 2}])
+    command = {"--config": "select", "--sets": "loss", "--sweep": "sweep"}[flag]
+    argv = [command, str(small_scene), flag, path, "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([-1, 0, 0, -1], "scene has no labeled known items"),
+        ([1, 2, -1, 1], "scene has no unlabeled unknowns for the loss sweep"),
+    ],
+    ids=["no-knowns", "no-unknowns"],
+)
+def test_a_loss_sweep_needs_labeled_knowns_and_unknowns(tmp_path, capsys, labels, message):
+    scene = tmp_path / "scene.csv"
+    write_embeddings_csv(EmbeddingSet(np.eye(4), labels=labels), scene)
+    sweep = _write_json(tmp_path / "sweep.json", {"parameter": "eta"})
+    argv = ["sweep", str(scene), "--sweep", sweep, "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_input_exits_io(tmp_path):
     code = main(
         ["select", str(tmp_path / "nowhere.csv"), "--out", str(tmp_path / "o.json")]

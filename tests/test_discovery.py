@@ -112,6 +112,9 @@ def test_match_knowns_needs_enough_items():
     e = EmbeddingSet(np.eye(3))
     with pytest.raises(ValueError, match=r"more prototypes \(3\) than kept items \(2\)"):
         match_knowns(e, IndexSet.of([0, 1]), EmbeddingSet(np.eye(3)))
+    # As many prototypes as kept items match every kept item.
+    matched = match_knowns(e, IndexSet.of([2, 0, 1]), EmbeddingSet(np.eye(3)[[1, 2, 0]]))
+    assert tuple(matched) == (1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +326,12 @@ def test_coverage_metrics_against_loops():
         assert metrics[f"mean_sim_{name}"] == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="truth labels do not cover"):
         coverage_metrics(result, scene.labels[:50])
+    # Truth up to the last kept item is enough; one label fewer is not.
+    end = max(result.kept) + 1
+    assert end < scene.n
+    assert coverage_metrics(result, scene.labels[:end]) == metrics
+    with pytest.raises(ValueError, match="^truth labels do not cover the kept items$"):
+        coverage_metrics(result, scene.labels[: end - 1])
 
 
 @pytest.mark.parametrize("family", list(Family))

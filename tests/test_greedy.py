@@ -1,4 +1,4 @@
-"""Greedy maximization, the lazy variant, and the exhaustive reference."""
+"""Greedy maximization against its loop references, and the exhaustive reference."""
 
 import itertools
 import tracemalloc
@@ -15,7 +15,6 @@ from submine import (
     conditional_gain_closed,
     evaluate,
     greedy_max,
-    lazy_greedy_max,
     marginal_state,
 )
 from submine import greedy, kernels
@@ -32,7 +31,7 @@ def reference_run(obj, pool, k, cond=()):
     return (*full_round_greedy(obj, pool, k, cond), sum(live - r for r in range(min(k, live))))
 
 
-LAZY_SETUPS = [
+SETUPS = [
     (Family.FACILITY_LOCATION, "clip-at-zero", None),
     (Family.GRAPH_CUT, "clip-at-zero", None),
     (Family.LOG_DET, "raw-cosine", 1e-4),
@@ -77,39 +76,36 @@ def test_greedy_meets_constant_factor_bound():
 
 def test_lazy_greedy_is_bit_identical_to_naive():
     rng = np.random.default_rng(808)
-    for family, transform, eps in LAZY_SETUPS:
+    for family, transform, eps in SETUPS:
         for _ in range(30):
             n = int(rng.integers(4, 12))
             k = int(rng.integers(1, n + 1))
             obj = random_objective(
                 rng, family, n=n, transform=transform, epsilon=eps, lam=0.5
             )
-            lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
+            got = greedy_max(obj, IndexSet.of(range(n)), k)
             # Exact float equality with the loop references.
-            assert (tuple(lazy.selected), lazy.gains, lazy.evaluations) == reference_run(
+            assert (tuple(got.selected), got.gains, got.evaluations) == reference_run(
                 obj, range(n), k)
 
 
-def assert_lazy_is_greedy_max(obj, pool, k):
+def assert_signed_run_is_reference(obj, pool, k):
     assert obj.kernel.matrix.min() < 0.0
-    lazy, naive = lazy_greedy_max(obj, pool, k), greedy_max(obj, pool, k)
-    assert (tuple(lazy.selected), lazy.gains, lazy.evaluations) == reference_run(obj, pool, k)
-    assert (lazy.selected, lazy.gains, lazy.evaluations) == (
-        naive.selected, naive.gains, naive.evaluations)
+    got = greedy_max(obj, pool, k)
+    assert (tuple(got.selected), got.gains, got.evaluations) == reference_run(obj, pool, k)
 
 
-def test_lazy_greedy_is_greedy_max_on_signed_kernels():
-    # Raw cosines break diminishing returns from the empty set, and lazy
-    # greedy runs greedy_max on them.
+def test_greedy_matches_the_loop_references_on_signed_kernels():
+    # Raw cosines break diminishing returns from the empty set.
     rng = np.random.default_rng(808)
     for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
         obj = random_objective(rng, family, n=12, transform="raw-cosine")
-        assert_lazy_is_greedy_max(obj, IndexSet.of(range(12)), 4)
+        assert_signed_run_is_reference(obj, IndexSet.of(range(12)), 4)
     ld = random_objective(rng, Family.LOG_DET, n=12, transform="raw-cosine", epsilon=1e-4)
-    assert_lazy_is_greedy_max(ld, IndexSet.of(range(12)), 4)
+    assert_signed_run_is_reference(ld, IndexSet.of(range(12)), 4)
 
 
-def test_lazy_greedy_is_greedy_max_where_gains_read_a_negative_entry():
+def test_greedy_matches_the_loop_references_where_gains_read_a_negative_entry():
     # s[2, 3] < 0 is read by graph cut's cross sums over the pool {2, 3}
     # and never by facility location over the ground {0, 1}.
     s = np.array(
@@ -123,7 +119,7 @@ def test_lazy_greedy_is_greedy_max_where_gains_read_a_negative_entry():
     kernel = SimilarityKernel(s)
     for family in (Family.FACILITY_LOCATION, Family.GRAPH_CUT):
         obj = SubmodularObjective(family, kernel, IndexSet.of([0, 1]))
-        assert_lazy_is_greedy_max(obj, IndexSet.of([2, 3]), 2)
+        assert_signed_run_is_reference(obj, IndexSet.of([2, 3]), 2)
 
 
 def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
@@ -145,10 +141,10 @@ def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
         except ValueError:
             raised += 1
             with pytest.raises(ValueError, match="not positive definite"):
-                lazy_greedy_max(obj, IndexSet.of(range(n)), k)
+                greedy_max(obj, IndexSet.of(range(n)), k)
             continue
-        lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
-        assert (tuple(lazy.selected), lazy.gains) == want
+        got = greedy_max(obj, IndexSet.of(range(n)), k)
+        assert (tuple(got.selected), got.gains) == want
     assert 0 < raised < 200
 
 
@@ -159,14 +155,14 @@ def test_lazy_greedy_saves_evaluations():
     n, k = 40, 10
     full_rounds = sum(n - r for r in range(k))
     obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="clip-at-zero")
-    lazy = lazy_greedy_max(obj, IndexSet.of(range(n)), k)
+    got = greedy_max(obj, IndexSet.of(range(n)), k)
     want = pruned_greedy_reference(obj, range(n), k)
-    assert (tuple(lazy.selected), lazy.gains, lazy.evaluations) == want
-    assert lazy.evaluations < full_rounds
+    assert (tuple(got.selected), got.gains, got.evaluations) == want
+    assert got.evaluations < full_rounds
     gc = random_objective(rng, Family.GRAPH_CUT, n=n, transform="clip-at-zero")
-    lazy = lazy_greedy_max(gc, IndexSet.of(range(n)), k)
-    assert (tuple(lazy.selected), lazy.gains) == full_round_greedy(gc, range(n), k)
-    assert lazy.evaluations == full_rounds
+    got = greedy_max(gc, IndexSet.of(range(n)), k)
+    assert (tuple(got.selected), got.gains) == full_round_greedy(gc, range(n), k)
+    assert got.evaluations == full_rounds
 
 
 def test_facility_location_prunes_signed_kernels_from_the_third_round():
@@ -216,6 +212,20 @@ def test_pruned_first_round_in_chunks_matches_full_rounds(monkeypatch, condition
     assert (tuple(chunked.selected), chunked.gains) == reference
     assert (chunked.selected, chunked.gains) == (whole.selected, whole.gains)
     assert chunked.evaluations == whole.evaluations
+
+
+def test_a_block_narrower_than_the_ground_scores_single_rows_whole(monkeypatch):
+    # Below one kernel row a block, every round is cut into single rows,
+    # which are scored as they are, not cut again.
+    rng = np.random.default_rng(39)
+    n, k = 30, 6
+    obj = random_objective(rng, Family.FACILITY_LOCATION, n=n, transform="clip-at-zero")
+    pool = IndexSet.of(range(n))
+    whole = greedy_max(obj, pool, k)
+    monkeypatch.setattr(kernels, "_BLOCK", n - 1)
+    narrow = greedy_max(obj, pool, k)
+    assert (narrow.selected, narrow.gains, narrow.evaluations) == (
+        whole.selected, whole.gains, whole.evaluations)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 16])
@@ -389,7 +399,7 @@ def test_brute_force_guard_rejects_huge_search():
         brute_force_opt(obj, IndexSet.of(range(40)), 40)
 
 
-@pytest.mark.parametrize("family, transform, eps", LAZY_SETUPS)
+@pytest.mark.parametrize("family, transform, eps", SETUPS)
 def test_gain_engines_refuse_nu_other_than_one(family, transform, eps):
     # The engines' gains are definitional, which the closed form with
     # strength nu matches at nu = 1 only.
@@ -397,7 +407,7 @@ def test_gain_engines_refuse_nu_other_than_one(family, transform, eps):
     for nu in (0.5, 1.0):
         obj = random_objective(np.random.default_rng(3), family, n=9, transform=transform,
                                nu=nu, epsilon=eps)
-        selectors = (greedy_max, lazy_greedy_max, brute_force_opt)
+        selectors = (greedy_max, brute_force_opt)
         runs = [lambda: marginal_state(obj)] + [lambda f=f: f(obj, pool, 3, cond) for f in selectors]
         for run in runs:
             if nu == 1.0:

@@ -63,12 +63,16 @@ def test_embedding_set_copies_input_and_is_read_only():
 def test_embedding_set_validation():
     with pytest.raises(ValueError, match="2-d"):
         EmbeddingSet(np.ones(4))
+    with pytest.raises(ValueError, match="^embeddings need at least one feature column$"):
+        EmbeddingSet(np.ones((3, 0)))
     with pytest.raises(ValueError, match="non-finite"):
         EmbeddingSet([[1.0, np.nan]])
     with pytest.raises(ValueError, match="labels length"):
         EmbeddingSet(np.ones((2, 2)), labels=[1])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         EmbeddingSet(np.ones((1, 2)), objectness=[1.5])
+    with pytest.raises(ValueError, match="^objectness length does not match embeddings$"):
+        EmbeddingSet(np.ones((3, 2)), objectness=[0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +357,13 @@ def test_similarity_kernel_validation():
             SimilarityKernel(np.eye(2), epsilon=eps)
     kern = SimilarityKernel(TOY_MATRIX, epsilon=1e-4)
     assert kern.n == 3 and kern.epsilon == 1e-4
+    # A symmetry gap of exactly 1e-12 is averaged, not refused.
+    kern = SimilarityKernel(np.array([[1.0, 1e-12], [0.0, 1.0]]))
+    assert kern.matrix[0, 1] == kern.matrix[1, 0] == 5e-13
+    # The clip and shift transforms take entries from -1e-12 to 1 + 1e-12.
+    edge = np.array([[1.0 + 1e-12, -1e-12], [-1e-12, 1.0]])
+    for transform in ("clip-at-zero", "affine-shift"):
+        assert np.array_equal(SimilarityKernel(edge, transform=transform).matrix, edge)
 
 
 @pytest.mark.parametrize(

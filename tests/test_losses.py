@@ -438,6 +438,15 @@ def _read_rows(fam, classes, u, t):
     return set(sets.read.tolist())
 
 
+def test_audit_at_the_exhaustive_limit_probes_every_coordinate():
+    rng = np.random.default_rng(44)
+    e, classes, u, t = _instance(rng, n=100, d=50)
+    assert e.n * e.d == FD_EXHAUSTIVE_LIMIT
+    for fam in FAMILIES:
+        got = finite_difference_check(e, classes, u, t, LossConfig(family=fam, eta=0.8))
+        assert got["checked"] + got["tie_adjacent"] == FD_EXHAUSTIVE_LIMIT
+
+
 def test_sampled_audit_probes_the_reference_coordinates(monkeypatch):
     rng = np.random.default_rng(43)
     e, classes, u, t = _instance(rng, n=60, d=100)
@@ -481,6 +490,21 @@ def _replaced_blocks(kern, i, rows, a, b):
     out[:, a == i, :] = rows[:, None, b]
     out[:, :, b == i] = rows[:, a, None]
     return out
+
+
+def test_a_base_read_over_all_of_t_leaves_the_next_read_alone():
+    # A loss's base reader keeps the maxima over T per column set; a read of
+    # every row of T hands out a copy, which the caller may change in place.
+    rng = np.random.default_rng(46)
+    e, classes, u, t = _instance(rng, n=12, d=5)
+    sets = submine.losses._index_sets(classes, u, t, Family.FACILITY_LOCATION)
+    kern = submine.losses._base(e.data, sets)[0]
+    j, v = kern.best(sets.t, sets.u)
+    want = j.copy(), v.copy()
+    j[...] = 0
+    v[...] = -np.inf
+    again = kern.best(sets.t, sets.u)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
 
 
 def test_probe_reductions_match_dense_replaced_blocks():

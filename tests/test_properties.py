@@ -41,7 +41,6 @@ from submine import (
     cosine_kernel,
     finite_difference_check,
     greedy_max,
-    lazy_greedy_max,
     loss_total,
 )
 from submine import greedy
@@ -66,13 +65,6 @@ TRANSFORMS = {
     Family.FACILITY_LOCATION: ("raw-cosine", "clip-at-zero", "affine-shift"),
     Family.GRAPH_CUT: ("raw-cosine", "clip-at-zero", "affine-shift"),
     Family.LOG_DET: ("raw-cosine", "affine-shift"),
-}
-# Settings where lazy greedy must match the full-round loop bit for bit:
-# submodular ones, and raw cosines, which are not submodular from the empty set.
-LAZY_TRANSFORMS = {
-    Family.FACILITY_LOCATION: ("clip-at-zero", "raw-cosine"),
-    Family.GRAPH_CUT: ("clip-at-zero", "raw-cosine"),
-    Family.LOG_DET: ("raw-cosine",),
 }
 
 
@@ -145,13 +137,13 @@ def test_engine_gains_equal_growth_of_loop_reference(case):
 
 
 @PROPERTY_SETTINGS
-@given(instances(LAZY_TRANSFORMS))
+@given(instances(TRANSFORMS))
 @_with_edge_cases
 def test_lazy_greedy_is_bitwise_naive_greedy(case):
     objective, pool, cond, k = case
-    cond = cond.minus(pool)  # lazy greedy takes no conditioned candidates
-    lazy = lazy_greedy_max(objective, pool, k, cond)
-    assert (tuple(lazy.selected), lazy.gains) == full_round_greedy(objective, pool, k, cond)
+    cond = cond.minus(pool)  # by default greedy takes no conditioned candidates
+    result = greedy_max(objective, pool, k, cond)
+    assert (tuple(result.selected), result.gains) == full_round_greedy(objective, pool, k, cond)
 
 
 @st.composite
@@ -185,23 +177,17 @@ def pruning_cases(draw):
 
 
 @PROPERTY_SETTINGS
-@given(pruning_cases())
-def test_greedy_max_is_bitwise_full_round_greedy(case):
-    # Conditioned candidates are allowed, and facility location prunes even
-    # on signed kernels once a round was scored under a commit.
+@given(pruning_cases(), st.booleans())
+def test_greedy_max_is_bitwise_full_round_greedy(case, allow_conditioned):
+    # Facility location prunes even on signed kernels once a round was
+    # scored under a commit.  Without conditioned candidates, the
+    # conditioning set drops the pool's items.
     objective, pool, cond, k, chunk = case
+    if not allow_conditioned:
+        cond = cond.minus(pool)
     with mock.patch.object(greedy, "PRUNE_CHUNK", chunk):
-        result = greedy_max(objective, pool, k, cond, allow_conditioned_candidates=True)
-    assert (tuple(result.selected), result.gains) == full_round_greedy(objective, pool, k, cond)
-
-
-@PROPERTY_SETTINGS
-@given(pruning_cases())
-def test_lazy_greedy_is_bitwise_full_round_greedy(case):
-    objective, pool, cond, k, chunk = case
-    cond = cond.minus(pool)
-    with mock.patch.object(greedy, "PRUNE_CHUNK", chunk):
-        result = lazy_greedy_max(objective, pool, k, cond)
+        result = greedy_max(
+            objective, pool, k, cond, allow_conditioned_candidates=allow_conditioned)
     assert (tuple(result.selected), result.gains) == full_round_greedy(objective, pool, k, cond)
 
 
