@@ -58,7 +58,7 @@ SWEEP_GRIDS = {
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as e:

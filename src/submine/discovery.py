@@ -12,13 +12,14 @@ items only, so its size follows |kept|, not the scene.  They also share one
 gain state: the knowns are committed once, stage 3 advances the state, and
 stage 4 continues from where stage 3 left it.  A sweep over k or tau_b
 builds the kernel and commits the knowns once, and runs stages 3-4 per
-value on a copy of that state.  A failure in any stage aborts with that
-stage's name attached.
+value on a copy of that state.  A ValueError in any stage aborts the run
+as a StageError naming that stage, raised by `_stage`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -45,6 +46,15 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Raise a ValueError from the block as StageError(name); let others through."""
+    try:
+        yield
+    except ValueError as e:
+        raise StageError(name, str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -174,15 +184,15 @@ def match_knowns(
 def select_background(
     objective: SubmodularObjective,
     pool: IndexSet,
-    known: IndexSet | MarginalState,
+    conditioning: IndexSet | MarginalState,
     tau_b: float,
 ) -> SelectionResult:
-    """Greedy background pick conditioned on the knowns, budget floor(tau_b * |pool|).
+    """Greedy background pick conditioned on the knowns K, budget floor(tau_b * |pool|).
 
-    known may be a MarginalState whose selection is the knowns; it is
-    advanced in place to K then B.
+    conditioning is K as a set, or a MarginalState whose selection is K,
+    which is advanced in place to K then B.
     """
-    return greedy_max(objective, pool, _background_budget(tau_b, pool), conditioning=known)
+    return greedy_max(objective, pool, _background_budget(tau_b, pool), conditioning)
 
 
 def _background_budget(tau_b: float, pool: IndexSet) -> int:
@@ -192,19 +202,16 @@ def _background_budget(tau_b: float, pool: IndexSet) -> int:
 def select_unknowns(
     objective: SubmodularObjective,
     pool: IndexSet,
-    known: IndexSet | MarginalState,
-    background: IndexSet,
+    conditioning: IndexSet | MarginalState,
     k: int,
 ) -> SelectionResult:
-    """Greedy unknown pick conditioned on knowns and background, budget k.
+    """Greedy unknown pick conditioned on the knowns and background K u B, budget k.
 
-    known may be the MarginalState stage 3 advanced, whose selection is
-    already K then B; the pick continues from it in place.
+    conditioning is K u B as a set, or the MarginalState stage 3 advanced,
+    whose selection is K then B; the pick continues from it in place.
     """
-    if not isinstance(known, MarginalState):
-        known = known.union(background)
     # Pool items already conditioned on score zero and leave the state as is.
-    return greedy_max(objective, pool, k, known, allow_conditioned_candidates=True)
+    return greedy_max(objective, pool, k, conditioning, allow_conditioned_candidates=True)
 
 
 def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
@@ -219,12 +226,11 @@ def known_prototypes(embeddings: EmbeddingSet) -> EmbeddingSet:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What stages 3 and 4 start from: the scene-level sets and a state of
-    the kept-only objective with the knowns committed and no room for more.
+    """What stages 3 and 4 start from: the kept items, the knowns, and a state
+    of the kept-only objective with the knowns committed and no room for more.
     It is never advanced; each selection runs on a copy with its own room."""
 
     kept: IndexSet
-    known: IndexSet
     known_k: IndexSet  # the knowns as kept positions, in prototype order
     state: MarginalState
 
@@ -238,19 +244,15 @@ def _prepare(
     StageError: the input is too large for the run, before anything is
     allocated for it.
     """
-    try:
+    with _stage("filter"):
         kept = filter_by_objectness(embeddings, config.tau_e)
         if len(kept) == 0:
             raise ValueError("empty set after filtering")
-    except ValueError as e:
-        raise StageError("filter", str(e)) from None
     nbytes = 8 * len(kept) ** 2  # float64 entries
     check_budget(nbytes, f"{len(kept)} kept items need a {nbytes:,}-byte kernel")
-    try:
+    with _stage("match"):
         known = match_knowns(embeddings, kept, prototypes)
-    except ValueError as e:
-        raise StageError("match", str(e)) from None
-    try:
+    with _stage("background"):
         kernel = cosine_kernel(
             EmbeddingSet(embeddings.data[kept.as_array()]),
             transform=config.resolved_transform,
@@ -265,9 +267,7 @@ def _prepare(
         )
         known_k = IndexSet.of(_kept_positions(kept, known))
         state = _conditioned_state(objective, known_k)
-    except ValueError as e:
-        raise StageError("background", str(e)) from None
-    return _Prepared(kept, known, known_k, state)
+    return _Prepared(kept, known_k, state)
 
 
 def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
@@ -280,18 +280,11 @@ def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
     budget = _background_budget(config.tau_b, pool_v)
     pool_u_size = len(pool_v) - budget if config.exclude_background_from_pool else len(pool_v)
     state = prepared.state.copy(budget + min(int(config.k), pool_u_size))
-    try:
+    with _stage("background"):
         bg = select_background(objective, pool_v, state, config.tau_b)
-    except ValueError as e:
-        raise StageError("background", str(e)) from None
-    try:
-        if config.exclude_background_from_pool:
-            pool_u = pool_v.minus(bg.selected)
-        else:
-            pool_u = pool_v
-        un = select_unknowns(objective, pool_u, state, bg.selected, config.k)
-    except ValueError as e:
-        raise StageError("unknown", str(e)) from None
+    pool_u = pool_v.minus(bg.selected) if config.exclude_background_from_pool else pool_v
+    with _stage("unknown"):
+        un = select_unknowns(objective, pool_u, state, config.k)
     kept_arr = prepared.kept.as_array()
 
     def to_scene(s: IndexSet) -> IndexSet:
@@ -301,7 +294,7 @@ def _select(prepared: _Prepared, config: DiscoveryConfig) -> DiscoveryResult:
     un = replace(un, selected=to_scene(un.selected))
     return DiscoveryResult(
         kept=prepared.kept,
-        known=prepared.known,
+        known=to_scene(prepared.known_k),
         background=bg.selected,
         unknown=un.selected,
         pool=to_scene(pool_u),

@@ -404,14 +404,14 @@ def write_embeddings_csv(
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write text to path as `Path.write_text(text, newline="")` does, but
+    """Write text to path as `Path.write_text(text, "utf-8", newline="")` does, but
     over the old bytes, then cut a regular file to length.  Opening without
     O_TRUNC spares a rerun the flush ext4 makes on close() of a file that was
     truncated (auto_da_alloc), tens of ms per file.  Like the old write it is
     neither atomic nor fsynced: a crash or a full disk mid-write leaves the
     old bytes past the written prefix."""
     opener = lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)  # noqa: E731
-    with open(path, "w", newline="", opener=opener) as fh:
+    with open(path, "w", encoding="utf-8", newline="", opener=opener) as fh:
         fh.write(text)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
@@ -447,7 +447,7 @@ def _undecodable(path, e: UnicodeDecodeError) -> ValueError:
 def _fault(path: Path, header: list[str]) -> str | None:
     """The first ragged row or bad cell, in the rows the csv module splits.
     A row is checked whole first: one parse per cell costs microseconds."""
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         rows = list(csv.reader(_rows(fh)))[1:]
     for i, r in enumerate(rows, 1):
         if len(r) != len(header):
@@ -467,7 +467,7 @@ def read_embeddings_csv(path: str | Path) -> EmbeddingSet:
     """
     path = Path(path)
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             lines = _rows(fh)
             head, first = next(lines, None), next(lines, None)
             if first is None:

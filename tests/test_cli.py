@@ -5,6 +5,9 @@ import dataclasses
 import gc
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -529,6 +532,41 @@ def test_an_input_that_is_not_utf8_is_named(tmp_path, small_scene, capsys, targe
         f"error: {paths[target]}: not utf-8 text (invalid start byte: 0xff)\n"
     )
     assert not out.exists()
+
+
+def _cli_under_locale(locale, *argv):
+    """Run the CLI in a fresh process whose locale is `locale`, with neither
+    the C locale's UTF-8 coercion nor UTF-8 mode."""
+    env = dict(os.environ, LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    src = str(Path(submine.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "submine.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_inputs_are_read_as_utf8_under_a_c_locale(tmp_path, small_scene):
+    # A non-ASCII comment line is one more comment: under the C locale the
+    # run must decode it as UTF-8, as README promises, and write the same
+    # bytes as under a UTF-8 locale.
+    head, rest = small_scene.read_bytes().split(b"\n", 1)
+    scene = tmp_path / "accent.csv"
+    scene.write_bytes(head + "\n# café note\n".encode() + rest)
+    outs = {}
+    for locale in ("C.UTF-8", "C"):
+        out = tmp_path / f"{locale}.json"
+        run = _cli_under_locale(locale, "select", str(scene), "--out", str(out), "--quiet")
+        assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+        outs[locale] = out.read_bytes(), out.with_suffix(".roles.csv").read_bytes()
+    assert outs["C"] == outs["C.UTF-8"]
+    # A config key that is not ASCII is read, and named as unknown, under both.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"café": 1}'.encode())
+    line = "error: unknown config keys: ['café']\n"
+    argv = ["select", str(scene), "--config", str(cfg), "--out", str(tmp_path / "x.json")]
+    # stderr writes what its encoding cannot hold as backslash escapes.
+    for locale, want in (("C.UTF-8", line.encode()), ("C", line.encode("ascii", "backslashreplace"))):
+        run = _cli_under_locale(locale, *argv)
+        assert (run.returncode, run.stderr) == (EXIT_CONFIG, want)
 
 
 def test_a_seed_flag_is_refused_where_nothing_reads_it(tmp_path, small_scene, capsys):

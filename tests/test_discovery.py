@@ -147,7 +147,7 @@ def test_select_unknowns_conditions_on_both_sets():
     known = IndexSet.of(range(3))
     background = IndexSet.of(range(3, 8))
     pool = IndexSet.of(range(8, 30))
-    result = select_unknowns(obj, pool, known, background, 4)
+    result = select_unknowns(obj, pool, known.union(background), 4)
     assert len(result.selected) == 4
     assert not result.selected.intersects(known)
     assert not result.selected.intersects(background)
@@ -224,6 +224,18 @@ def test_pipeline_stage_errors():
     with pytest.raises(StageError, match="more prototypes") as info:
         run_discovery(tiny, EmbeddingSet(np.eye(3)), DiscoveryConfig())
     assert info.value.stage == "match"
+
+
+def test_a_stage_lets_errors_other_than_value_errors_through(monkeypatch):
+    # Only a ValueError is the stage's refusal of its input; any other
+    # error is a fault and keeps its type.
+    def broken(*args):
+        raise TypeError("not a value error")
+
+    monkeypatch.setattr(submine.discovery, "match_knowns", broken)
+    scene = gen_scene(SMALL_SCENE)
+    with pytest.raises(TypeError, match="^not a value error$"):
+        run_discovery(scene, known_prototypes(scene))
 
 
 def _scene_with_equal_rows(first, second):

@@ -74,7 +74,7 @@ def test_greedy_meets_constant_factor_bound():
         assert best.objective_value >= greedy.objective_value - 1e-9
 
 
-def test_lazy_greedy_is_bit_identical_to_naive():
+def test_greedy_is_bit_identical_to_the_loop_references():
     rng = np.random.default_rng(808)
     for family, transform, eps in SETUPS:
         for _ in range(30):
@@ -122,7 +122,7 @@ def test_greedy_matches_the_loop_references_where_gains_read_a_negative_entry():
         assert_signed_run_is_reference(obj, IndexSet.of([2, 3]), 2)
 
 
-def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
+def test_greedy_raises_where_full_rounds_do_on_non_pd_logdet_kernels():
     # A unit Gram matrix in 8-d plus symmetric noise: past rank 8 its
     # residuals can turn non-positive, on rows a pruned round would not score.
     rng = np.random.default_rng(404)
@@ -148,7 +148,7 @@ def test_lazy_greedy_raises_where_greedy_does_on_non_pd_logdet_kernels():
     assert 0 < raised < 200
 
 
-def test_lazy_greedy_saves_evaluations():
+def test_greedy_prunes_facility_location_rounds_only():
     # Facility location prunes with stale bounds, scoring the rows the loop
     # reference scores; graph cut keeps full rounds, every live row a round.
     rng = np.random.default_rng(33)

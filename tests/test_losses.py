@@ -432,6 +432,41 @@ def test_audit_counts_probes_that_cross_a_hinge():
     _assert_same_audit(got, finite_difference_reference(e, classes, u, t, cfg))
 
 
+def _zero_margin_instance():
+    """Item 0, the one class, and item 1, U, are the same axis vector, so
+    each row's cosines with them are the same bits, and at nu = 1 each
+    facility-location margin of the cross term is exactly 0.  The other
+    rows are random, and a probe of one of them moves its two cosines alike."""
+    data = np.random.default_rng(61).normal(size=(8, 3))
+    data[0] = data[1] = [2.0, 0.0, 0.0]
+    e, classes, u, t = EmbeddingSet(data), [IndexSet.of([0])], IndexSet.of([1]), IndexSet.of(range(8))
+    s = cosine_columns(data, np.array([0, 1]))[0]
+    assert np.array_equal(s[:, 0], s[:, 1])
+    return e, classes, u, t
+
+
+def test_audit_checks_probes_that_keep_a_margin_of_exactly_zero():
+    # A margin of exactly 0 is inactive at the base point and under every
+    # probe of a row outside K and U, so those probes are checked.  Only the
+    # probes of items 0 and 1 off their axis move the margins off 0.
+    e, classes, u, t = _zero_margin_instance()
+    cfg = LossConfig(family="fl")
+    got = finite_difference_check(e, classes, u, t, cfg)
+    assert got["tie_adjacent"] <= 2 * (e.d - 1) and got["max_rel_err"] < 1e-5
+    _assert_same_audit(got, finite_difference_reference(e, classes, u, t, cfg))
+
+
+def test_gradient_at_a_margin_of_exactly_zero_matches_dense_reference():
+    # No margin is active, so the cross term adds no adjoint.  Counting the
+    # margins of 0 as active would add +1/|T| at every (row, item 0) and
+    # -1/|T| at (row, item 1): the gradients of items 0 and 1 would move.
+    e, classes, u, t = _zero_margin_instance()
+    cfg = LossConfig(family="fl")
+    grad = dense_loss_reference(e.data, classes, u, t, cfg)[3]
+    got = loss_total(e, classes, u, t, cfg).grad
+    assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
 def _read_rows(fam, classes, u, t):
     """The rows a family's terms read: C for log-det, T for the others."""
     sets = submine.losses._index_sets(classes, u, t, Family.parse(fam))

@@ -173,6 +173,17 @@ def test_logdet_singular_submatrix_errors():
     assert math.isfinite(evaluate(healed, [0, 1]))
 
 
+def test_logdet_gains_refuse_a_residual_of_exactly_zero():
+    # After item 0 is committed, item 1's residual is 1 - 1 * 1 = 0.0
+    # exactly: its gain is log 0, a singular submatrix, not -inf.
+    kern = SimilarityKernel(np.ones((2, 2)))
+    state = commit(marginal_state(SubmodularObjective(Family.LOG_DET, kern, IndexSet.of(range(2)),
+                                                      epsilon=0.0)), 0)
+    assert state._resid[1] == 0.0
+    with pytest.raises(ValueError, match="^singular kernel submatrix$"):
+        state.gains(np.array([1]))
+
+
 # ---------------------------------------------------------------------------
 # incremental marginal gains
 
@@ -326,7 +337,7 @@ def test_a_bare_commit_is_the_module_commit(family, transform, eps):
     assert np.array_equal(_bits(bare.gains(rest)), _bits(gains))
 
 
-def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
+def test_logdet_commits_room_sizes_the_factor_once_with_vstack_rows():
     rng = np.random.default_rng(607)
     n = 60
     obj = random_objective(rng, Family.LOG_DET, n=n, epsilon=1e-2)
@@ -348,7 +359,7 @@ def test_logdet_reserve_sizes_the_factor_once_with_vstack_rows():
 
 
 @pytest.mark.parametrize("family", [Family.FACILITY_LOCATION, Family.GRAPH_CUT])
-def test_reserve_changes_nothing_for_facility_location_and_graph_cut(family):
+def test_room_changes_nothing_for_facility_location_and_graph_cut(family):
     rng = np.random.default_rng(608)
     obj = random_objective(rng, family, n=20, transform="clip-at-zero")
     # Room for commits allocates nothing, however large.

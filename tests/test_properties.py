@@ -139,7 +139,7 @@ def test_engine_gains_equal_growth_of_loop_reference(case):
 @PROPERTY_SETTINGS
 @given(instances(TRANSFORMS))
 @_with_edge_cases
-def test_lazy_greedy_is_bitwise_naive_greedy(case):
+def test_greedy_max_is_bitwise_full_round_greedy_over_every_transform(case):
     objective, pool, cond, k = case
     cond = cond.minus(pool)  # by default greedy takes no conditioned candidates
     result = greedy_max(objective, pool, k, cond)
